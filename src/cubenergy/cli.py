@@ -57,7 +57,9 @@ def _float_repr(x: float) -> str:
         return '"NaN"'
     if math.isinf(x):
         return '"Infinity"' if x > 0 else '"-Infinity"'
-    return format(x, ".17g")
+    text = format(x, ".17g")
+    # a whole-valued float stays a JSON float: "3.0", not "3"
+    return text if "." in text or "e" in text else text + ".0"
 
 
 def _emit(obj, out: List[str]):
@@ -172,9 +174,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact energy counts, sign certificates, inequality "
                     "grids, and extension-constant experiments on discrete "
                     "cubes.")
-    top.add_argument("--threads", type=_positive_int, default=1,
-                     help="parallelism cap; results never depend on it "
-                          "(current implementation runs serially)")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("energy", help="exact energy of one set")

@@ -15,9 +15,10 @@ from itertools import product as iter_product
 from typing import Dict, List, Optional, Tuple
 
 from .errors import BudgetExceeded
-from .lattice import (CountsMap, PointSet, convolve, correlate, indicator,
-                      iterate_convolve, multiply_pointwise, pack_points,
-                      power_pointwise, sum_values)
+from .lattice import (CountsMap, PointSet, convolve, convolve_packed,
+                      correlate, indicator, iterate_convolve,
+                      multiply_pointwise, pack_points, power_pointwise,
+                      sum_values)
 
 
 class EnergyKind(str, Enum):
@@ -73,14 +74,28 @@ class EnergyValue:
         }
 
 
+def packed_power_energy(base: dict, k: int):
+    """sum_s (k-fold convolution power of base)(s)^2 for a map keyed by
+    integers from pack_points(..., k).  Exact for int and Fraction values;
+    float values are added one by one in a fixed order (not with sum(),
+    which compensates float rounding from Python 3.12 on)."""
+    conv = base
+    for _ in range(k - 1):
+        conv = convolve_packed(conv, base)
+    total = 0
+    for v in conv.values():
+        total += v * v
+    return total
+
+
 def additive_energy(a: PointSet, k: int) -> EnergyValue:
     """E_k(A) = sum_x (k-fold convolution of the indicator)(x)^2."""
     _check_k(k)
     if len(a) == 0:
         return EnergyValue(EnergyKind.ADDITIVE, k, 0, 0)
-    conv = iterate_convolve(indicator(a), k)
+    ind = dict.fromkeys(pack_points(a.sorted_points(), k), 1)
     return EnergyValue(EnergyKind.ADDITIVE, k, len(a),
-                       sum_values(power_pointwise(conv, 2)))
+                       packed_power_energy(ind, k))
 
 
 def higher_energy(a: PointSet, k: int) -> EnergyValue:
@@ -88,10 +103,11 @@ def higher_energy(a: PointSet, k: int) -> EnergyValue:
     _check_k(k)
     if len(a) == 0:
         return EnergyValue(EnergyKind.HIGHER, k, 0, 0)
-    ind = indicator(a)
-    auto = correlate(ind, ind)
+    packed = pack_points(a.sorted_points(), 2)
+    auto = convolve_packed(dict.fromkeys(packed, 1),
+                           dict.fromkeys([-x for x in packed], 1))
     return EnergyValue(EnergyKind.HIGHER, k, len(a),
-                       sum_values(power_pointwise(auto, k)))
+                       sum(v ** k for v in auto.values()))
 
 
 def energy(a: PointSet, k: int, kind: EnergyKind) -> EnergyValue:

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .energy import EnergyKind, interval_energy_closed_form, packed_subset_energy
+from .energy import (EnergyKind, interval_energy_closed_form,
+                     packed_power_energy, packed_subset_energy)
 from .errors import DimensionMismatch
-from .lattice import PointSet, WeightFn, convolve_weights, pack_points
+from .lattice import PointSet, WeightFn, pack_points
 
 RESTRICTED_EXHAUSTIVE_MAX = 20      # 0/1 enumeration cap (Gray code, k = 2)
 RESTRICTED_SCRATCH_MAX = 14         # per-mask recompute cap for k >= 3
@@ -67,13 +68,8 @@ def weighted_energy(f: WeightFn, k: int):
         raise ValueError("k must be >= 1")
     if not f.entries:
         return Fraction(0) if f.exact else 0.0
-    g = f
-    for _ in range(k - 1):
-        g = convolve_weights(g, f)
-    total = Fraction(0) if g.exact else 0.0
-    for v in g.entries.values():
-        total += v * v
-    return total
+    base = dict(zip(pack_points(list(f.entries), k), f.entries.values()))
+    return packed_power_energy(base, k)
 
 
 def lq_norm(f: WeightFn, q: float) -> float:
@@ -283,19 +279,13 @@ def optimize_de(problem: DEProblem, strategy: str = "coordinate",
     restricted_witness = WeightFn(problem.alphabet.dim,
                                   {p: 1 for p in r_points}, True)
 
+    keys = pack_points(pts, k)
+
     def ratio_of(ws: List[float]) -> float:
-        base = {p: w for p, w in zip(pts, ws) if w > 0}
+        base = {key: w for key, w in zip(keys, ws) if w > 0}
         if not base:
             return 0.0
-        conv = base
-        for _ in range(k - 1):
-            nxt: Dict[Tuple[int, ...], float] = {}
-            for x, u in conv.items():
-                for y, v in base.items():
-                    s = tuple(a + b for a, b in zip(x, y))
-                    nxt[s] = nxt.get(s, 0.0) + u * v
-            conv = nxt
-        energy = sum(v * v for v in conv.values())
+        energy = packed_power_energy(base, k)
         norm = sum(w ** q for w in base.values()) ** (1.0 / q)
         return energy ** inv2k / norm
 

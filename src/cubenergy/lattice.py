@@ -1,10 +1,10 @@
-"""Exact lattice point sets and finitely supported integer maps on Z^d.
+"""Exact lattice point sets and finitely supported maps on Z^d.
 
-This is the arithmetic core: everything here is integer-exact.  Convolution
-has two interchangeable backends, a sparse dict loop and a dense path that
-packs the bounding box into one big integer per operand (carry-free mixed
-radix slots) and performs a single exact multiply.  No floating point is
-used anywhere in this module.
+Every convolution runs through one kernel, convolve_packed, on maps keyed by
+carry-free packed integers (pack_points): adding two keys adds the points.
+Dense nonnegative integer maps take one big-integer product (Kronecker
+substitution); all other maps, float and Fraction weights included, take a
+dict loop in a fixed order.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from .errors import DimensionMismatch, ParseError
 
 Point = Tuple[int, ...]
 
-# dense backend ceiling: number of cells in the result bounding box
+# big-integer branch ceiling: length of the kernel's result key range
 DENSE_MAX_CELLS = 1 << 20
 
 
@@ -147,90 +147,113 @@ def reflect(f: CountsMap) -> CountsMap:
     return CountsMap(f.dim, {tuple(-c for c in p): v for p, v in f.entries.items()})
 
 
-def _convolve_sparse(e1: dict, e2: dict) -> dict:
-    out = {}
-    for p, u in e1.items():
-        for q, v in e2.items():
-            s = tuple(a + b for a, b in zip(p, q))
-            out[s] = out.get(s, 0) + u * v
-    return out
+# ---------------------------------------------------------------------------
+# carry-free integer packing and the convolution kernel
 
 
-def _box(entries: dict, dim: int):
-    los = [min(p[i] for p in entries) for i in range(dim)]
-    his = [max(p[i] for p in entries) for i in range(dim)]
-    return los, his
+def _place_values(radices: Sequence[int]) -> List[int]:
+    """Row-major place values of a mixed radix (the last axis is fastest)."""
+    weights = [1] * len(radices)
+    for i in range(len(radices) - 1, 0, -1):
+        weights[i - 1] = weights[i] * radices[i]
+    return weights
 
 
-def _dense_convolve(e1: dict, e2: dict, dim: int) -> dict:
-    lo1, hi1 = _box(e1, dim)
-    lo2, hi2 = _box(e2, dim)
-    spans = [hi1[i] + hi2[i] - lo1[i] - lo2[i] + 1 for i in range(dim)]
-    cells = 1
-    for s in spans:
-        cells *= s
-    # row-major slot weights over the result box
-    weights = [1] * dim
-    for i in range(dim - 2, -1, -1):
-        weights[i] = weights[i + 1] * spans[i + 1]
+def _corner(pts: Iterable[Point]) -> Tuple[List[int], List[int]]:
+    """Lower corner and per-axis spans of the bounding box of pts."""
+    axes = list(zip(*pts))
+    los = [min(axis) for axis in axes]
+    return los, [max(axis) - lo for axis, lo in zip(axes, los)]
 
-    bound = min(sum(e1.values()) * max(e2.values(), default=0),
-                sum(e2.values()) * max(e1.values(), default=0))
+
+def _pack(p: Point, los: Sequence[int], weights: Sequence[int]) -> int:
+    acc = 0
+    for c, l, w in zip(p, los, weights):
+        acc += (c - l) * w
+    return acc
+
+
+def pack_points(pts: Sequence[Point], multiplier: int) -> List[int]:
+    """Injectively pack points into integers so that coordinatewise sums of up
+    to `multiplier` packed values (and pairwise differences) decode uniquely.
+    """
+    if not pts:
+        return []
+    los, spans = _corner(pts)
+    weights = _place_values([max(multiplier, 2) * s + 1 for s in spans])
+    return [_pack(p, los, weights) for p in pts]
+
+
+def convolve_packed(a: dict, b: dict) -> dict:
+    """(a * b)[x + y] = sum of a[x] b[y] over maps keyed by pack_points
+    integers.  Nonnegative int maps on a dense key range are multiplied as
+    one big integer whose slot i holds key lo + i (zero slots are skipped);
+    everything else runs a dict loop in a fixed order (a outer, b inner), so
+    float sums are reproducible bit for bit."""
+    if not a or not b:
+        return {}
+    lo_a, lo_b = min(a), min(b)
+    cells = max(a) - lo_a + max(b) - lo_b + 1
+    if (cells > DENSE_MAX_CELLS or len(a) * len(b) < 4 * cells or not all(
+            type(v) is int and v >= 0 for m in (a, b) for v in m.values())):
+        out: dict = {}
+        get = out.get
+        for x, u in a.items():
+            for y, v in b.items():
+                s = x + y
+                out[s] = get(s, 0) + u * v
+        return out
+    # no product slot exceeds this bound, so one spare byte per slot keeps
+    # neighbouring slots from carrying into each other
+    bound = min(sum(a.values()) * max(b.values()),
+                sum(b.values()) * max(a.values()))
     stride = (bound.bit_length() + 8) // 8
 
-    def pack(entries, lo):
+    def to_int(m: dict, lo: int) -> int:
         buf = bytearray(cells * stride)
-        for pt, val in entries.items():
-            idx = 0
-            for c, l, w in zip(pt, lo, weights):
-                idx += (c - l) * w
-            off = idx * stride
+        for key, val in m.items():
+            off = (key - lo) * stride
             buf[off:off + stride] = val.to_bytes(stride, "little")
         return int.from_bytes(buf, "little")
 
-    product = pack(e1, lo1) * pack(e2, lo2)
-    raw = product.to_bytes(cells * stride, "little")
-
-    lo_res = [lo1[i] + lo2[i] for i in range(dim)]
+    raw = (to_int(a, lo_a) * to_int(b, lo_b)).to_bytes(cells * stride, "little")
     zero = bytes(stride)
+    lo = lo_a + lo_b
     out = {}
-    for idx in range(cells):
-        off = idx * stride
+    for i, off in enumerate(range(0, cells * stride, stride)):
         chunk = raw[off:off + stride]
-        if chunk == zero:
-            continue
-        rem = idx
-        coords = []
-        for w in weights:
-            c, rem = divmod(rem, w)
-            coords.append(c)
-        pt = tuple(c + l for c, l in zip(coords, lo_res))
-        out[pt] = int.from_bytes(chunk, "little")
+        if chunk != zero:
+            out[lo + i] = int.from_bytes(chunk, "little")
     return out
 
 
-def _dense_cells(e1: dict, e2: dict, dim: int) -> int:
-    lo1, hi1 = _box(e1, dim)
-    lo2, hi2 = _box(e2, dim)
-    cells = 1
-    for i in range(dim):
-        cells *= hi1[i] + hi2[i] - lo1[i] - lo2[i] + 1
-    return cells
+def _convolve_points(e1: dict, e2: dict) -> dict:
+    """convolve_packed on tuple-keyed maps.  The radix of each axis is the
+    span of the result on that axis, so the kernel's key range is at most
+    the cell count of the result's bounding box."""
+    if not e1 or not e2:
+        return {}
+    lo1, span1 = _corner(e1)
+    lo2, span2 = _corner(e2)
+    weights = _place_values([s + t + 1 for s, t in zip(span1, span2)])
+    out = convolve_packed({_pack(p, lo1, weights): v for p, v in e1.items()},
+                          {_pack(q, lo2, weights): v for q, v in e2.items()})
+    lo = [l1 + l2 for l1, l2 in zip(lo1, lo2)]
+    decoded = {}
+    for key, v in out.items():
+        coords = []
+        for l, w in zip(lo, weights):
+            c, key = divmod(key, w)
+            coords.append(c + l)
+        decoded[tuple(coords)] = v
+    return decoded
 
 
 def convolve(f: CountsMap, g: CountsMap) -> CountsMap:
     """(f * g)(x) = sum_y f(y) g(x - y), exactly."""
     if f.dim != g.dim:
         raise DimensionMismatch("dims %d and %d" % (f.dim, g.dim))
-    if not f.entries or not g.entries:
-        return CountsMap(f.dim, {})
-    nonneg = all(v >= 0 for v in f.entries.values()) and \
-        all(v >= 0 for v in g.entries.values())
-    if nonneg and f.dim > 0:
-        cells = _dense_cells(f.entries, g.entries, f.dim)
-        if cells <= DENSE_MAX_CELLS and len(f.entries) * len(g.entries) >= 4 * cells:
-            return CountsMap(f.dim, _dense_convolve(f.entries, g.entries, f.dim))
-    return CountsMap(f.dim, _convolve_sparse(f.entries, g.entries))
+    return CountsMap(f.dim, _convolve_points(f.entries, g.entries))
 
 
 def correlate(f: CountsMap, g: CountsMap) -> CountsMap:
@@ -322,7 +345,7 @@ class WeightFn:
 def convolve_weights(f: WeightFn, g: WeightFn) -> WeightFn:
     if f.dim != g.dim:
         raise DimensionMismatch("dims %d and %d" % (f.dim, g.dim))
-    return WeightFn(f.dim, _convolve_sparse(f.entries, g.entries),
+    return WeightFn(f.dim, _convolve_points(f.entries, g.entries),
                     f.exact and g.exact)
 
 
@@ -387,33 +410,3 @@ def parse_points_auto(text: str, dim: Optional[int] = None) -> PointSet:
     if text.lstrip().startswith("["):
         return parse_points_json(text, dim)
     return parse_points_text(text, dim)
-
-
-# ---------------------------------------------------------------------------
-# carry-free integer packing (shared by the enumeration backends)
-
-def pack_points(pts: Sequence[Point], multiplier: int) -> List[int]:
-    """Injectively pack points into integers so that coordinatewise sums of up
-    to `multiplier` packed values (and pairwise differences) decode uniquely.
-    """
-    if not pts:
-        return []
-    dim = len(pts[0])
-    if dim == 0:
-        return [0] * len(pts)
-    los = [min(p[i] for p in pts) for i in range(dim)]
-    his = [max(p[i] for p in pts) for i in range(dim)]
-    radix = 1
-    weights = []
-    for i in range(dim - 1, -1, -1):
-        weights.append(radix)
-        span = his[i] - los[i]
-        radix *= max(multiplier, 2) * span + 1
-    weights.reverse()
-    out = []
-    for p in pts:
-        acc = 0
-        for c, l, w in zip(p, los, weights):
-            acc += (c - l) * w
-        out.append(acc)
-    return out

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from cubenergy.cli import main, parse_set_spec
+from cubenergy.cli import dumps_canonical, main, parse_set_spec
 from cubenergy.errors import ParseError
 
 
@@ -295,8 +295,18 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert doc["config"]["output"] == str(path)
 
 
-def test_config_echoes_seed_and_threads(capsys):
-    doc = _run_json(capsys, ["--threads", "2", "verify", "--set", "cube:1x2",
+def test_config_echoes_seed(capsys):
+    doc = _run_json(capsys, ["verify", "--set", "cube:1x2",
                              "--k", "2", "--sample", "10", "--seed", "42"])
     assert doc["config"]["seed"] == 42
-    assert doc["config"]["threads"] == 2
+    assert "threads" not in doc["config"]
+
+
+def test_whole_floats_stay_floats():
+    assert dumps_canonical(3.0) == "3.0"
+    assert dumps_canonical(-0.0) == "-0.0"
+    assert dumps_canonical(0.5) == "0.5"
+    # exponent forms are already JSON floats
+    assert dumps_canonical(1e17) == "1e+17"
+    assert dumps_canonical(1e-7) == format(1e-7, ".17g")
+    assert dumps_canonical(3) == "3"

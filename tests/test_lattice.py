@@ -1,16 +1,19 @@
-"""Point sets, counting measures, convolution backends, and parsers."""
+"""Point sets, counting measures, the convolution kernel, and parsers."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
+from cubenergy.energy import additive_energy
 from cubenergy.errors import DimensionMismatch, ParseError
+from cubenergy.extension import weighted_energy
 from cubenergy.lattice import (
     CountsMap,
     PointSet,
     WeightFn,
     convolve,
+    convolve_packed,
     convolve_weights,
     correlate,
     indicator,
@@ -177,6 +180,61 @@ def test_iterate_convolve_mass_and_degenerate_k():
     for k in (1, 2, 3, 4):
         assert sum_values(iterate_convolve(f, k)) == len(a) ** k
     assert iterate_convolve(f, 1).entries == f.entries
+
+
+def _dict_convolve(a, b):
+    out = {}
+    for x, u in a.items():
+        for y, v in b.items():
+            out[x + y] = out.get(x + y, 0) + u * v
+    return out
+
+
+def test_convolve_packed_big_integer_branch():
+    # dense nonnegative ints: len(a) * len(b) >= 4 * (key range of a * b)
+    rng = random.Random(19)
+    a = {x: rng.randint(0, 10 ** 12) for x in range(-20, 20)}
+    b = {y: rng.randint(1, 9) for y in range(5, 40)}
+    b[7] = 0
+    want = {s: v for s, v in _dict_convolve(a, b).items() if v}
+    assert convolve_packed(a, b) == want
+
+
+@pytest.mark.parametrize("values", [
+    lambda rng: rng.randint(-5, 5),
+    lambda rng: Fraction(rng.randint(1, 9), rng.randint(1, 9)),
+    lambda rng: rng.random(),
+], ids=["negative-int", "fraction", "float"])
+def test_convolve_packed_dict_branch(values):
+    # same dense key range, but values the big integer cannot hold
+    rng = random.Random(23)
+    a = {x: values(rng) for x in range(-20, 20)}
+    b = {y: values(rng) for y in range(5, 40)}
+    got = convolve_packed(a, b)
+    want = _dict_convolve(a, b)
+    assert got == want
+    assert list(got) == list(want)
+
+
+def test_cube_energy_through_big_integer_branch():
+    # E_2({0,1,2}) = 19, and energy is multiplicative over products
+    for d in range(1, 7):
+        assert additive_energy(PointSet.cube(2, d), 2).value == 19 ** d
+
+
+def test_weighted_energy_float_summation_order():
+    # enough terms per sum that a reordered loop rounds apart at k = 3
+    rng = random.Random(29)
+    pts = sorted({(rng.randint(0, 6), rng.randint(-3, 3)) for _ in range(40)})
+    f = WeightFn(2, {p: rng.random() for p in pts}, False)
+    for k in (1, 2, 3):
+        conv = f.entries
+        for _ in range(k - 1):
+            conv = _brute_convolve(conv, f.entries)
+        want = 0.0
+        for v in conv.values():
+            want += v * v
+        assert weighted_energy(f, k) == want
 
 
 # ---------------------------------------------------------------------------
