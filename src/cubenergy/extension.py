@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Tuple
 from .energy import (EnergyKind, interval_energy_closed_form,
                      packed_power_energy, packed_subset_energy)
 from .errors import DimensionMismatch
+from .intervals import decide_le, log2_interval
 from .lattice import PointSet, WeightFn, pack_points
 
 RESTRICTED_EXHAUSTIVE_MAX = 20      # 0/1 enumeration cap (Gray code, k = 2)
@@ -345,11 +346,13 @@ def optimize_de(problem: DEProblem, strategy: str = "coordinate",
 def three_point_condition_root(tol: float = 1e-8) -> float:
     """Root of w^4 - w^2 - 12w - 6 in [2, 2*sqrt(2)], by bisection.
 
-    The bracket endpoints have opposite signs, so plain bisection certifies
-    the root to the requested width.
+    The bracket endpoints have opposite signs and every sign is decided
+    exactly on the float's rational value, so the bracket certifies the
+    root to the requested width.
     """
-    def g(w: float) -> float:
-        return w ** 4 - w ** 2 - 12 * w - 6
+    def g(w: float) -> Fraction:
+        x = Fraction(w)
+        return x ** 4 - x ** 2 - 12 * x - 6
 
     lo, hi = 2.0, 2 * math.sqrt(2.0)
     if not (g(lo) < 0 < g(hi)):
@@ -422,14 +425,15 @@ def tn_interval(n: int) -> Tuple[float, float]:
     if n < 1:
         raise ValueError("n must be >= 1")
     e2 = interval_energy_closed_form(n)
-    lower = math.log(e2) / math.log(n + 1)
     m = (n + 1) // 2
-    floor_bound = 3 - math.log(1.5) / math.log(2 * m)
-    if not lower > floor_bound:
+    above_floor, _ = decide_le(
+        lambda: 3 - log2_interval(Fraction(3, 2)) / log2_interval(2 * m),
+        lambda: log2_interval(e2) / log2_interval(n + 1))
+    if not above_floor:
         raise AssertionError("interval bound fell below its floor at n=%d" % n)
-    if not lower <= 3.0:
+    if not e2 <= (n + 1) ** 3:
         raise AssertionError("interval bound exceeded 3 at n=%d" % n)
-    return lower, 3.0
+    return math.log(e2) / math.log(n + 1), 3.0
 
 
 # ---------------------------------------------------------------------------

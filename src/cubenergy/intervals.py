@@ -1,11 +1,14 @@
 """Certified real comparisons via adaptive-precision interval arithmetic.
 
-Every decision produced here is backed by disjoint interval enclosures: an
-inequality is reported only once the enclosures of the two sides separate.
-If the precision cap is reached first, PrecisionExhausted is raised; nothing
-is ever decided by rounding luck.  Exact (rational) equality cases must be
-handled by callers before asking for a strict decision, otherwise the
-escalation loop cannot terminate.
+Every decision produced here is backed by interval enclosures: an
+inequality is reported only once the enclosures of the two sides separate,
+a sign once the enclosure excludes zero, a floor once the enclosure
+excludes every integer.  All of them climb one precision ladder,
+PREC_START, 2*PREC_START, ..., PREC_CAP bits, in ``_escalate``; if the cap
+is passed first, PrecisionExhausted is raised and nothing is ever decided
+by rounding luck.  Exact (rational) equality cases must be handled by
+callers before asking for a strict decision, otherwise the ladder cannot
+settle.
 """
 from __future__ import annotations
 
@@ -37,6 +40,23 @@ class workprec:
         return False
 
 
+def _escalate(step: Callable[[], object]):
+    """Run ``step()`` at PREC_START, 2*PREC_START, ..., PREC_CAP bits and
+    return its first result that is not None.
+
+    ``step`` must build every interval it uses inside the call.  Raises
+    PrecisionExhausted once the cap is passed without a result.
+    """
+    prec = PREC_START
+    while prec <= PREC_CAP:
+        with workprec(prec):
+            result = step()
+        if result is not None:
+            return result
+        prec *= 2
+    raise PrecisionExhausted("undecided at %d bits" % PREC_CAP)
+
+
 def to_interval(x):
     """Enclose an int, float or Fraction in an interval at current precision."""
     if isinstance(x, Fraction):
@@ -55,8 +75,8 @@ def ipow(base, expo):
     return base ** expo
 
 
-def decide_le(lhs_fn: Callable[[], object], rhs_fn: Callable[[], object],
-              start: int = PREC_START, cap: int = PREC_CAP) -> Tuple[bool, float]:
+def decide_le(lhs_fn: Callable[[], object],
+              rhs_fn: Callable[[], object]) -> Tuple[bool, float]:
     """Certified decision of ``lhs < rhs`` vs ``lhs > rhs``.
 
     The callables are re-evaluated at each precision level and must build all
@@ -65,39 +85,43 @@ def decide_le(lhs_fn: Callable[[], object], rhs_fn: Callable[[], object],
     proven; both reported bounds are themselves certified lower bounds on the
     gap.  Exact ties must be peeled off by the caller first.
     """
-    prec = start
-    while True:
-        with workprec(prec):
-            a = lhs_fn()
-            b = rhs_fn()
-            if a.b < b.a:
-                return True, float(b.a - a.b)
-            if a.a > b.b:
-                return False, float(a.a - b.b)
-        if prec >= cap:
-            raise PrecisionExhausted(
-                "comparison undecided at %d bits" % cap)
-        prec = min(prec * 2, cap)
+    def step():
+        a = lhs_fn()
+        b = rhs_fn()
+        if a.b < b.a:
+            return True, float(b.a - a.b)
+        if a.a > b.b:
+            return False, float(a.a - b.b)
+        return None
+    return _escalate(step)
 
 
-def certified_sign(fn: Callable[[], object], start: int = PREC_START,
-                   cap: int = PREC_CAP) -> int:
-    """Sign of a provably nonzero quantity, by escalation."""
-    prec = start
-    while True:
-        with workprec(prec):
-            v = fn()
-            if v.a > 0:
-                return 1
-            if v.b < 0:
-                return -1
-        if prec >= cap:
-            raise PrecisionExhausted("sign undecided at %d bits" % cap)
-        prec = min(prec * 2, cap)
+def certified_sign(fn: Callable[[], object]) -> int:
+    """Sign of a provably nonzero quantity."""
+    def step():
+        v = fn()
+        if v.a > 0:
+            return 1
+        if v.b < 0:
+            return -1
+        return None
+    return _escalate(step)
 
 
-def floor_power_log2(c: int, m: int, start: int = PREC_START,
-                     cap: int = PREC_CAP) -> int:
+def certified_floor(fn: Callable[[], object]) -> int:
+    """Floor of a positive quantity that is provably not an integer.
+
+    ``fn`` builds the enclosure at the current precision; the floor is
+    trusted once the enclosure's ends share it.
+    """
+    def step():
+        e = fn()
+        lo = int(e.a)
+        return lo if lo == int(e.b) else None
+    return _escalate(step)
+
+
+def floor_power_log2(c: int, m: int) -> int:
     """Certified floor(c ** log2(m)) for integers c >= 2, m >= 2.
 
     The enclosure must exclude integers before the floor is trusted, so the
@@ -106,15 +130,5 @@ def floor_power_log2(c: int, m: int, start: int = PREC_START,
     """
     if c < 2 or m < 2:
         raise ValueError("need c >= 2 and m >= 2")
-    prec = start
-    while True:
-        with workprec(prec):
-            e = iv.exp(iv.log(iv.mpf(c)) * iv.log(iv.mpf(m)) / iv.log(iv.mpf(2)))
-            lo = int(e.a)
-            hi = int(e.b)
-            if lo == hi:
-                return lo
-        if prec >= cap:
-            raise PrecisionExhausted(
-                "floor(%d ** log2(%d)) undecided at %d bits" % (c, m, cap))
-        prec = min(prec * 2, cap)
+    return certified_floor(lambda: iv.exp(
+        iv.log(iv.mpf(c)) * iv.log(iv.mpf(m)) / iv.log(iv.mpf(2))))

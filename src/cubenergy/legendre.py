@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from mpmath import iv
 
 from .errors import PrecisionExhausted
-from .intervals import decide_le, ipow, log2_interval, to_interval, workprec
+from .intervals import _escalate, decide_le, ipow, log2_interval, to_interval
 
 # exact-power comparison budget for compare_alpha, in bits
 EXACT_BITS_CAP = 1 << 21
@@ -282,9 +282,9 @@ class GridCheckReport:
 
 
 def _grid_decide(report: GridCheckReport, x: float,
-                 lhs_fn: Callable[[], object], rhs_fn: Callable[[], object]):
+                 lhs: Callable[[float], object], rhs: Callable[[float], object]):
     try:
-        holds, margin = decide_le(lhs_fn, rhs_fn)
+        holds, margin = decide_le(lambda: lhs(x), lambda: rhs(x))
     except PrecisionExhausted:
         report.undecided.append(x)
         return
@@ -293,6 +293,30 @@ def _grid_decide(report: GridCheckReport, x: float,
             report.min_margin = margin
     else:
         report.failures.append({"x": x, "excess": margin})
+
+
+def _grid_check(name: str, k: int, xs: List[float], lo: float, hi: float,
+                exact: Dict[float, bool], lhs: Callable[[float], object],
+                rhs: Callable[[float], object]) -> GridCheckReport:
+    """Check lhs(x) <= rhs(x) at every x of a grid inside [lo, hi].
+
+    ``exact`` maps each boundary equality point to whether its identity
+    holds in exact arithmetic; such a point is recorded as an equality, or
+    as a failure when the identity does not hold.  Every other point gets
+    one certified decision of lhs(x) < rhs(x) on interval enclosures built
+    at the current precision.
+    """
+    report = GridCheckReport(name, k, len(xs))
+    for x in xs:
+        if not lo <= x <= hi:
+            raise ValueError("grid must lie in [%r, %r]" % (lo, hi))
+        if x not in exact:
+            _grid_decide(report, x, lhs, rhs)
+        elif exact[x]:
+            report.equalities.append(x)
+        else:
+            report.failures.append({"x": x, "excess": float("nan")})
+    return report
 
 
 def log_grid(lo: float, hi: float, count: int) -> List[float]:
@@ -315,28 +339,18 @@ def check_legendre_inequality(k: int, ts: Optional[List[float]] = None,
     if ts is None:
         offsets = log_grid(1e-9, t_hi - 1.0, points - 1)
         ts = [1.0] + [1.0 + u for u in offsets]
-    report = GridCheckReport("legendre", k, len(ts))
-    for t in ts:
-        if t < 1:
-            raise ValueError("grid must satisfy t >= 1")
-        if t == 1.0:
-            if legendre_q(k, 1) != 1:
-                report.failures.append({"x": t, "excess": float("nan")})
-            else:
-                report.equalities.append(t)
-            continue
 
-        def lhs(t=t):
-            return _legendre_q_iv(k, iv.mpf(t))
+    def lhs(t):
+        return _legendre_q_iv(k, iv.mpf(t))
 
-        def rhs(t=t):
-            tiv = iv.mpf(t)
-            p = _pk_iv(k)
-            al = iv.mpf(k) / p
-            return ipow(ipow((tiv - 1) / 2, al) + ipow((tiv + 1) / 2, al), p)
+    def rhs(t):
+        tiv = iv.mpf(t)
+        p = _pk_iv(k)
+        al = iv.mpf(k) / p
+        return ipow(ipow((tiv - 1) / 2, al) + ipow((tiv + 1) / 2, al), p)
 
-        _grid_decide(report, t, lhs, rhs)
-    return report
+    return _grid_check("legendre", k, ts, 1.0, math.inf,
+                       {1.0: legendre_q(k, 1) == 1}, lhs, rhs)
 
 
 def check_key_inequality(k: int, xs: Optional[List[float]] = None,
@@ -346,33 +360,22 @@ def check_key_inequality(k: int, xs: Optional[List[float]] = None,
         xs = [0.0] + log_grid(1e-6, x_hi, points - 2) + [1.0]
         xs = sorted(set(xs))
     w = [math.comb(k, i) ** 2 for i in range(k + 1)]
-    report = GridCheckReport("key", k, len(xs))
-    for x in xs:
-        if x < 0:
-            raise ValueError("grid must satisfy x >= 0")
-        if x == 0.0:
-            report.equalities.append(x)     # both sides reduce to 1 exactly
-            continue
-        if x == 1.0:
-            if sum(w) != math.comb(2 * k, k):
-                report.failures.append({"x": x, "excess": float("nan")})
-            else:
-                report.equalities.append(x)
-            continue
 
-        def lhs(x=x):
-            xiv = iv.mpf(x)
-            p = _pk_iv(k)
-            total = iv.mpf(0)
-            for i in range(k + 1):
-                total += w[i] * ipow(xiv, p * i / k)
-            return total
+    def lhs(x):
+        xiv = iv.mpf(x)
+        p = _pk_iv(k)
+        total = iv.mpf(0)
+        for i in range(k + 1):
+            total += w[i] * ipow(xiv, p * i / k)
+        return total
 
-        def rhs(x=x):
-            return ipow(1 + iv.mpf(x), _pk_iv(k))
+    def rhs(x):
+        return ipow(1 + iv.mpf(x), _pk_iv(k))
 
-        _grid_decide(report, x, lhs, rhs)
-    return report
+    # at x = 0 both sides reduce to 1 exactly
+    return _grid_check("key", k, xs, 0.0, math.inf,
+                       {0.0: True, 1.0: sum(w) == math.comb(2 * k, k)},
+                       lhs, rhs)
 
 
 def check_goal_inequality(k: int, grid: Optional[List[float]] = None,
@@ -384,26 +387,19 @@ def check_goal_inequality(k: int, grid: Optional[List[float]] = None,
     """
     if grid is None:
         grid = unit_grid(points)
-    report = GridCheckReport("goal", k, len(grid))
-    for a in grid:
-        if not 0 <= a <= 1:
-            raise ValueError("grid must lie in [0,1]")
-        if a in (0.0, 0.5, 1.0):
-            report.equalities.append(a)
-            continue
 
-        def lhs(a=a):
-            aiv = iv.mpf(a)
-            biv = 1 - aiv
-            q = _qk_iv(k)
-            return (ipow(aiv, q / k) + ipow(biv, q / k)) ** k + \
-                2 * ipow(aiv * biv, q / 2)
+    def lhs(a):
+        aiv = iv.mpf(a)
+        biv = 1 - aiv
+        q = _qk_iv(k)
+        return (ipow(aiv, q / k) + ipow(biv, q / k)) ** k + \
+            2 * ipow(aiv * biv, q / 2)
 
-        def rhs(a=a):
-            return iv.mpf(1)
+    def rhs(a):
+        return iv.mpf(1)
 
-        _grid_decide(report, a, lhs, rhs)
-    return report
+    return _grid_check("goal", k, grid, 0.0, 1.0,
+                       {0.0: True, 0.5: True, 1.0: True}, lhs, rhs)
 
 
 def check_two_point_inequality(k: int, xs: Optional[List[float]] = None,
@@ -417,30 +413,18 @@ def check_two_point_inequality(k: int, xs: Optional[List[float]] = None,
     if xs is None:
         xs = [0.0] + log_grid(1e-3, 1e3, points - 2) + [1.0]
         xs = sorted(set(xs))
-    report = GridCheckReport("two_point", k, len(xs))
-    for x in xs:
-        if x < 0:
-            raise ValueError("grid must satisfy x >= 0")
-        if x == 0.0:
-            report.equalities.append(x)     # both sides reduce to 1 exactly
-            continue
-        if x == 1.0:
-            if 2 + 2 ** k != 2 ** k + 2:
-                report.failures.append({"x": x, "excess": float("nan")})
-            else:
-                report.equalities.append(x)
-            continue
 
-        def lhs(x=x):
-            xiv = iv.mpf(x)
-            q = _qk_iv(k)
-            return 2 * ipow(xiv, q / 2) + (ipow(xiv, q / k) + 1) ** k
+    def lhs(x):
+        xiv = iv.mpf(x)
+        q = _qk_iv(k)
+        return 2 * ipow(xiv, q / 2) + (ipow(xiv, q / k) + 1) ** k
 
-        def rhs(x=x):
-            return ipow(iv.mpf(x) + 1, _qk_iv(k))
+    def rhs(x):
+        return ipow(iv.mpf(x) + 1, _qk_iv(k))
 
-        _grid_decide(report, x, lhs, rhs)
-    return report
+    # at x = 0 both sides reduce to 1 exactly
+    return _grid_check("two_point", k, xs, 0.0, math.inf,
+                       {0.0: True, 1.0: 2 + 2 ** k == 2 ** k + 2}, lhs, rhs)
 
 
 def check_cfil_instance(k: int, grid: Optional[List[float]] = None,
@@ -454,29 +438,22 @@ def check_cfil_instance(k: int, grid: Optional[List[float]] = None,
     """
     if grid is None:
         grid = unit_grid(points)
-    report = GridCheckReport("cfil", k, len(grid))
-    for a in grid:
-        if not 0 <= a <= 1:
-            raise ValueError("grid must lie in [0,1]")
-        if a in (0.0, 0.5, 1.0):
-            report.equalities.append(a)
-            continue
 
-        def lhs(a=a):
-            aiv = iv.mpf(a)
-            biv = 1 - aiv
-            p = _qk_iv(k) / k
-            ap = ipow(aiv, p)
-            bp = ipow(biv, p)
-            s = ap + bp
-            mu = 2 * ipow(aiv, p / 2) * ipow(biv, p / 2) / s
-            return s * ipow(1 + ipow(mu, 2 / p), p - 1)
+    def lhs(a):
+        aiv = iv.mpf(a)
+        biv = 1 - aiv
+        p = _qk_iv(k) / k
+        ap = ipow(aiv, p)
+        bp = ipow(biv, p)
+        s = ap + bp
+        mu = 2 * ipow(aiv, p / 2) * ipow(biv, p / 2) / s
+        return s * ipow(1 + ipow(mu, 2 / p), p - 1)
 
-        def rhs(a=a):
-            return iv.mpf(1)
+    def rhs(a):
+        return iv.mpf(1)
 
-        _grid_decide(report, a, lhs, rhs)
-    return report
+    return _grid_check("cfil", k, grid, 0.0, 1.0,
+                       {0.0: True, 0.5: True, 1.0: True}, lhs, rhs)
 
 
 def check_convex_concave(k: int, zs: Optional[List[float]] = None,
@@ -487,74 +464,71 @@ def check_convex_concave(k: int, zs: Optional[List[float]] = None,
     via certified second differences on the grid."""
     if zs is None:
         zs = unit_grid(points)
-    report = GridCheckReport("convex_concave", k, len(zs))
     half = Fraction(2 ** k + 2, 2 ** k)
-    for z in zs:
-        if not 0 <= z <= 1:
-            raise ValueError("grid must lie in [0,1]")
-        if z == 0.0:
-            report.equalities.append(z)     # 1 <= 1
-            continue
-        if z == 1.0:
-            if Fraction(1) + Fraction(1, 2 ** (k - 1)) != half:
-                report.failures.append({"x": z, "excess": float("nan")})
-            else:
-                report.equalities.append(z)
-            continue
 
-        def lhs(z=z):
-            q = _qk_iv(k)
-            return 1 + ipow(iv.mpf(z), q / 2) / 2 ** (k - 1)
+    def lhs(z):
+        q = _qk_iv(k)
+        return 1 + ipow(iv.mpf(z), q / 2) / 2 ** (k - 1)
 
-        def rhs(z=z):
-            q = _qk_iv(k)
-            return ipow(1 + iv.mpf(z), q - k)
+    def rhs(z):
+        q = _qk_iv(k)
+        return ipow(1 + iv.mpf(z), q - k)
 
-        _grid_decide(report, z, lhs, rhs)
+    # at z = 0 both sides are 1
+    report = _grid_check("convex_concave", k, zs, 0.0, 1.0,
+                         {0.0: True, 1.0: 1 + Fraction(1, 2 ** (k - 1)) == half},
+                         lhs, rhs)
 
     uniform = [j / (points - 1) for j in range(points)]
+    ends = {0.0: Fraction(1), 1.0: half}
 
-    def lhs_at(z):
-        if z == 0.0:
-            return iv.mpf(1)
-        if z == 1.0:
-            return to_interval(Fraction(2 ** (k - 1) + 1, 2 ** (k - 1)))
-        return 1 + ipow(iv.mpf(z), _qk_iv(k) / 2) / 2 ** (k - 1)
-
-    def rhs_at(z):
-        if z == 0.0:
-            return iv.mpf(1)
-        if z == 1.0:
-            return to_interval(half)
-        return ipow(1 + iv.mpf(z), _qk_iv(k) - k)
+    def with_exact_ends(f):
+        return lambda z: to_interval(ends[z]) if z in ends else f(z)
 
     report.shape_flags["lhs_convex"] = _certify_second_differences(
-        uniform, lhs_at, expect_positive=True)
+        uniform, with_exact_ends(lhs), expect_positive=True)
     report.shape_flags["rhs_concave"] = _certify_second_differences(
-        uniform, rhs_at, expect_positive=False)
+        uniform, with_exact_ends(rhs), expect_positive=False)
     return report
 
 
+def _classify_second_differences(xs: List[float], f_at: Callable
+                                 ) -> Tuple[List[int], List[int], List[int]]:
+    """Indices i in 1..len(xs)-2 whose second difference
+    f(xs[i+1]) - 2 f(xs[i]) + f(xs[i-1]) is certified negative, certified
+    positive, or still undecided at the precision cap, each in index order.
+    """
+    negative: List[int] = []
+    positive: List[int] = []
+    pending = list(range(1, len(xs) - 1))
+
+    def step():
+        vals = [f_at(x) for x in xs]
+        undecided = []
+        for i in pending:
+            d2 = vals[i + 1] - 2 * vals[i] + vals[i - 1]
+            if d2.b < 0:
+                negative.append(i)
+            elif d2.a > 0:
+                positive.append(i)
+            else:
+                undecided.append(i)
+        pending[:] = undecided
+        return None if pending else True
+
+    try:
+        _escalate(step)
+    except PrecisionExhausted:
+        pass
+    return sorted(negative), sorted(positive), pending
+
+
 def _certify_second_differences(xs: List[float], f_at: Callable,
-                                expect_positive: bool,
-                                start_prec: int = 64, cap: int = 8192) -> bool:
+                                expect_positive: bool) -> bool:
     """Certify the sign of every interior second difference of f on xs."""
-    pending = set(range(1, len(xs) - 1))
-    prec = start_prec
-    while pending and prec <= cap:
-        with workprec(prec):
-            vals = [f_at(x) for x in xs]
-            for i in sorted(pending):
-                d2 = vals[i + 1] - 2 * vals[i] + vals[i - 1]
-                if expect_positive and d2.a > 0:
-                    pending.discard(i)
-                elif not expect_positive and d2.b < 0:
-                    pending.discard(i)
-                elif (expect_positive and d2.b < 0) or \
-                        (not expect_positive and d2.a > 0):
-                    return False        # certified wrong sign
-        prec *= 2
-    return not pending
+    negative, positive, undecided = _classify_second_differences(xs, f_at)
+    wrong = negative if expect_positive else positive
+    return not wrong and not undecided
 
 
 def check_higher_energy_inequalities(k: int, points: int = 1000) -> Dict[str, GridCheckReport]:
@@ -640,8 +614,7 @@ class PsiShapeReport:
         }
 
 
-def certify_psi_shape(k: int, samples: int = 512,
-                      start_prec: int = 64, cap: int = 8192) -> PsiShapeReport:
+def certify_psi_shape(k: int, samples: int = 512) -> PsiShapeReport:
     """Certified signs of the second differences of psi_k on a uniform grid.
 
     Every interior index ends up certified negative, certified positive, or
@@ -662,23 +635,9 @@ def certify_psi_shape(k: int, samples: int = 512,
                              - iv.mpf(i) / k * ipow(xiv, e))
         return total
 
-    pending = set(range(1, samples - 1))
-    negative = 0
-    positive: List[Tuple[int, float]] = []
-    prec = start_prec
-    while pending and prec <= cap:
-        with workprec(prec):
-            vals = [psi_at(x) for x in xs]
-            for i in sorted(pending):
-                d2 = vals[i + 1] - 2 * vals[i] + vals[i - 1]
-                if d2.b < 0:
-                    negative += 1
-                    pending.discard(i)
-                elif d2.a > 0:
-                    positive.append((i, xs[i]))
-                    pending.discard(i)
-        prec *= 2
-    return PsiShapeReport(k, samples, negative, positive, sorted(pending))
+    negative, positive, undecided = _classify_second_differences(xs, psi_at)
+    return PsiShapeReport(k, samples, len(negative),
+                          [(i, xs[i]) for i in positive], undecided)
 
 
 def check_pk_bound(k_max: int) -> dict:

@@ -13,9 +13,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
+from mpmath import iv
+
 from .energy import EnergyKind, energy, packed_subset_energy
 from .errors import BudgetExceeded, PrecisionExhausted
-from .intervals import decide_le, floor_power_log2, log2_interval
+from .intervals import (certified_floor, decide_le, floor_power_log2,
+                        log2_interval)
 from .lattice import PointSet, pack_points
 
 MAX_EXHAUSTIVE_POINTS = 24
@@ -115,24 +118,7 @@ def energy_threshold(target: ExponentTarget, c: int) -> Tuple[int, bool]:
         r = _nth_root_floor(t, fr.denominator)
         if r ** fr.denominator == t:
             return r, True
-    return _certified_floor_pow(c, target.exponent), False
-
-
-def _certified_floor_pow(c: int, x: float) -> int:
-    from mpmath import iv
-
-    from .errors import PrecisionExhausted
-    from .intervals import PREC_CAP, workprec
-    prec = 64
-    while True:
-        with workprec(prec):
-            e = iv.mpf(c) ** iv.mpf(x)
-            lo, hi = int(e.a), int(e.b)
-            if lo == hi:
-                return lo
-        if prec >= PREC_CAP:
-            raise PrecisionExhausted("floor(%d ** %r) undecided" % (c, x))
-        prec *= 2
+    return certified_floor(lambda: iv.mpf(c) ** iv.mpf(target.exponent)), False
 
 
 @dataclass(frozen=True)

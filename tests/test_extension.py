@@ -257,6 +257,17 @@ def test_three_point_root_and_margin():
     assert sep["margin"] > 0.035
 
 
+def test_three_point_root_bracket_holds_exactly():
+    # the root lies within tol/2 of the returned bisection midpoint
+    tol = 1e-15
+    root = Fraction(three_point_condition_root(tol))
+
+    def g(w):
+        return w ** 4 - w ** 2 - 12 * w - 6
+
+    assert g(root - Fraction(tol) / 2) < 0 < g(root + Fraction(tol) / 2)
+
+
 def test_critical_exponent_lower_bounds():
     assert critical_exponent_lower_bound(
         PointSet.from_points([(9,)]), 2) == pytest.approx(1.0)

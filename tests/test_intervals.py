@@ -8,6 +8,9 @@ from mpmath import iv
 
 from cubenergy.errors import PrecisionExhausted
 from cubenergy.intervals import (
+    PREC_CAP,
+    PREC_START,
+    _escalate,
     certified_sign,
     decide_le,
     floor_power_log2,
@@ -46,6 +49,29 @@ def test_ipow_contains_true_power():
     assert float(v.a) <= math.sqrt(2) <= float(v.b)
 
 
+def test_escalate_climbs_the_whole_ladder_then_raises():
+    seen = []
+
+    def step():
+        seen.append(iv.prec)
+
+    with pytest.raises(PrecisionExhausted):
+        _escalate(step)
+    assert seen == [64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384]
+    assert (seen[0], seen[-1]) == (PREC_START, PREC_CAP)
+
+
+def test_escalate_returns_the_first_result():
+    seen = []
+
+    def step():
+        seen.append(iv.prec)
+        return iv.prec if iv.prec >= 256 else None
+
+    assert _escalate(step) == 256
+    assert seen == [64, 128, 256]
+
+
 def test_decide_le_directions():
     less, margin = decide_le(lambda: iv.mpf(2), lambda: iv.mpf(3))
     assert less and margin == pytest.approx(1.0, abs=1e-12)
@@ -71,15 +97,14 @@ def test_decide_le_escalates_through_tiny_gaps():
 
 def test_decide_le_exact_tie_raises():
     with pytest.raises(PrecisionExhausted):
-        decide_le(lambda: iv.log(iv.mpf(3)), lambda: iv.log(iv.mpf(3)),
-                  start=64, cap=256)
+        decide_le(lambda: iv.log(iv.mpf(3)), lambda: iv.log(iv.mpf(3)))
 
 
 def test_certified_sign():
     assert certified_sign(lambda: iv.mpf(2) - iv.mpf(1)) == 1
     assert certified_sign(lambda: iv.exp(iv.mpf(1)) - iv.mpf(3)) == -1
     with pytest.raises(PrecisionExhausted):
-        certified_sign(lambda: iv.mpf(1) - iv.mpf(1), start=64, cap=128)
+        certified_sign(lambda: iv.mpf(1) - iv.mpf(1))
 
 
 def test_floor_power_log2_frozen():

@@ -5,9 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from mpmath import iv
 
+from cubenergy import intervals
 from cubenergy.legendre import (
     ExactAlpha,
+    _certify_second_differences,
     certify_psi_shape,
     certify_sign_pattern,
     check_convex_concave,
@@ -243,6 +246,33 @@ def test_higher_energy_inequality_bundle():
             assert rep.ok, (k, name)
 
 
+@pytest.fixture
+def one_rung_ladder(monkeypatch):
+    """Cut the precision ladder down to a single 24-bit level."""
+    monkeypatch.setattr(intervals, "PREC_START", 24)
+    monkeypatch.setattr(intervals, "PREC_CAP", 24)
+
+
+def test_near_equality_point_needs_the_ladder(one_rung_ladder, monkeypatch):
+    near = 0.5 + 2 ** -40        # the gap to the equality is about 2^-80
+    rep = check_goal_inequality(3, grid=[0.25, 0.5, near])
+    assert rep.undecided == [near] and rep.equalities == [0.5]
+    assert not rep.failures and rep.min_margin > 0 and not rep.ok
+    monkeypatch.undo()
+    rep = check_goal_inequality(3, grid=[near])
+    assert rep.ok and 0 < rep.min_margin < 1e-20
+
+
+def test_second_differences_reject_a_certified_wrong_sign():
+    xs = [j / 8 for j in range(9)]
+
+    def square(x):
+        return iv.mpf(x) ** 2
+
+    assert _certify_second_differences(xs, square, expect_positive=True)
+    assert not _certify_second_differences(xs, square, expect_positive=False)
+
+
 def test_log_grid_validation():
     with pytest.raises(ValueError):
         log_grid(0.0, 1.0, 10)
@@ -291,3 +321,13 @@ def test_psi_shape_certification():
     assert rep7.positive_indices and not rep7.undecided_indices
     first_x = rep7.positive_indices[0][1]
     assert 0.05 < first_x < 0.2
+
+
+def test_psi_shape_reports_undecided_at_the_cap(one_rung_ladder, monkeypatch):
+    rep = certify_psi_shape(7, samples=64)
+    assert rep.undecided_indices and not rep.concave_certified
+    assert rep.undecided_indices == sorted(rep.undecided_indices)
+    assert rep.negative + len(rep.positive_indices) + \
+        len(rep.undecided_indices) == 62
+    monkeypatch.undo()
+    assert not certify_psi_shape(7, samples=64).undecided_indices
