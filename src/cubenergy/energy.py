@@ -4,7 +4,8 @@ The additive energy of order k counts 2k-tuples (a_1..a_k, b_1..b_k) in A
 with a_1+...+a_k = b_1+...+b_k.  The higher energy of order k counts
 2k-tuples (a_1, b_1, ..., a_k, b_k) with a_1-b_1 = a_2-b_2 = ... = a_k-b_k.
 Both are computed through the convolution engine; brute_force_energy is an
-independent oracle that never touches that engine.
+independent oracle that never touches that engine.  subset_energies walks
+the subsets of a small point list, moving one point per step.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product as iter_product
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import BudgetExceeded
 from .lattice import (CountsMap, PointSet, convolve, convolve_packed,
@@ -166,6 +167,70 @@ def packed_subset_energy(sel: List[int], k: int, kind: EnergyKind) -> int:
                 nxt[t] = get(t, 0) + c
         cur = nxt
     return sum(c * c for c in cur.values())
+
+
+def subset_energies(packed: List[int], k: int, kind: EnergyKind,
+                    masks: Optional[Iterable[int]] = None
+                    ) -> Iterator[Tuple[int, int, int]]:
+    """Yield (mask, |B|, E(B)), bit i of mask selecting packed[i] (pack with
+    pack_points(..., max(k, 2))).
+
+    masks=None walks every nonempty subset in reflected Gray-code order
+    (Knuth, TAOCP 4A, 7.2.1.1): step g moves the point of the lowest set bit
+    of g in or out and updates the energy in place.  Additive: reps[j]
+    counts ordered j-tuples by sum; adding p adds C(j,i) reps[j-i] shifted
+    by i*p, top-down, and removing p subtracts it bottom-up, so no update
+    reads a table that contains p.  Higher: the pair-difference counts.
+    Given masks are recounted from scratch, in the order given.
+    """
+    n = len(packed)
+    if masks is not None:
+        for mask in masks:
+            sel = [packed[i] for i in range(n) if mask >> i & 1]
+            yield mask, len(sel), packed_subset_energy(sel, k, kind)
+        return
+    higher = kind is EnergyKind.HIGHER
+    power = [c ** k for c in range(n + 1)]
+    diffs: Dict[int, int] = {}
+    members: set = set()
+    reps: List[Dict[int, int]] = [{0: 1}] + [{} for _ in range(k)]
+    # one update per (j, i): reps[j] gains coef * reps[j-i] shifted by i*p;
+    # E, the sum of squares of the top table reps[k], follows its updates
+    adds = [(reps[j], reps[j - i], math.comb(j, i), i, j == k)
+            for j in range(k, 0, -1) for i in range(1, j + 1)]
+    plans = {1: adds, -1: [(tab, src, -coef, i, top)
+                           for tab, src, coef, i, top in reversed(adds)]}
+    mask = size = energy = 0
+    for g in range(1, 1 << n):
+        bit = g & -g
+        p = packed[bit.bit_length() - 1]
+        mask ^= bit
+        sign = 1 if mask & bit else -1
+        size += sign
+        if higher:
+            members.discard(p)          # members without p; its pairs follow
+            get = diffs.get
+            for t in [0] + [p - x for x in members] + [x - p for x in members]:
+                c = get(t, 0)
+                diffs[t] = c + sign
+                energy += power[c + sign] - power[c]
+            if sign > 0:
+                members.add(p)
+        else:
+            for tab, src, coef, i, top in plans[sign]:
+                get = tab.get
+                off = i * p
+                for s, v in src.items():
+                    t = s + off
+                    c = get(t, 0)
+                    dv = coef * v
+                    if top:
+                        energy += dv * (2 * c + dv)
+                    if c + dv:
+                        tab[t] = c + dv
+                    else:
+                        del tab[t]
+        yield mask, size, energy
 
 
 def interval_energy_closed_form(n: int) -> int:

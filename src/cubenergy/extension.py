@@ -14,13 +14,13 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .energy import (EnergyKind, interval_energy_closed_form,
-                     packed_power_energy, packed_subset_energy)
+                     packed_power_energy, subset_energies)
 from .errors import DimensionMismatch
 from .intervals import decide_le, log2_interval
 from .lattice import PointSet, WeightFn, pack_points
 
-RESTRICTED_EXHAUSTIVE_MAX = 20      # 0/1 enumeration cap (Gray code, k = 2)
-RESTRICTED_SCRATCH_MAX = 14         # per-mask recompute cap for k >= 3
+RESTRICTED_EXHAUSTIVE_MAX = 20      # 0/1 enumeration cap for k = 2
+RESTRICTED_SCRATCH_MAX = 14         # 0/1 enumeration cap for every other k
 
 
 @dataclass(frozen=True)
@@ -101,51 +101,6 @@ def _mask_ratio(energy: int, size: int, k: int, q: float) -> float:
     return float(energy) ** (1.0 / (2 * k)) / size ** (1.0 / q)
 
 
-def _enumerate_pairs_gray(packed: List[int], q: float) -> Tuple[float, Tuple[int, ...]]:
-    """Exact best 0/1 ratio for k = 2 over all nonempty subsets.
-
-    Gray-code walk keeps the ordered-pair sum counts incrementally, so each
-    subset costs O(|B|) updates instead of a fresh quadratic pass.
-    """
-    m = len(packed)
-    counts: Dict[int, int] = {}
-    members: set = set()
-    energy = 0
-    best = (-1.0, ())
-    prev_gray = 0
-
-    def bump(s: int, d: int):
-        nonlocal energy
-        c = counts.get(s, 0)
-        energy += d * (2 * c + d)
-        c += d
-        if c:
-            counts[s] = c
-        else:
-            del counts[s]
-
-    for g in range(1, 1 << m):
-        gray = g ^ (g >> 1)
-        bit = gray ^ prev_gray
-        prev_gray = gray
-        p = packed[bit.bit_length() - 1]
-        if p in members:
-            members.discard(p)
-            for x in members:
-                bump(p + x, -2)
-            bump(p + p, -1)
-        else:
-            for x in members:
-                bump(p + x, 2)
-            bump(p + p, 1)
-            members.add(p)
-        if members:
-            r = _mask_ratio(energy, len(members), 2, q)
-            if r > best[0]:
-                best = (r, tuple(sorted(members)))
-    return best
-
-
 def restricted_enumeration(problem: DEProblem, *, sample_count: int = 4096,
                            seed: int = 0) -> Tuple[float, Tuple, bool]:
     """Best indicator-weight ratio: (ratio, witness points, exhaustive).
@@ -158,43 +113,27 @@ def restricted_enumeration(problem: DEProblem, *, sample_count: int = 4096,
     m = len(pts)
     k, q = problem.k, problem.q
     packed = pack_points(pts, multiplier=k)
-    by_packed = dict(zip(packed, pts))
 
-    if k == 2 and m <= RESTRICTED_EXHAUSTIVE_MAX:
-        ratio, sel = _enumerate_pairs_gray(packed, q)
-        return ratio, tuple(by_packed[s] for s in sel), True
-
-    def mask_points(mask: int) -> List[int]:
-        return [packed[i] for i in range(m) if mask >> i & 1]
-
-    def ratio_of_mask(mask: int) -> float:
-        sel = mask_points(mask)
-        e = packed_subset_energy(sel, k, EnergyKind.ADDITIVE)
-        return _mask_ratio(e, len(sel), k, q)
-
-    if m <= RESTRICTED_SCRATCH_MAX:
-        best = (-1.0, 0)
-        for mask in range(1, 1 << m):
-            r = ratio_of_mask(mask)
-            if r > best[0]:
-                best = (r, mask)
-        sel = mask_points(best[1])
-        return best[0], tuple(by_packed[s] for s in sel), True
-
-    rng = random.Random(seed)
-    masks = {1, (1 << m) - 1}
-    masks.update(1 << i for i in range(m))
-    while len(masks) < sample_count:
-        v = rng.getrandbits(m)
-        if v:
-            masks.add(v)
+    exhaustive = m <= (RESTRICTED_EXHAUSTIVE_MAX if k == 2
+                       else RESTRICTED_SCRATCH_MAX)
+    masks = None
+    if not exhaustive:
+        rng = random.Random(seed)
+        sample = {1, (1 << m) - 1}
+        sample.update(1 << i for i in range(m))
+        while len(sample) < sample_count:
+            v = rng.getrandbits(m)
+            if v:
+                sample.add(v)
+        masks = sorted(sample)
+    # ties go to the smallest mask, whatever order the masks come in
     best = (-1.0, 0)
-    for mask in sorted(masks):
-        r = ratio_of_mask(mask)
-        if r > best[0]:
+    for mask, size, e in subset_energies(packed, k, EnergyKind.ADDITIVE, masks):
+        r = _mask_ratio(e, size, k, q)
+        if r > best[0] or (r == best[0] and mask < best[1]):
             best = (r, mask)
-    sel = mask_points(best[1])
-    return best[0], tuple(by_packed[s] for s in sel), False
+    return best[0], tuple(p for i, p in enumerate(pts) if best[1] >> i & 1), \
+        exhaustive
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,7 @@
 
 Every decision produced here is backed by interval enclosures: an
 inequality is reported only once the enclosures of the two sides separate,
-a sign once the enclosure excludes zero, a floor once the enclosure
-excludes every integer.  All of them climb one precision ladder,
+a floor once the enclosure excludes every integer.  All of them climb one precision ladder,
 PREC_START, 2*PREC_START, ..., PREC_CAP bits, in ``_escalate``; if the cap
 is passed first, PrecisionExhausted is raised and nothing is ever decided
 by rounding luck.  Exact (rational) equality cases must be handled by
@@ -92,18 +91,6 @@ def decide_le(lhs_fn: Callable[[], object],
             return True, float(b.a - a.b)
         if a.a > b.b:
             return False, float(a.a - b.b)
-        return None
-    return _escalate(step)
-
-
-def certified_sign(fn: Callable[[], object]) -> int:
-    """Sign of a provably nonzero quantity."""
-    def step():
-        v = fn()
-        if v.a > 0:
-            return 1
-        if v.b < 0:
-            return -1
         return None
     return _escalate(step)
 

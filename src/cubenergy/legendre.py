@@ -461,7 +461,11 @@ def check_convex_concave(k: int, zs: Optional[List[float]] = None,
     """1 + z^(q/2)/2^(k-1) <= (1+z)^(q-k) on [0,1], plus the structural
     facts the proof uses: equality at both endpoints (checked as exact
     rationals), convexity of the left side and concavity of the right side
-    via certified second differences on the grid."""
+    via certified second differences.  The inequality is checked on zs; the
+    shape flags are certified on the uniform grid of `points` points over
+    [0, 1], independent of zs, which needs points >= 3."""
+    if points < 3:
+        raise ValueError("points must be >= 3 to certify second differences")
     if zs is None:
         zs = unit_grid(points)
     half = Fraction(2 ** k + 2, 2 ** k)

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Tuple
 
 from mpmath import iv
 
-from .energy import EnergyKind, energy, packed_subset_energy
+from .energy import EnergyKind, energy, subset_energies
 from .errors import BudgetExceeded, PrecisionExhausted
 from .intervals import (certified_floor, decide_le, floor_power_log2,
                         log2_interval)
@@ -197,7 +197,7 @@ def sweep_cube(n: int, d: int, target: ExponentTarget, *,
         if npts > max_points:
             raise BudgetExceeded(
                 "exhaustive sweep over %d points (> %d) refused" % (npts, max_points))
-        masks = range(1, 1 << npts)
+        masks = None
         mode = "exhaustive"
     else:
         if sample < 1:
@@ -210,35 +210,39 @@ def sweep_cube(n: int, d: int, target: ExponentTarget, *,
                 masks.append(m)
         mode = "sample"
 
-    k, kind = target.k, target.kind
-    violations: List[Violation] = []
+    violations: List[Tuple[int, int, int, int]] = []
     rows: Optional[List[Tuple[int, int, int, Optional[float]]]] = [] if collect_rows else None
     max_ratio = None
     best_mask = None
     equality_count = 0
     checked = 0
 
-    for mask in masks:
-        sel = [packed[i] for i in range(npts) if (mask >> i) & 1]
-        c = len(sel)
-        e = packed_subset_energy(sel, k, kind)
+    for mask, c, e in subset_energies(packed, target.k, target.kind, masks):
         checked += 1
         bound, exact_power = thresholds[c]
         if e > bound:
-            violations.append(Violation(_mask_to_set(mask, pts), c, e, bound))
+            violations.append((mask, c, e, bound))
         elif exact_power and e == bound:
             equality_count += 1
         ratio = math.log(e) / math.log(c) if c >= 2 else None
-        if ratio is not None and (max_ratio is None or ratio > max_ratio):
+        # the walk runs in Gray-code order; a tie goes to the smallest mask,
+        # as in a scan in mask order.  A sample keeps its first maximiser.
+        if ratio is not None and (max_ratio is None or ratio > max_ratio or (
+                ratio == max_ratio and masks is None and mask < best_mask)):
             max_ratio = ratio
             best_mask = mask
         if rows is not None:
             rows.append((mask, c, e, ratio))
+    if masks is None:
+        violations.sort()
+        if rows is not None:
+            rows.sort()
 
     witness = _mask_to_set(best_mask, pts) if best_mask is not None else None
     return VerificationReport(target, n, d, mode, seed if mode == "sample" else None,
                               checked, max_ratio, witness, equality_count,
-                              violations, rows)
+                              [Violation(_mask_to_set(mask, pts), c, e, bound)
+                               for mask, c, e, bound in violations], rows)
 
 
 def _mask_to_set(mask: int, pts: List[tuple]) -> PointSet:
@@ -260,15 +264,10 @@ def equality_witnesses(d: int, k: int, kind: EnergyKind, n: int = 1) -> List[Poi
         raise BudgetExceeded("equality sweep over %d points refused" % npts)
     packed = pack_points(pts, max(k, 2))
     thresholds = [energy_threshold(target, c) for c in range(npts + 1)]
-    out = []
-    for mask in range(1, 1 << npts):
-        sel = [packed[i] for i in range(npts) if (mask >> i) & 1]
-        bound, exact_power = thresholds[len(sel)]
-        if not exact_power:
-            continue
-        if packed_subset_energy(sel, k, kind) == bound:
-            out.append(_mask_to_set(mask, pts))
-    return out
+    # equality: an exact-power threshold (bound, True) with E == bound
+    masks = [mask for mask, c, e in subset_energies(packed, k, kind)
+             if thresholds[c] == (e, True)]
+    return [_mask_to_set(mask, pts) for mask in sorted(masks)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: envelopes, CSV, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 
@@ -105,6 +106,21 @@ def test_verify_sampled_deterministic(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert json.loads(out1)["result"]["mode"] == "sample"
+
+
+@pytest.mark.parametrize("argv, violations, digest", [
+    (["verify", "--set", "cube:1x3", "--k", "2", "--exponent", "2.3"], 247,
+     "e0448370215eb701c1ba9278ffdfccb545721e9196838473822289b88ae5018d"),
+    (["verify", "--set", "cube:2x2", "--k", "3", "--exponent", "3.9"], 502,
+     "09876fba46f1a0b541acf03196464b1b9c4786010949892b3286375f551b9665"),
+])
+def test_verify_violation_report_golden_bytes(capsys, argv, violations, digest):
+    # frozen output: violations in mask order, ties for the best ratio
+    # broken toward the smallest mask
+    code, out, _ = _run(capsys, argv)
+    assert code == 1
+    assert len(json.loads(out)["result"]["violations"]) == violations
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_budget_exit_code(capsys):

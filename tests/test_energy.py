@@ -2,7 +2,7 @@
 
 import math
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -19,6 +19,7 @@ from cubenergy.energy import (
     interval_energy_closed_form,
     packed_subset_energy,
     split_last_coordinate,
+    subset_energies,
 )
 from cubenergy.errors import BudgetExceeded
 from cubenergy.lattice import CountsMap, PointSet, indicator, pack_points
@@ -194,6 +195,64 @@ def test_packed_subset_energy_agrees():
         packed = pack_points(a.sorted_points(), 2 * k * 3 + 1)
         for kind in EnergyKind:
             assert packed_subset_energy(packed, k, kind) == energy(a, k, kind).value
+
+
+def _mask_set(pts, mask):
+    return PointSet.from_points(p for i, p in enumerate(pts) if mask >> i & 1)
+
+
+def _cube_symmetry_class(sub, n):
+    """Smallest sorted image of sub under the symmetries of {0..n}^d
+    (coordinate permutations and reflections x -> n - x); both energies are
+    invariant under them, so one oracle call serves a whole class."""
+    d = sub.dim
+    images = []
+    for perm in permutations(range(d)):
+        for flips in product((False, True), repeat=d):
+            images.append(tuple(sorted(
+                tuple(n - p[j] if f else p[j] for j, f in zip(perm, flips))
+                for p in sub.points)))
+    return min(images)
+
+
+@pytest.mark.parametrize("kind, k", [(EnergyKind.ADDITIVE, 2),
+                                     (EnergyKind.ADDITIVE, 3),
+                                     (EnergyKind.ADDITIVE, 4),
+                                     (EnergyKind.HIGHER, 2),
+                                     (EnergyKind.HIGHER, 3)])
+@pytest.mark.parametrize("n, d", [(1, 3), (2, 2)])
+def test_subset_walk_matches_brute_force(n, d, kind, k):
+    pts = PointSet.cube(n, d).sorted_points()
+    packed = pack_points(pts, k)
+    oracle = {}
+    seen = []
+    for mask, size, e in subset_energies(packed, k, kind):
+        sub = _mask_set(pts, mask)
+        assert size == len(sub)
+        key = _cube_symmetry_class(sub, n)
+        if key not in oracle:
+            oracle[key] = brute_force_energy(sub, k, kind).value
+        assert e == oracle[key], (mask, kind, k)
+        seen.append(mask)
+    assert sorted(seen) == list(range(1, 1 << len(pts)))
+    # consecutive Gray-code masks differ in exactly one point
+    assert all(bin(a ^ b).count("1") == 1 for a, b in zip(seen, seen[1:]))
+
+
+def test_subset_energies_given_masks_in_given_order():
+    rng = random.Random(47)
+    pts = PointSet.cube(2, 2).sorted_points()
+    masks = [rng.randrange(1, 1 << len(pts)) for _ in range(40)]
+    masks += masks[:7]
+    rng.shuffle(masks)
+    for kind, k in [(EnergyKind.ADDITIVE, 3), (EnergyKind.HIGHER, 2)]:
+        packed = pack_points(pts, k)
+        got = list(subset_energies(packed, k, kind, masks))
+        assert [m for m, _, _ in got] == masks
+        for mask, size, e in got:
+            sub = _mask_set(pts, mask)
+            assert size == len(sub)
+            assert e == brute_force_energy(sub, k, kind).value
 
 
 # ---------------------------------------------------------------------------

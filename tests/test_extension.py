@@ -7,6 +7,7 @@ from itertools import product
 
 import pytest
 
+from cubenergy import extension
 from cubenergy.extension import (
     DEProblem,
     comparison_check,
@@ -22,7 +23,7 @@ from cubenergy.extension import (
     tn_interval,
     weighted_energy,
 )
-from cubenergy.energy import EnergyKind, additive_energy
+from cubenergy.energy import EnergyKind, additive_energy, brute_force_energy
 from cubenergy.lattice import PointSet, WeightFn
 
 SEGMENT = PointSet.from_points([(0,), (1,)])
@@ -192,6 +193,42 @@ def test_restricted_enumeration_k3_scratch_path():
     sub = PointSet.from_points(witness)
     e = additive_energy(sub, 3).value
     assert e ** (1 / 6) / len(sub) ** (1 / 1.5) == pytest.approx(ratio, rel=1e-12)
+
+
+@pytest.mark.parametrize("alphabet, k, q", [
+    (PointSet.cube(5, 1), 2, 2.0),
+    (PointSet.cube(5, 1), 2, 1.5),
+    (PointSet.cube(1, 2), 3, 1.5),
+    (PointSet.cube(1, 2), 3, 3.0),
+])
+def test_restricted_witness_is_smallest_mask_maximiser(alphabet, k, q):
+    # brute-force scan in mask order; a strict > keeps the smallest mask
+    pts = alphabet.sorted_points()
+    best = (-1.0, 0)
+    for mask in range(1, 1 << len(pts)):
+        sub = PointSet.from_points(p for i, p in enumerate(pts) if mask >> i & 1)
+        e = brute_force_energy(sub, k, EnergyKind.ADDITIVE).value
+        r = float(e) ** (1.0 / (2 * k)) / len(sub) ** (1.0 / q)
+        if r > best[0]:
+            best = (r, mask)
+    ratio, witness, exhaustive = restricted_enumeration(DEProblem(alphabet, k, q))
+    assert exhaustive
+    assert ratio == best[0]
+    assert witness == tuple(p for i, p in enumerate(pts) if best[1] >> i & 1)
+
+
+def test_restricted_witness_does_not_depend_on_walk_order(monkeypatch):
+    # replay the walk backwards; the smallest-mask maximiser must not move
+    walk = extension.subset_energies
+    # at q = 1 every singleton ties for the best ratio, 1
+    probs = [DEProblem(PointSet.cube(5, 1), 2, 1.0),
+             DEProblem(PointSet.cube(5, 1), 2, 2.0),
+             DEProblem(PointSet.from_points([(0,), (1,), (3,), (7,), (8,)]), 3, 3.0),
+             DEProblem(PointSet.cube(1, 3), 2, 4.0)]
+    want = [restricted_enumeration(prob) for prob in probs]
+    monkeypatch.setattr(extension, "subset_energies",
+                        lambda *args: reversed(list(walk(*args))))
+    assert [restricted_enumeration(prob) for prob in probs] == want
 
 
 # ---------------------------------------------------------------------------

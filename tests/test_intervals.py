@@ -11,7 +11,6 @@ from cubenergy.intervals import (
     PREC_CAP,
     PREC_START,
     _escalate,
-    certified_sign,
     decide_le,
     floor_power_log2,
     ipow,
@@ -98,13 +97,6 @@ def test_decide_le_escalates_through_tiny_gaps():
 def test_decide_le_exact_tie_raises():
     with pytest.raises(PrecisionExhausted):
         decide_le(lambda: iv.log(iv.mpf(3)), lambda: iv.log(iv.mpf(3)))
-
-
-def test_certified_sign():
-    assert certified_sign(lambda: iv.mpf(2) - iv.mpf(1)) == 1
-    assert certified_sign(lambda: iv.exp(iv.mpf(1)) - iv.mpf(3)) == -1
-    with pytest.raises(PrecisionExhausted):
-        certified_sign(lambda: iv.mpf(1) - iv.mpf(1))
 
 
 def test_floor_power_log2_frozen():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from mpmath import iv
 
-from cubenergy import intervals
+from cubenergy import intervals, legendre
 from cubenergy.legendre import (
     ExactAlpha,
     _certify_second_differences,
@@ -236,6 +236,18 @@ def test_convex_concave_grid_check():
     assert rep.ok
     assert 0.0 in rep.equalities and 1.0 in rep.equalities
     assert rep.shape_flags.get("lhs_convex") and rep.shape_flags.get("rhs_concave")
+
+
+@pytest.mark.parametrize("points", [1, 2])
+def test_convex_concave_needs_an_interior_point(points, monkeypatch):
+    # with fewer than three grid points there is no second difference, so
+    # no shape flag may be reported as certified; the check refuses at once
+    def no_work(*args, **kwargs):
+        raise AssertionError("grid check ran")
+
+    monkeypatch.setattr(legendre, "_grid_check", no_work)
+    with pytest.raises(ValueError):
+        check_convex_concave(3, zs=[0.25], points=points)
 
 
 def test_higher_energy_inequality_bundle():

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from cubenergy import verify
 from cubenergy.energy import EnergyKind, brute_force_energy, energy
 from cubenergy.errors import BudgetExceeded
 from cubenergy.lattice import PointSet
@@ -121,6 +122,7 @@ def test_sweep_rows_and_mode():
     rep = sweep_cube(1, 2, target, collect_rows=True)
     assert rep.mode == "exhaustive"
     assert len(rep.rows) == rep.subsets_checked
+    assert [row[0] for row in rep.rows] == list(range(1, 16))
     for mask, size, e, ratio in rep.rows:
         assert 1 <= mask < 16 and bin(mask).count("1") == size
         assert e <= energy_threshold(target, size)[0]
@@ -128,6 +130,27 @@ def test_sweep_rows_and_mode():
             assert abs(ratio - math.log(e) / math.log(size)) < 1e-12
         else:
             assert ratio is None
+
+
+def test_sweep_reports_do_not_depend_on_walk_order(monkeypatch):
+    # replay the exhaustive walk backwards: violations, rows, the witness of
+    # the best ratio and the equality witnesses must all come out the same
+    walk = verify.subset_energies
+
+    def backwards(packed, k, kind, masks=None):
+        steps = list(walk(packed, k, kind, masks))
+        return reversed(steps) if masks is None else steps
+
+    jobs = [(1, 3, ExponentTarget.custom(EnergyKind.ADDITIVE, 2, 2.3)),
+            (1, 3, ExponentTarget.sharp(EnergyKind.HIGHER, 2)),
+            (2, 2, ExponentTarget.custom(EnergyKind.ADDITIVE, 3, 3.9))]
+    want = [sweep_cube(n, d, t, collect_rows=True) for n, d, t in jobs]
+    eq = [equality_witnesses(3, 2, kind) for kind in EnergyKind]
+    monkeypatch.setattr(verify, "subset_energies", backwards)
+    for (n, d, t), rep in zip(jobs, want):
+        got = sweep_cube(n, d, t, collect_rows=True)
+        assert got.to_dict() == rep.to_dict() and got.rows == rep.rows
+    assert [equality_witnesses(3, 2, kind) for kind in EnergyKind] == eq
 
 
 def test_sweep_exhaustive_budget():
@@ -174,6 +197,14 @@ def test_equality_witnesses_wider_alphabet():
     # its bound and is not an equality witness
     assert got == [((0,),), ((0,), (1,)), ((0,), (2,)),
                    ((1,),), ((1,), (2,)), ((2,),)]
+
+
+def test_equality_witnesses_in_mask_order():
+    pts = PointSet.cube(1, 3).sorted_points()
+    for kind in EnergyKind:
+        w = equality_witnesses(3, 2, kind)
+        masks = [sum(1 << pts.index(p) for p in s.points) for s in w]
+        assert len(masks) > 1 and masks == sorted(masks)
 
 
 def test_equality_witnesses_are_exact():
