@@ -325,13 +325,14 @@ _THREE_POINT_LINE = frozenset(((0,), (1,), (2,)))
 def critical_exponent_lower_bound(alphabet: PointSet, k: int, *,
                                   tol: float = 1e-6, seed: int = 11,
                                   starts: int = 6) -> float:
-    """Largest p certified (by an explicit witness with ratio > 1) to sit
-    below the critical energy exponent of the alphabet.
+    """Advisory estimate of the largest p that sits below the critical
+    energy exponent of the alphabet, shown by a witness with ratio > 1.
 
     {0,1,2} with k=2 uses the exact univariate reduction: the quartic root
     w* gives the bound 2 log2 w*.  Everything else brackets the feasibility
     boundary by bisection over p in [k, 2k-1], where p is infeasible when
-    the optimizer exhibits a witness beating ratio 1.
+    the optimizer exhibits a witness beating ratio 1.  That test compares
+    the float ratio with 1 + 1e-9, so the bound is not certified.
     """
     pts = alphabet.sorted_points()
     if len(pts) == 1:

@@ -12,7 +12,7 @@ settle.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 from mpmath import iv
 
@@ -84,15 +84,17 @@ def decide_le(lhs_fn: Callable[[], object],
     proven; both reported bounds are themselves certified lower bounds on the
     gap.  Exact ties must be peeled off by the caller first.
     """
-    def step():
-        a = lhs_fn()
-        b = rhs_fn()
-        if a.b < b.a:
-            return True, float(b.a - a.b)
-        if a.a > b.b:
-            return False, float(a.a - b.b)
-        return None
-    return _escalate(step)
+    return _escalate(lambda: _separation(lhs_fn(), rhs_fn()))
+
+
+def _separation(a, b) -> Optional[Tuple[bool, float]]:
+    """``(True, margin)`` once the enclosures prove ``a < b``, ``(False,
+    excess)`` once they prove ``a > b``, None while they overlap."""
+    if a.b < b.a:
+        return True, float(b.a - a.b)
+    if a.a > b.b:
+        return False, float(a.a - b.b)
+    return None
 
 
 def certified_floor(fn: Callable[[], object]) -> int:

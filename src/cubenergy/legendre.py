@@ -17,7 +17,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 from mpmath import iv
 
 from .errors import PrecisionExhausted
-from .intervals import _escalate, decide_le, ipow, log2_interval, to_interval
+from .intervals import (_escalate, _separation, decide_le, ipow,
+                        log2_interval, to_interval)
 
 # exact-power comparison budget for compare_alpha, in bits
 EXACT_BITS_CAP = 1 << 21
@@ -237,13 +238,6 @@ def legendre_q(k: int, t):
     return total / 2.0 ** k
 
 
-def _legendre_q_iv(k: int, tiv):
-    total = iv.mpf(0)
-    for j in range(k + 1):
-        total += math.comb(k, j) ** 2 * (tiv - 1) ** (k - j) * (tiv + 1) ** j
-    return total / 2 ** k
-
-
 def _pk_iv(k: int):
     return log2_interval(math.comb(2 * k, k))
 
@@ -281,53 +275,79 @@ class GridCheckReport:
         }
 
 
-def _grid_decide(report: GridCheckReport, x: float,
-                 lhs: Callable[[float], object], rhs: Callable[[float], object]):
+def _settle(pending: List[int], level: Callable) -> Dict[int, object]:
+    """Climb the precision ladder once for a whole set of indices.
+
+    At each level ``level()`` builds that level's constants and returns
+    ``judge``; ``judge(i)`` is index i's verdict, or None while undecided.
+    Each index keeps the verdict of the first level that decides it, and
+    ``pending`` is left holding the indices still undecided at the cap.
+    """
+    verdicts: Dict[int, object] = {}
+
+    def step():
+        judge = level()
+        for i in pending:
+            verdict = judge(i)
+            if verdict is not None:
+                verdicts[i] = verdict
+        pending[:] = [i for i in pending if i not in verdicts]
+        return None if pending else True
+
     try:
-        holds, margin = decide_le(lambda: lhs(x), lambda: rhs(x))
+        _escalate(step)
     except PrecisionExhausted:
-        report.undecided.append(x)
-        return
-    if holds:
-        if report.min_margin is None or margin < report.min_margin:
-            report.min_margin = margin
-    else:
-        report.failures.append({"x": x, "excess": margin})
+        pass
+    return verdicts
 
 
 def _grid_check(name: str, k: int, xs: List[float], lo: float, hi: float,
-                exact: Dict[float, bool], lhs: Callable[[float], object],
-                rhs: Callable[[float], object]) -> GridCheckReport:
+                exact: Dict[float, bool], sides: Callable) -> GridCheckReport:
     """Check lhs(x) <= rhs(x) at every x of a grid inside [lo, hi].
 
     ``exact`` maps each boundary equality point to whether its identity
     holds in exact arithmetic; such a point is recorded as an equality, or
     as a failure when the identity does not hold.  Every other point gets
-    one certified decision of lhs(x) < rhs(x) on interval enclosures built
-    at the current precision.
+    one certified decision of lhs(x) < rhs(x) on interval enclosures, all
+    points on one precision ladder: ``sides()`` builds one level's
+    constants and returns ``(lhs, rhs)``, functions of the point's interval.
     """
+    if not all(lo <= x <= hi for x in xs):
+        raise ValueError("grid must lie in [%r, %r]" % (lo, hi))
+
+    def level():
+        lhs, rhs = sides()
+        return lambda j: _separation(lhs(iv.mpf(xs[j])), rhs(iv.mpf(xs[j])))
+
+    verdicts = _settle([j for j, x in enumerate(xs) if x not in exact], level)
     report = GridCheckReport(name, k, len(xs))
-    for x in xs:
-        if not lo <= x <= hi:
-            raise ValueError("grid must lie in [%r, %r]" % (lo, hi))
-        if x not in exact:
-            _grid_decide(report, x, lhs, rhs)
-        elif exact[x]:
+    for j, x in enumerate(xs):
+        holds, gap = (exact[x], float("nan")) if x in exact else \
+            verdicts.get(j, (None, None))
+        if holds is None:
+            report.undecided.append(x)
+        elif not holds:
+            report.failures.append({"x": x, "excess": gap})
+        elif x in exact:
             report.equalities.append(x)
-        else:
-            report.failures.append({"x": x, "excess": float("nan")})
+        elif report.min_margin is None or gap < report.min_margin:
+            report.min_margin = gap
     return report
 
 
 def log_grid(lo: float, hi: float, count: int) -> List[float]:
-    if count < 2 or not 0 < lo < hi:
-        raise ValueError
+    if count < 2:
+        raise ValueError("a log grid needs count >= 2, got %d" % count)
+    if not 0 < lo < hi:
+        raise ValueError("a log grid needs 0 < lo < hi")
     ratio = hi / lo
     return [lo * ratio ** (j / (count - 1)) for j in range(count)]
 
 
 def unit_grid(count: int) -> List[float]:
     """[0,1] grid with refinement points near the boundary equalities."""
+    if count < 2:
+        raise ValueError("a unit grid needs count >= 2, got %d" % count)
     base = {j / (count - 1) for j in range(count)}
     base.update((1e-9, 1e-6, 1e-3, 0.5, 1 - 1e-3, 1 - 1e-6, 1 - 1e-9))
     return sorted(base)
@@ -340,17 +360,17 @@ def check_legendre_inequality(k: int, ts: Optional[List[float]] = None,
         offsets = log_grid(1e-9, t_hi - 1.0, points - 1)
         ts = [1.0] + [1.0 + u for u in offsets]
 
-    def lhs(t):
-        return _legendre_q_iv(k, iv.mpf(t))
-
-    def rhs(t):
-        tiv = iv.mpf(t)
+    def sides():
         p = _pk_iv(k)
         al = iv.mpf(k) / p
-        return ipow(ipow((tiv - 1) / 2, al) + ipow((tiv + 1) / 2, al), p)
+        w = [iv.mpf(math.comb(k, j) ** 2) for j in range(k + 1)]
+        scale = iv.mpf(2 ** k)
+        return (lambda t: sum((wj * (t - 1) ** (k - j) * (t + 1) ** j
+                               for j, wj in enumerate(w)), iv.mpf(0)) / scale,
+                lambda t: ipow(ipow((t - 1) / 2, al) + ipow((t + 1) / 2, al), p))
 
     return _grid_check("legendre", k, ts, 1.0, math.inf,
-                       {1.0: legendre_q(k, 1) == 1}, lhs, rhs)
+                       {1.0: legendre_q(k, 1) == 1}, sides)
 
 
 def check_key_inequality(k: int, xs: Optional[List[float]] = None,
@@ -361,21 +381,15 @@ def check_key_inequality(k: int, xs: Optional[List[float]] = None,
         xs = sorted(set(xs))
     w = [math.comb(k, i) ** 2 for i in range(k + 1)]
 
-    def lhs(x):
-        xiv = iv.mpf(x)
+    def sides():
         p = _pk_iv(k)
-        total = iv.mpf(0)
-        for i in range(k + 1):
-            total += w[i] * ipow(xiv, p * i / k)
-        return total
-
-    def rhs(x):
-        return ipow(1 + iv.mpf(x), _pk_iv(k))
+        terms = [(iv.mpf(w[i]), p * i / k) for i in range(k + 1)]
+        return (lambda x: sum((wi * ipow(x, e) for wi, e in terms), iv.mpf(0)),
+                lambda x: ipow(1 + x, p))
 
     # at x = 0 both sides reduce to 1 exactly
     return _grid_check("key", k, xs, 0.0, math.inf,
-                       {0.0: True, 1.0: sum(w) == math.comb(2 * k, k)},
-                       lhs, rhs)
+                       {0.0: True, 1.0: sum(w) == math.comb(2 * k, k)}, sides)
 
 
 def check_goal_inequality(k: int, grid: Optional[List[float]] = None,
@@ -388,18 +402,14 @@ def check_goal_inequality(k: int, grid: Optional[List[float]] = None,
     if grid is None:
         grid = unit_grid(points)
 
-    def lhs(a):
-        aiv = iv.mpf(a)
-        biv = 1 - aiv
+    def sides():
         q = _qk_iv(k)
-        return (ipow(aiv, q / k) + ipow(biv, q / k)) ** k + \
-            2 * ipow(aiv * biv, q / 2)
-
-    def rhs(a):
-        return iv.mpf(1)
+        qk, q2, one = q / k, q / 2, iv.mpf(1)
+        return (lambda a: (ipow(a, qk) + ipow(1 - a, qk)) ** k
+                + 2 * ipow(a * (1 - a), q2), lambda a: one)
 
     return _grid_check("goal", k, grid, 0.0, 1.0,
-                       {0.0: True, 0.5: True, 1.0: True}, lhs, rhs)
+                       {0.0: True, 0.5: True, 1.0: True}, sides)
 
 
 def check_two_point_inequality(k: int, xs: Optional[List[float]] = None,
@@ -414,17 +424,15 @@ def check_two_point_inequality(k: int, xs: Optional[List[float]] = None,
         xs = [0.0] + log_grid(1e-3, 1e3, points - 2) + [1.0]
         xs = sorted(set(xs))
 
-    def lhs(x):
-        xiv = iv.mpf(x)
+    def sides():
         q = _qk_iv(k)
-        return 2 * ipow(xiv, q / 2) + (ipow(xiv, q / k) + 1) ** k
-
-    def rhs(x):
-        return ipow(iv.mpf(x) + 1, _qk_iv(k))
+        qk, q2 = q / k, q / 2
+        return (lambda x: 2 * ipow(x, q2) + (ipow(x, qk) + 1) ** k,
+                lambda x: ipow(x + 1, q))
 
     # at x = 0 both sides reduce to 1 exactly
     return _grid_check("two_point", k, xs, 0.0, math.inf,
-                       {0.0: True, 1.0: 2 + 2 ** k == 2 ** k + 2}, lhs, rhs)
+                       {0.0: True, 1.0: 2 + 2 ** k == 2 ** k + 2}, sides)
 
 
 def check_cfil_instance(k: int, grid: Optional[List[float]] = None,
@@ -439,21 +447,19 @@ def check_cfil_instance(k: int, grid: Optional[List[float]] = None,
     if grid is None:
         grid = unit_grid(points)
 
-    def lhs(a):
-        aiv = iv.mpf(a)
-        biv = 1 - aiv
+    def sides():
         p = _qk_iv(k) / k
-        ap = ipow(aiv, p)
-        bp = ipow(biv, p)
-        s = ap + bp
-        mu = 2 * ipow(aiv, p / 2) * ipow(biv, p / 2) / s
-        return s * ipow(1 + ipow(mu, 2 / p), p - 1)
+        half, inv, less, one = p / 2, 2 / p, p - 1, iv.mpf(1)
 
-    def rhs(a):
-        return iv.mpf(1)
+        def lhs(a):
+            b = 1 - a
+            s = ipow(a, p) + ipow(b, p)
+            mu = 2 * ipow(a, half) * ipow(b, half) / s
+            return s * ipow(1 + ipow(mu, inv), less)
+        return lhs, lambda a: one
 
     return _grid_check("cfil", k, grid, 0.0, 1.0,
-                       {0.0: True, 0.5: True, 1.0: True}, lhs, rhs)
+                       {0.0: True, 0.5: True, 1.0: True}, sides)
 
 
 def check_convex_concave(k: int, zs: Optional[List[float]] = None,
@@ -470,67 +476,59 @@ def check_convex_concave(k: int, zs: Optional[List[float]] = None,
         zs = unit_grid(points)
     half = Fraction(2 ** k + 2, 2 ** k)
 
-    def lhs(z):
+    def sides():
         q = _qk_iv(k)
-        return 1 + ipow(iv.mpf(z), q / 2) / 2 ** (k - 1)
-
-    def rhs(z):
-        q = _qk_iv(k)
-        return ipow(1 + iv.mpf(z), q - k)
+        q2, qk, scale = q / 2, q - k, iv.mpf(2 ** (k - 1))
+        return (lambda z: 1 + ipow(z, q2) / scale, lambda z: ipow(1 + z, qk))
 
     # at z = 0 both sides are 1
     report = _grid_check("convex_concave", k, zs, 0.0, 1.0,
                          {0.0: True, 1.0: 1 + Fraction(1, 2 ** (k - 1)) == half},
-                         lhs, rhs)
+                         sides)
 
     uniform = [j / (points - 1) for j in range(points)]
     ends = {0.0: Fraction(1), 1.0: half}
 
-    def with_exact_ends(f):
-        return lambda z: to_interval(ends[z]) if z in ends else f(z)
+    def with_exact_ends(side):
+        def curve():
+            f = sides()[side]
+            return lambda z: to_interval(ends[z]) if z in ends else f(iv.mpf(z))
+        return curve
 
     report.shape_flags["lhs_convex"] = _certify_second_differences(
-        uniform, with_exact_ends(lhs), expect_positive=True)
+        uniform, with_exact_ends(0), expect_positive=True)
     report.shape_flags["rhs_concave"] = _certify_second_differences(
-        uniform, with_exact_ends(rhs), expect_positive=False)
+        uniform, with_exact_ends(1), expect_positive=False)
     return report
 
 
-def _classify_second_differences(xs: List[float], f_at: Callable
+def _classify_second_differences(xs: List[float], curve: Callable
                                  ) -> Tuple[List[int], List[int], List[int]]:
     """Indices i in 1..len(xs)-2 whose second difference
     f(xs[i+1]) - 2 f(xs[i]) + f(xs[i-1]) is certified negative, certified
     positive, or still undecided at the precision cap, each in index order.
+    ``curve()`` builds f, a function of the float x, for one precision level.
     """
-    negative: List[int] = []
-    positive: List[int] = []
-    pending = list(range(1, len(xs) - 1))
+    def level():
+        vals = list(map(curve(), xs))
 
-    def step():
-        vals = [f_at(x) for x in xs]
-        undecided = []
-        for i in pending:
+        def judge(i):
             d2 = vals[i + 1] - 2 * vals[i] + vals[i - 1]
-            if d2.b < 0:
-                negative.append(i)
-            elif d2.a > 0:
-                positive.append(i)
-            else:
-                undecided.append(i)
-        pending[:] = undecided
-        return None if pending else True
+            return -1 if d2.b < 0 else 1 if d2.a > 0 else None
+        return judge
 
-    try:
-        _escalate(step)
-    except PrecisionExhausted:
-        pass
-    return sorted(negative), sorted(positive), pending
+    pending = list(range(1, len(xs) - 1))
+    signs = _settle(pending, level)
+    decided = sorted(signs)
+    return ([i for i in decided if signs[i] < 0],
+            [i for i in decided if signs[i] > 0], pending)
 
 
-def _certify_second_differences(xs: List[float], f_at: Callable,
+def _certify_second_differences(xs: List[float], curve: Callable,
                                 expect_positive: bool) -> bool:
-    """Certify the sign of every interior second difference of f on xs."""
-    negative, positive, undecided = _classify_second_differences(xs, f_at)
+    """Certify the sign of every interior second difference of f on xs,
+    where ``curve()`` builds f for one precision level."""
+    negative, positive, undecided = _classify_second_differences(xs, curve)
     wrong = negative if expect_positive else positive
     return not wrong and not undecided
 
@@ -624,22 +622,24 @@ def certify_psi_shape(k: int, samples: int = 512) -> PsiShapeReport:
     Every interior index ends up certified negative, certified positive, or
     undecided at the precision cap; nothing is classified by rounding.
     """
+    if samples < 3:
+        raise ValueError("samples must be >= 3 to certify second differences")
     xs = [j / (samples - 1) for j in range(samples)]
-    w = [math.comb(k, i) ** 2 for i in range(k)]
 
-    def psi_at(x):
-        if x == 0.0:
-            return iv.mpf(0)
+    def curve():
         p = _pk_iv(k)
-        xiv = iv.mpf(x)
-        total = iv.mpf(0)
-        for i in range(k):
-            e = p * (k - i) / k
-            total += w[i] * (iv.mpf(k - i) / k * ipow(xiv, e - 1)
-                             - iv.mpf(i) / k * ipow(xiv, e))
-        return total
+        terms = [(iv.mpf(math.comb(k, i) ** 2), iv.mpf(k - i) / k,
+                  p * (k - i) / k, iv.mpf(i) / k) for i in range(k)]
 
-    negative, positive, undecided = _classify_second_differences(xs, psi_at)
+        def psi_at(x):
+            if x == 0.0:
+                return iv.mpf(0)
+            xiv = iv.mpf(x)
+            return sum((wi * (c1 * ipow(xiv, e - 1) - c0 * ipow(xiv, e))
+                        for wi, c1, e, c0 in terms), iv.mpf(0))
+        return psi_at
+
+    negative, positive, undecided = _classify_second_differences(xs, curve)
     return PsiShapeReport(k, samples, len(negative),
                           [(i, xs[i]) for i in positive], undecided)
 

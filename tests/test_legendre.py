@@ -1,5 +1,6 @@
 """Sign certification, Legendre-type polynomials, and certified grid checks."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -8,11 +9,16 @@ import pytest
 from mpmath import iv
 
 from cubenergy import intervals, legendre
+from cubenergy.cli import dumps_canonical
+from cubenergy.errors import PrecisionExhausted
 from cubenergy.legendre import (
     ExactAlpha,
+    GridCheckReport,
     _certify_second_differences,
+    _grid_check,
     certify_psi_shape,
     certify_sign_pattern,
+    check_cfil_instance,
     check_convex_concave,
     check_goal_inequality,
     check_higher_energy_inequalities,
@@ -29,6 +35,7 @@ from cubenergy.legendre import (
     psi_at_one_exact,
     sign_of_coefficient,
     sign_table,
+    unit_grid,
     weight_balance_identity,
 )
 
@@ -281,15 +288,137 @@ def test_second_differences_reject_a_certified_wrong_sign():
     def square(x):
         return iv.mpf(x) ** 2
 
-    assert _certify_second_differences(xs, square, expect_positive=True)
-    assert not _certify_second_differences(xs, square, expect_positive=False)
+    assert _certify_second_differences(xs, lambda: square, expect_positive=True)
+    assert not _certify_second_differences(xs, lambda: square,
+                                           expect_positive=False)
+
+
+@pytest.fixture
+def rungs(monkeypatch):
+    """The precision of every entry into the interval ladder, in order."""
+    seen = []
+
+    class Counting(intervals.workprec):
+        def __enter__(self):
+            seen.append(self.prec)
+            return super().__enter__()
+
+    monkeypatch.setattr(intervals, "workprec", Counting)
+    return seen
+
+
+def test_grid_and_shape_checks_climb_one_ladder(rungs):
+    assert check_key_inequality(2, points=80).ok
+    assert rungs == [64]
+    rungs.clear()
+    assert certify_psi_shape(3, samples=64).concave_certified
+    assert rungs == [64]
+
+
+def test_grid_check_matches_a_per_point_ladder(rungs):
+    # lhs = x + 2^-a against rhs = x + 2^-b: the enclosures separate once
+    # the precision holds the larger offset, so the points settle on the
+    # rungs 64 ... 1024, and equal offsets stay undecided to the cap.  A
+    # failure from a later rung comes first in the grid, and the smallest
+    # margin comes last.
+    offsets = {1.0: (70, 71), 2.0: (1100, 1000), 3.0: (600, 500),
+               4.0: (20, 10), 5.0: (200, 150), 6.0: (40, 40), 8.0: (30, 40),
+               9.0: (25, 12)}
+    xs = [0.0, 1.0, 3.0, 7.0, 4.0, 5.0, 6.0, 8.0, 9.0, 2.0]
+    exact = {0.0: True, 7.0: False}
+
+    def side(n):
+        return lambda x: x + iv.mpf(2) ** -offsets[float(x)][n]
+
+    rep = _grid_check("synthetic", 2, xs, 0.0, 9.0, exact,
+                      lambda: (side(0), side(1)))
+    assert rungs == [64 << n for n in range(9)]
+
+    want = GridCheckReport("synthetic", 2, len(xs))
+    for x in xs:
+        if x in exact:
+            if exact[x]:
+                want.equalities.append(x)
+            else:
+                want.failures.append({"x": x, "excess": float("nan")})
+            continue
+        try:
+            holds, gap = intervals.decide_le(lambda: side(0)(iv.mpf(x)),
+                                             lambda: side(1)(iv.mpf(x)))
+        except PrecisionExhausted:
+            want.undecided.append(x)
+            continue
+        if not holds:
+            want.failures.append({"x": x, "excess": gap})
+        elif want.min_margin is None or gap < want.min_margin:
+            want.min_margin = gap
+    assert [f["x"] for f in rep.failures] == [1.0, 7.0, 8.0]
+    assert rep.undecided == [6.0] and rep.equalities == [0.0]
+    assert 0 < rep.min_margin < 1e-300
+    assert dumps_canonical(rep.to_dict()) == dumps_canonical(want.to_dict())
+
+
+# frozen output: SHA-256 of the canonical JSON of each report, with failures,
+# undecided points and equalities in grid order and every point decided on
+# the first precision level whose enclosures separate
+GRID_REPORT_DIGESTS = {
+    ("legendre", 2): "9cffb8f50906acea1d8fab7a702e1ad88572d9e8be8afb13172f985ecafa6c47",
+    ("key", 2): "8a15d64b655bf0577a0204fc58ebb69e3007b3522bef18c9e7467d127a1ecda8",
+    ("goal", 2): "064a2a5ba274d2101f62488318280f46ee2e5f252d1dc291371b435df9534471",
+    ("two_point", 2): "01c91b57410a4d2e6908685f3a921ef23af13894e11d2d5908f44dfa16ea36ba",
+    ("cfil", 2): "80215b85e209905a491512702ba56a682c4f4e2f010fd1bc0fec34f3c83c2e4f",
+    ("convex_concave", 2): "938fb867117b3c1bdffa193bc805d0e2a1852c306095dc9d976a05ab656c7484",
+    ("legendre", 6): "74864981b687740e8f93bab1af4f3e559c5382d29cdc981ab34b315f549c021d",
+    ("key", 6): "34ea77e622e0ee557176832cae6ab2ec2416e63855a83a7a9ad6603724f44cda",
+    ("goal", 6): "d21e10967e500b19d73f0bfa63a4b479d1e35e6287403745114b5362bd0dc368",
+    ("two_point", 6): "8954ed588ea2217710fd771db2857ef1fb75b76c0f98b19f37dc8c4d806a34d1",
+    ("cfil", 6): "17eeb66cab4ac4d55a97324e00c5026abcd10ab773ebe74b069884bc97a287de",
+    ("convex_concave", 6): "2de9304a285061b7b638c3eb3bbd2973a1681cb0a976bcf7cf8e5f788f33c546",
+    ("psi", 3): "08ba0aaf1a494218dfc3ef0aeba5fc33dc5088a4e1fb870a074012ddc66352ce",
+    ("psi", 7): "6ce9a4280aa7aad687e4faa00aa88553bacb0928086524b6028502eb96087c11",
+}
+GRID_CHECKS = {
+    "legendre": check_legendre_inequality,
+    "key": check_key_inequality,
+    "goal": check_goal_inequality,
+    "two_point": check_two_point_inequality,
+    "cfil": check_cfil_instance,
+    "convex_concave": check_convex_concave,
+}
+
+
+def test_grid_reports_golden_bytes():
+    got = {}
+    for k in (2, 6):
+        for name, check in GRID_CHECKS.items():
+            got[name, k] = check(k, points=200).to_dict()
+    for k in (3, 7):
+        got["psi", k] = certify_psi_shape(k, samples=128).to_dict()
+    digests = {key: hashlib.sha256(dumps_canonical(rep).encode()).hexdigest()
+               for key, rep in got.items()}
+    assert digests == GRID_REPORT_DIGESTS
+
+
+@pytest.mark.parametrize("check, points, count", [
+    (check_goal_inequality, 1, 1),
+    (check_cfil_instance, 1, 1),
+    (check_legendre_inequality, 2, 1),
+    (check_key_inequality, 3, 1),
+    (check_two_point_inequality, 3, 1),
+])
+def test_grid_builders_name_a_bad_count(check, points, count):
+    with pytest.raises(ValueError, match="count >= 2, got %d" % count):
+        check(3, points=points)
 
 
 def test_log_grid_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="0 < lo < hi"):
         log_grid(0.0, 1.0, 10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="got 1"):
         log_grid(1.0, 2.0, 1)
+    with pytest.raises(ValueError, match="got 1"):
+        unit_grid(1)
+    assert unit_grid(2)[0] == 0.0 and unit_grid(2)[-1] == 1.0
     g = log_grid(1e-3, 1e3, 7)
     assert len(g) == 7 and g[0] == pytest.approx(1e-3) and g[-1] == pytest.approx(1e3)
 
@@ -333,6 +462,18 @@ def test_psi_shape_certification():
     assert rep7.positive_indices and not rep7.undecided_indices
     first_x = rep7.positive_indices[0][1]
     assert 0.05 < first_x < 0.2
+
+
+@pytest.mark.parametrize("samples", [1, 2])
+def test_psi_shape_needs_an_interior_sample(samples, monkeypatch):
+    # with fewer than three samples there is no second difference, so
+    # concavity may not be reported as certified; the check refuses at once
+    def no_work(*args, **kwargs):
+        raise AssertionError("second differences classified")
+
+    monkeypatch.setattr(legendre, "_classify_second_differences", no_work)
+    with pytest.raises(ValueError, match="samples"):
+        certify_psi_shape(7, samples=samples)
 
 
 def test_psi_shape_reports_undecided_at_the_cap(one_rung_ladder, monkeypatch):
