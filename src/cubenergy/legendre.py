@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from mpmath import iv
 
@@ -275,15 +275,16 @@ class GridCheckReport:
         }
 
 
-def _settle(pending: List[int], level: Callable) -> Dict[int, object]:
+def _settle(indices: Iterable[int], level: Callable) -> Dict[int, object]:
     """Climb the precision ladder once for a whole set of indices.
 
     At each level ``level()`` builds that level's constants and returns
     ``judge``; ``judge(i)`` is index i's verdict, or None while undecided.
-    Each index keeps the verdict of the first level that decides it, and
-    ``pending`` is left holding the indices still undecided at the cap.
+    Each index keeps the verdict of the first level that decides it; an
+    index still undecided at the cap has no verdict.
     """
     verdicts: Dict[int, object] = {}
+    pending = list(indices)
 
     def step():
         judge = level()
@@ -322,14 +323,16 @@ def _grid_check(name: str, k: int, xs: List[float], lo: float, hi: float,
     verdicts = _settle([j for j, x in enumerate(xs) if x not in exact], level)
     report = GridCheckReport(name, k, len(xs))
     for j, x in enumerate(xs):
-        holds, gap = (exact[x], float("nan")) if x in exact else \
-            verdicts.get(j, (None, None))
-        if holds is None:
+        holds, gap = verdicts.get(j, (None, None))
+        if x in exact:
+            if exact[x]:
+                report.equalities.append(x)
+            else:
+                report.failures.append({"x": x, "excess": float("nan")})
+        elif holds is None:
             report.undecided.append(x)
         elif not holds:
             report.failures.append({"x": x, "excess": gap})
-        elif x in exact:
-            report.equalities.append(x)
         elif report.min_margin is None or gap < report.min_margin:
             report.min_margin = gap
     return report
@@ -517,11 +520,11 @@ def _classify_second_differences(xs: List[float], curve: Callable
             return -1 if d2.b < 0 else 1 if d2.a > 0 else None
         return judge
 
-    pending = list(range(1, len(xs) - 1))
-    signs = _settle(pending, level)
-    decided = sorted(signs)
-    return ([i for i in decided if signs[i] < 0],
-            [i for i in decided if signs[i] > 0], pending)
+    interior = range(1, len(xs) - 1)
+    signs = _settle(interior, level)
+    return ([i for i in interior if signs.get(i) == -1],
+            [i for i in interior if signs.get(i) == 1],
+            [i for i in interior if i not in signs])
 
 
 def _certify_second_differences(xs: List[float], curve: Callable,
