@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Tuple
 
 from mpmath import iv
+from mpmath.libmp import fzero, libmpi, mpf_gt
 
 from .errors import PrecisionExhausted
 
@@ -67,11 +68,27 @@ def log2_interval(m):
     return iv.log(to_interval(m)) / iv.log(iv.mpf(2))
 
 
+def ipows(base, expos):
+    """[base ** e for e in expos] for an interval base >= 0, from one log.
+
+    Per exponent these are the steps of mpmath's interval ``**`` (log and
+    product at prec+20 bits, exp at prec), so the enclosure is the one
+    ``base ** e`` gives unless e is a point integer or 1/2, where ``**``
+    takes a tighter path.  A zero base needs every exponent's lower end > 0.
+    """
+    if base._mpi_ == (fzero, fzero):
+        if not all(mpf_gt(e._mpi_[0], fzero) for e in expos):
+            raise ValueError("0 ** e needs e > 0")
+        return [iv.mpf(0) for _ in expos]
+    prec = iv.prec
+    log = libmpi.mpi_log(base._mpi_, prec + 20)
+    return [iv.make_mpf(libmpi.mpi_exp(libmpi.mpi_mul(log, e._mpi_, prec + 20),
+                                       prec)) for e in expos]
+
+
 def ipow(base, expo):
-    """base ** expo for intervals with base >= 0 (zero only with expo > 0)."""
-    if base.a == 0 and base.b == 0:
-        return iv.mpf(0)
-    return base ** expo
+    """base ** expo, the one-exponent case of ``ipows``."""
+    return ipows(base, (expo,))[0]
 
 
 def decide_le(lhs_fn: Callable[[], object],
@@ -91,9 +108,9 @@ def _separation(a, b) -> Optional[Tuple[bool, float]]:
     """``(True, margin)`` once the enclosures prove ``a < b``, ``(False,
     excess)`` once they prove ``a > b``, None while they overlap."""
     if a.b < b.a:
-        return True, float(b.a - a.b)
+        return True, float((b.a - a.b).a)
     if a.a > b.b:
-        return False, float(a.a - b.b)
+        return False, float((a.a - b.b).a)
     return None
 
 

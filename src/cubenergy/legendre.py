@@ -3,8 +3,9 @@ certified grid checks for every scalar inequality the energy bounds rest on.
 
 The central objects are the coefficients C_i = aCoeff*alpha + bConst with
 alpha = k/log2 C(2k,k): integer linear forms in one fixed irrational.  Signs
-are decided exactly, either by the integer comparison 2^(k*q) vs M^p or by
-adaptive-precision intervals; floating point never decides a sign.
+are decided on the adaptive-precision interval ladder first, and the exact
+integer comparison 2^(k*q) vs M^p decides what the ladder cannot separate;
+floating point never decides a sign.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from mpmath import iv
 
 from .errors import PrecisionExhausted
-from .intervals import (_escalate, _separation, decide_le, ipow,
+from .intervals import (_escalate, _separation, decide_le, ipow, ipows,
                         log2_interval, to_interval)
 
 # exact-power comparison budget for compare_alpha, in bits
@@ -61,10 +62,11 @@ class ExactAlpha:
 def compare_alpha(alpha: ExactAlpha, num: int, den: int) -> str:
     """Certified order of alpha vs num/den: returns '<' or '>'.
 
-    alpha > num/den  <=>  2^(k*den) > M^num for positive num/den, decided by
-    exact integer powers when they fit the bit budget, else by interval
-    escalation.  Equality is impossible (alpha is irrational), so the answer
-    is always one of the two strict orders.
+    Decided by interval escalation; a gap the ladder cannot separate falls
+    back to alpha > num/den  <=>  2^(k*den) > M^num for positive num/den,
+    in exact integer powers when they fit the bit budget.  Equality is
+    impossible (alpha is irrational), so the answer is always one of the
+    two strict orders.
     """
     if den == 0:
         raise ZeroDivisionError("den must be nonzero")
@@ -75,17 +77,17 @@ def compare_alpha(alpha: ExactAlpha, num: int, den: int) -> str:
     g = math.gcd(num, den)
     num //= g
     den //= g
-    k, m = alpha.k, alpha.central
-    lhs_bits = k * den
-    rhs_bits = num * m.bit_length()
-    if max(lhs_bits, rhs_bits) <= EXACT_BITS_CAP:
+    try:
+        less, _ = decide_le(alpha.interval, lambda: iv.mpf(num) / iv.mpf(den))
+    except PrecisionExhausted:
+        k, m = alpha.k, alpha.central
+        if max(k * den, num * m.bit_length()) > EXACT_BITS_CAP:
+            raise
         lhs = 1 << (k * den)
         rhs = m ** num
         if lhs == rhs:
             raise AssertionError("alpha compared equal to a rational")
-        return ">" if lhs > rhs else "<"
-    less, _ = decide_le(lambda: alpha.interval(),
-                        lambda: iv.mpf(num) / iv.mpf(den))
+        less = lhs < rhs
     return "<" if less else ">"
 
 
@@ -318,7 +320,8 @@ def _grid_check(name: str, k: int, xs: List[float], lo: float, hi: float,
 
     def level():
         lhs, rhs = sides()
-        return lambda j: _separation(lhs(iv.mpf(xs[j])), rhs(iv.mpf(xs[j])))
+        pts = list(map(iv.mpf, xs))
+        return lambda j: _separation(lhs(pts[j]), rhs(pts[j]))
 
     verdicts = _settle([j for j, x in enumerate(xs) if x not in exact], level)
     report = GridCheckReport(name, k, len(xs))
@@ -367,10 +370,15 @@ def check_legendre_inequality(k: int, ts: Optional[List[float]] = None,
         p = _pk_iv(k)
         al = iv.mpf(k) / p
         w = [iv.mpf(math.comb(k, j) ** 2) for j in range(k + 1)]
-        scale = iv.mpf(2 ** k)
-        return (lambda t: sum((wj * (t - 1) ** (k - j) * (t + 1) ** j
-                               for j, wj in enumerate(w)), iv.mpf(0)) / scale,
-                lambda t: ipow(ipow((t - 1) / 2, al) + ipow((t + 1) / 2, al), p))
+        n = [iv.mpf(j) for j in range(k + 1)]
+        zero, one, two, scale = iv.mpf(0), iv.mpf(1), iv.mpf(2), iv.mpf(2 ** k)
+
+        def lhs(t):
+            below, above = t - one, t + one
+            return sum((wj * below ** n[k - j] * above ** n[j]
+                        for j, wj in enumerate(w)), zero) / scale
+        return lhs, lambda t: ipow(ipow((t - one) / two, al)
+                                   + ipow((t + one) / two, al), p)
 
     return _grid_check("legendre", k, ts, 1.0, math.inf,
                        {1.0: legendre_q(k, 1) == 1}, sides)
@@ -386,9 +394,13 @@ def check_key_inequality(k: int, xs: Optional[List[float]] = None,
 
     def sides():
         p = _pk_iv(k)
-        terms = [(iv.mpf(w[i]), p * i / k) for i in range(k + 1)]
-        return (lambda x: sum((wi * ipow(x, e) for wi, e in terms), iv.mpf(0)),
-                lambda x: ipow(1 + x, p))
+        wiv = [iv.mpf(wi) for wi in w]
+        expos = [p * i / k for i in range(1, k + 1)]
+        one = iv.mpf(1)
+        # the i = 0 term is w_0 x^0 = 1 exactly
+        return (lambda x: sum((wi * xe for wi, xe in
+                               zip(wiv[1:], ipows(x, expos))), wiv[0]),
+                lambda x: ipow(one + x, p))
 
     # at x = 0 both sides reduce to 1 exactly
     return _grid_check("key", k, xs, 0.0, math.inf,
@@ -407,9 +419,9 @@ def check_goal_inequality(k: int, grid: Optional[List[float]] = None,
 
     def sides():
         q = _qk_iv(k)
-        qk, q2, one = q / k, q / 2, iv.mpf(1)
-        return (lambda a: (ipow(a, qk) + ipow(1 - a, qk)) ** k
-                + 2 * ipow(a * (1 - a), q2), lambda a: one)
+        qk, q2, one, two, kiv = q / k, q / 2, iv.mpf(1), iv.mpf(2), iv.mpf(k)
+        return (lambda a: (ipow(a, qk) + ipow(one - a, qk)) ** kiv
+                + two * ipow(a * (one - a), q2), lambda a: one)
 
     return _grid_check("goal", k, grid, 0.0, 1.0,
                        {0.0: True, 0.5: True, 1.0: True}, sides)
@@ -429,9 +441,12 @@ def check_two_point_inequality(k: int, xs: Optional[List[float]] = None,
 
     def sides():
         q = _qk_iv(k)
-        qk, q2 = q / k, q / 2
-        return (lambda x: 2 * ipow(x, q2) + (ipow(x, qk) + 1) ** k,
-                lambda x: ipow(x + 1, q))
+        qk, q2, one, two, kiv = q / k, q / 2, iv.mpf(1), iv.mpf(2), iv.mpf(k)
+
+        def lhs(x):
+            xq2, xqk = ipows(x, (q2, qk))
+            return two * xq2 + (xqk + one) ** kiv
+        return lhs, lambda x: ipow(x + one, q)
 
     # at x = 0 both sides reduce to 1 exactly
     return _grid_check("two_point", k, xs, 0.0, math.inf,
@@ -452,13 +467,14 @@ def check_cfil_instance(k: int, grid: Optional[List[float]] = None,
 
     def sides():
         p = _qk_iv(k) / k
-        half, inv, less, one = p / 2, 2 / p, p - 1, iv.mpf(1)
+        half, inv, less, one, two = p / 2, 2 / p, p - 1, iv.mpf(1), iv.mpf(2)
 
         def lhs(a):
-            b = 1 - a
-            s = ipow(a, p) + ipow(b, p)
-            mu = 2 * ipow(a, half) * ipow(b, half) / s
-            return s * ipow(1 + ipow(mu, inv), less)
+            ap, ah = ipows(a, (p, half))
+            bp, bh = ipows(one - a, (p, half))
+            s = ap + bp
+            mu = two * ah * bh / s
+            return s * ipow(one + ipow(mu, inv), less)
         return lhs, lambda a: one
 
     return _grid_check("cfil", k, grid, 0.0, 1.0,
@@ -481,8 +497,8 @@ def check_convex_concave(k: int, zs: Optional[List[float]] = None,
 
     def sides():
         q = _qk_iv(k)
-        q2, qk, scale = q / 2, q - k, iv.mpf(2 ** (k - 1))
-        return (lambda z: 1 + ipow(z, q2) / scale, lambda z: ipow(1 + z, qk))
+        q2, qk, scale, one = q / 2, q - k, iv.mpf(2 ** (k - 1)), iv.mpf(1)
+        return (lambda z: one + ipow(z, q2) / scale, lambda z: ipow(one + z, qk))
 
     # at z = 0 both sides are 1
     report = _grid_check("convex_concave", k, zs, 0.0, 1.0,
@@ -631,15 +647,18 @@ def certify_psi_shape(k: int, samples: int = 512) -> PsiShapeReport:
 
     def curve():
         p = _pk_iv(k)
+        zero, one = iv.mpf(0), iv.mpf(1)
         terms = [(iv.mpf(math.comb(k, i) ** 2), iv.mpf(k - i) / k,
-                  p * (k - i) / k, iv.mpf(i) / k) for i in range(k)]
+                  iv.mpf(i) / k) for i in range(k)]
+        expos = [p * (k - i) / k for i in range(k)]
+        expos = [e - one for e in expos] + expos
 
         def psi_at(x):
             if x == 0.0:
-                return iv.mpf(0)
-            xiv = iv.mpf(x)
-            return sum((wi * (c1 * ipow(xiv, e - 1) - c0 * ipow(xiv, e))
-                        for wi, c1, e, c0 in terms), iv.mpf(0))
+                return zero
+            pw = ipows(iv.mpf(x), expos)
+            return sum((wi * (c1 * pw[i] - c0 * pw[k + i])
+                        for i, (wi, c1, c0) in enumerate(terms)), zero)
         return psi_at
 
     negative, positive, undecided = _classify_second_differences(xs, curve)

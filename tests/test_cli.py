@@ -143,6 +143,15 @@ def test_signs_json_certified(capsys):
     assert rows[10]["signs"] == [-1, -1, -1, 1, 1, 1, 1, 1, 1, 1]
 
 
+def test_signs_through_k60_golden_bytes(capsys):
+    # frozen output: every sign of C_1..C_k for k = 2..60, each decided on
+    # the interval ladder or by the exact integer comparison
+    code, out, _ = _run(capsys, ["signs", "--k-min", "2", "--k-max", "60"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "d67fb7083212db00966bebca2cf27ddedb38c1edcb89b2788db6be50cdb19bca"
+
+
 def test_signs_csv(capsys):
     code, out, _ = _run(capsys, ["signs", "--k-min", "2", "--k-max", "3",
                                  "--format", "csv"])

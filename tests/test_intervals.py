@@ -14,6 +14,7 @@ from cubenergy.intervals import (
     decide_le,
     floor_power_log2,
     ipow,
+    ipows,
     log2_interval,
     to_interval,
     workprec,
@@ -46,6 +47,47 @@ def test_ipow_zero_base():
 def test_ipow_contains_true_power():
     v = ipow(iv.mpf(2), iv.mpf(0.5))
     assert float(v.a) <= math.sqrt(2) <= float(v.b)
+
+
+@pytest.mark.parametrize("expo", [0, -0.5])
+def test_ipow_refuses_zero_base_without_positive_exponent(expo):
+    # 0 ** 0 is 1 and 0 ** -0.5 is infinite: neither is the zero interval
+    with pytest.raises(ValueError):
+        ipow(iv.mpf(0), iv.mpf(expo))
+    with pytest.raises(ValueError):
+        ipows(iv.mpf(0), [iv.mpf(2.5), iv.mpf(expo)])
+
+
+def test_ipow_refuses_a_negative_base():
+    # a real power of a base below 0 has no real enclosure
+    with pytest.raises(ValueError):
+        ipow(iv.mpf([-1, 1]), iv.mpf(0.5))
+
+
+def _grid_exponents(k):
+    """The interval exponents the grid checks raise a point to."""
+    p = log2_interval(math.comb(2 * k, k))
+    q = log2_interval(2 ** k + 2)
+    expos = [p * i / k for i in range(1, k + 1)]
+    expos += [e - 1 for e in expos]
+    expos += [p, iv.mpf(k) / p, q / 2, q / k, q / k / 2, 2 * k / q,
+              q / k - 1, q - k]
+    return expos
+
+
+@pytest.mark.parametrize("prec", [64, 128, 1024])
+def test_ipows_matches_ipow_and_mpmath_endpoint_for_endpoint(prec):
+    with workprec(prec):
+        expos = _grid_exponents(6)
+        zero = iv.mpf(0)
+        assert [v._mpi_ for v in ipows(zero, expos)] == \
+            [ipow(zero, e)._mpi_ for e in expos] == [zero._mpi_] * len(expos)
+        expos.append(iv.mpf(-0.7))
+        for x in (1e-300, 1e-9, 0.5, 1, 1e6, [0.25, 0.75]):
+            base = iv.mpf(x)
+            got = [v._mpi_ for v in ipows(base, expos)]
+            assert got == [ipow(base, e)._mpi_ for e in expos]
+            assert got == [(base ** e)._mpi_ for e in expos]
 
 
 def test_escalate_climbs_the_whole_ladder_then_raises():
@@ -92,6 +134,16 @@ def test_decide_le_escalates_through_tiny_gaps():
                              lambda: to_interval(target))
     assert less
     assert 0 < margin < 1e-30
+
+
+def test_decide_le_reports_the_lower_end_of_an_inexact_gap():
+    # 31 - 1/3 is not exact at the working precision, so the gap is an
+    # interval; the reported bound is its lower end
+    third, big = (lambda: iv.mpf(1) / 3), (lambda: iv.mpf(31))
+    less, margin = decide_le(third, big)
+    assert less and margin == pytest.approx(31 - 1 / 3, rel=1e-15)
+    more, excess = decide_le(big, third)
+    assert not more and excess == pytest.approx(31 - 1 / 3, rel=1e-15)
 
 
 def test_decide_le_exact_tie_raises():

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 from mpmath import iv
+from mpmath.libmp import libmpi
 
 from cubenergy import intervals, legendre
 from cubenergy.cli import dumps_canonical
@@ -38,6 +39,13 @@ from cubenergy.legendre import (
     unit_grid,
     weight_balance_identity,
 )
+
+
+@pytest.fixture
+def one_rung_ladder(monkeypatch):
+    """Cut the precision ladder down to a single 24-bit level."""
+    monkeypatch.setattr(intervals, "PREC_START", 24)
+    monkeypatch.setattr(intervals, "PREC_CAP", 24)
 
 
 # ---------------------------------------------------------------------------
@@ -91,13 +99,32 @@ def test_compare_alpha_is_monotone_consistent():
             assert not seen_less
 
 
-def test_compare_alpha_decides_tight_convergents():
-    # continued-fraction style approximations force the exact integer branch
-    for k in (2, 3, 4):
+def test_compare_alpha_decides_tight_convergents(one_rung_ladder):
+    # convergents with denominators near 10^6 sit about 1e-13 from alpha:
+    # the one 24-bit rung cannot separate them, so the exact integer
+    # comparison 2^(k*den) vs M^num decides while it fits EXACT_BITS_CAP
+    def convergent(k):
         a = ExactAlpha.for_k(k)
         af = Fraction(a.float_value()).limit_denominator(10 ** 6)
-        out = compare_alpha(a, af.numerator, af.denominator)
-        assert out in "<>"
+        return a, af.numerator, af.denominator
+
+    for k in (2, 3):
+        a, num, den = convergent(k)
+        with pytest.raises(PrecisionExhausted):
+            intervals.decide_le(a.interval, lambda: iv.mpf(num) / iv.mpf(den))
+        want = "<" if 2 ** (k * den) < a.central ** num else ">"
+        assert compare_alpha(a, num, den) == want
+    # at k = 4, 2^(4*970621) is past the budget: neither path decides
+    a, num, den = convergent(4)
+    assert 4 * den > legendre.EXACT_BITS_CAP
+    with pytest.raises(PrecisionExhausted):
+        compare_alpha(a, num, den)
+
+
+def test_compare_alpha_beyond_the_exact_budget():
+    # 2^(60 * 3*10^6) is past EXACT_BITS_CAP, so only the ladder can decide;
+    # alpha is about 0.55 against 3.33
+    assert compare_alpha(ExactAlpha.for_k(60), 10 ** 7 + 1, 3 * 10 ** 6) == "<"
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +292,6 @@ def test_higher_energy_inequality_bundle():
             assert rep.ok, (k, name)
 
 
-@pytest.fixture
-def one_rung_ladder(monkeypatch):
-    """Cut the precision ladder down to a single 24-bit level."""
-    monkeypatch.setattr(intervals, "PREC_START", 24)
-    monkeypatch.setattr(intervals, "PREC_CAP", 24)
-
-
 def test_near_equality_point_needs_the_ladder(one_rung_ladder, monkeypatch):
     near = 0.5 + 2 ** -40        # the gap to the equality is about 2^-80
     rep = check_goal_inequality(3, grid=[0.25, 0.5, near])
@@ -313,6 +333,23 @@ def test_grid_and_shape_checks_climb_one_ladder(rungs):
     rungs.clear()
     assert certify_psi_shape(3, samples=64).concave_certified
     assert rungs == [64]
+
+
+def test_key_grid_takes_two_logarithms_per_point(rungs, monkeypatch):
+    # one log of x for all k powers x^(ip/k), one of 1 + x for (1 + x)^p;
+    # a power per ** would take k + 1 = 11 per point
+    logs = []
+    mpi_log = libmpi.mpi_log
+
+    def counting(s, prec):
+        logs.append(prec)
+        return mpi_log(s, prec)
+
+    monkeypatch.setattr(libmpi, "mpi_log", counting)
+    rep = check_key_inequality(10, points=50)
+    assert rep.ok and rep.points == 50 and len(rep.equalities) == 2
+    assert rungs == [64]
+    assert len(logs) == 2 * (rep.points - len(rep.equalities)) * len(rungs)
 
 
 def test_grid_check_matches_a_per_point_ladder(rungs):
@@ -374,6 +411,12 @@ GRID_REPORT_DIGESTS = {
     ("two_point", 6): "8954ed588ea2217710fd771db2857ef1fb75b76c0f98b19f37dc8c4d806a34d1",
     ("cfil", 6): "17eeb66cab4ac4d55a97324e00c5026abcd10ab773ebe74b069884bc97a287de",
     ("convex_concave", 6): "2de9304a285061b7b638c3eb3bbd2973a1681cb0a976bcf7cf8e5f788f33c546",
+    ("legendre", 10): "97ba432c1f4b0fc5fdb5fa0754e30453141fe9a51f9a78da9ac45a6e83ccc435",
+    ("key", 10): "65eefd53caaf7407f4cb4b2057ae3ef5b09ae3e9c4fc8b15d71eca656f4a4016",
+    ("goal", 10): "c566a289e00698b3792d525def2ede65d9557fbe7f6f3839ab4007b4b1b66dc0",
+    ("two_point", 10): "aeac1f70d300e8856761a8b5d764e859747ef7b087093717cfa02c827ea88e34",
+    ("cfil", 10): "c01f91f60e2142a454e88ea0f479481faa0a18f4cde06d8e4356710155f4db6f",
+    ("convex_concave", 10): "b167dcdad1e9390f4d2e023dbf75cf19027e52a9fba7170658850f50bc701635",
     ("psi", 3): "08ba0aaf1a494218dfc3ef0aeba5fc33dc5088a4e1fb870a074012ddc66352ce",
     ("psi", 7): "6ce9a4280aa7aad687e4faa00aa88553bacb0928086524b6028502eb96087c11",
 }
@@ -389,7 +432,7 @@ GRID_CHECKS = {
 
 def test_grid_reports_golden_bytes():
     got = {}
-    for k in (2, 6):
+    for k in (2, 6, 10):
         for name, check in GRID_CHECKS.items():
             got[name, k] = check(k, points=200).to_dict()
     for k in (3, 7):
