@@ -345,6 +345,8 @@ def _run_witness(args) -> Tuple[dict, int, Optional[tuple]]:
 def _run_identity_check(args) -> Tuple[dict, int, Optional[tuple]]:
     base = parse_set_spec(args.set)
     pts = base.sorted_points()
+    if not pts:
+        raise ParseError("identity-check needs a nonempty base set")
     if len(pts) > 24:
         raise BudgetExceeded("base set too large for random subset trials")
     kinds = ([EnergyKind.ADDITIVE, EnergyKind.HIGHER]

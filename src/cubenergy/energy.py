@@ -3,23 +3,20 @@
 The additive energy of order k counts 2k-tuples (a_1..a_k, b_1..b_k) in A
 with a_1+...+a_k = b_1+...+b_k.  The higher energy of order k counts
 2k-tuples (a_1, b_1, ..., a_k, b_k) with a_1-b_1 = a_2-b_2 = ... = a_k-b_k.
-Both are computed through the convolution engine; brute_force_energy is an
-independent oracle that never touches that engine.  subset_energies walks
-the subsets of a small point list, moving one point per step.
+Every energy, slice identity and bullet product runs on pack_points keys
+through convolve_packed; brute_force_energy stays the independent oracle.
+subset_energies walks the subsets of a small point list, one point a step.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import product as iter_product
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .errors import BudgetExceeded
-from .lattice import (CountsMap, PointSet, convolve, convolve_packed,
-                      correlate, indicator, iterate_convolve,
-                      multiply_pointwise, pack_points, power_pointwise,
-                      sum_values)
+from .errors import BudgetExceeded, DimensionMismatch
+from .lattice import CountsMap, PointSet, convolve_packed, pack_points
 
 
 class EnergyKind(str, Enum):
@@ -302,7 +299,13 @@ def bullet_product(f: CountsMap, g: CountsMap, k: int) -> int:
     """sum_c (g correlated with f)(c)^k, i.e. the k-th moment of the joint
     difference counts; for f = g = indicator(A) this equals the higher energy."""
     _check_k(k)
-    return sum_values(power_pointwise(correlate(g, f), k))
+    if f.dim != g.dim:
+        raise DimensionMismatch("dims %d and %d" % (f.dim, g.dim))
+    packed = pack_points(list(f.entries) + list(g.entries), 2)
+    cross = convolve_packed(
+        dict(zip(packed, f.entries.values())),
+        {-y: v for y, v in zip(packed[len(f):], g.entries.values())})
+    return sum(v ** k for v in cross.values())
 
 
 @dataclass(frozen=True)
@@ -336,49 +339,41 @@ class DecompositionReport:
 def decomposition_identity_check(a: PointSet, k: int, kind: EnergyKind) -> DecompositionReport:
     """Verify the exact split identity for a set with binary last coordinate.
 
-    additive:  E_k(A) = E_k(A0) + E_k(A1)
-                        + sum_{i=1}^{k-1} binom(k,i)^2 * S_i,
-               S_i = sum_x (chi0^{*i} * chi1^{*(k-i)})(x)^2.
+    additive:  E_k(A) = sum_{i=0}^{k} binom(k,i)^2 * S_i,
+               S_i = sum_x (chi0^{*i} * chi1^{*(k-i)})(x)^2,
+               S_0 = E_k(A1), S_k = E_k(A0), S_1..S_{k-1} the cross terms.
     higher:    E~_k(A) = C1 + C2 + E~_k(A0) + E~_k(A1)
                         + sum_{i=1}^{k-1} binom(k,i) * T_i,
                T_i = sum_x (chi0 o chi0)^i (chi1 o chi1)^{k-i} (x),
-               C1/C2 the two mixed bullet products.
+               C1 = C2 the two mixed bullet products (equal by reflection).
     """
     _check_k(k)
     split = split_last_coordinate(a)
-    a0, a1 = split.a0, split.a1
+    pts0 = split.a0.sorted_points()
+    packed = pack_points(pts0 + split.a1.sorted_points(), k)
+    ind0 = dict.fromkeys(packed[:len(pts0)], 1)
+    ind1 = dict.fromkeys(packed[len(pts0):], 1)
     lhs = energy(a, k, kind).value
-    e0 = energy(a0, k, kind).value if len(a0) else 0
-    e1 = energy(a1, k, kind).value if len(a1) else 0
-    ind0, ind1 = indicator(a0), indicator(a1)
-
-    cross: List[int] = []
+    c1 = None
     if kind is EnergyKind.ADDITIVE:
-        rhs = e0 + e1
-        for i in range(1, k):
-            if len(a0) == 0 or len(a1) == 0:
-                cross.append(0)
-                continue
-            conv = iterate_convolve(ind0, i)
-            conv = convolve(conv, iterate_convolve(ind1, k - i))
-            s_i = sum_values(power_pointwise(conv, 2))
-            cross.append(s_i)
-            rhs += math.comb(k, i) ** 2 * s_i
-        split = SplitDecomposition(a0, a1, tuple(cross))
+        pow0, pow1 = [{0: 1}], [{0: 1}]
+        for _ in range(k):
+            pow0.append(convolve_packed(pow0[-1], ind0))
+            pow1.append(convolve_packed(pow1[-1], ind1))
+        s = [sum(v * v for v in convolve_packed(pow0[i], pow1[k - i]).values())
+             for i in range(k + 1)]
+        rhs = sum(math.comb(k, i) ** 2 * s_i for i, s_i in enumerate(s))
+        e0, e1, cross = s[k], s[0], s[1:k]
     else:
-        c1 = bullet_product(ind0, ind1, k) if len(a0) and len(a1) else 0
-        c2 = bullet_product(ind1, ind0, k) if len(a0) and len(a1) else 0
-        rhs = c1 + c2 + e0 + e1
-        auto0 = correlate(ind0, ind0)
-        auto1 = correlate(ind1, ind1)
-        for i in range(1, k):
-            if len(a0) == 0 or len(a1) == 0:
-                cross.append(0)
-                continue
-            t_i = sum_values(multiply_pointwise(power_pointwise(auto0, i),
-                                                power_pointwise(auto1, k - i)))
-            cross.append(t_i)
-            rhs += math.comb(k, i) * t_i
-        split = SplitDecomposition(a0, a1, tuple(cross), c1, c2)
-
+        neg0, neg1 = ({-x: 1 for x in ind} for ind in (ind0, ind1))
+        auto0, auto1 = convolve_packed(ind0, neg0), convolve_packed(ind1, neg1)
+        e0 = sum(v ** k for v in auto0.values())
+        e1 = sum(v ** k for v in auto1.values())
+        common = [(u, auto1[x]) for x, u in auto0.items() if x in auto1]
+        cross = [sum(u ** i * v ** (k - i) for u, v in common)
+                 for i in range(1, k)]
+        c1 = sum(v ** k for v in convolve_packed(ind0, neg1).values())
+        rhs = 2 * c1 + e0 + e1 + sum(math.comb(k, i) * t_i
+                                     for i, t_i in enumerate(cross, 1))
+    split = SplitDecomposition(split.a0, split.a1, tuple(cross), c1, c1)
     return DecompositionReport(kind, k, len(a), lhs, e0, e1, split, rhs, lhs == rhs)

@@ -4,7 +4,8 @@ Every convolution runs through one kernel, convolve_packed, on maps keyed by
 carry-free packed integers (pack_points): adding two keys adds the points.
 Dense nonnegative integer maps take one big-integer product (Kronecker
 substitution); all other maps, float and Fraction weights included, take a
-dict loop in a fixed order.
+dict loop in a fixed order.  The CountsMap functions (indicator, convolve,
+correlate, ...) are the public tuple-keyed API; nothing else in src/ calls them.
 """
 from __future__ import annotations
 

@@ -61,8 +61,8 @@ class ExponentTarget:
     def __post_init__(self):
         if self.k < 2:
             raise ValueError("k must be >= 2")
-        if not self.exponent > 0:
-            raise ValueError("exponent must be positive")
+        if not 0 < self.exponent <= 2 * self.k - 1:
+            raise ValueError("exponent must lie in (0, 2k - 1], the trivial bound")
         if self.log2_arg is not None and abs(self.exponent - math.log2(self.log2_arg)) > 1e-12:
             raise ValueError("exponent does not match log2 of its integer form")
 

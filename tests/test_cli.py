@@ -123,6 +123,13 @@ def test_verify_violation_report_golden_bytes(capsys, argv, violations, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_verify_rejects_infinite_exponent(capsys):
+    code, out, err = _run(capsys, ["verify", "--set", "cube:1x2", "--k", "2",
+                                   "--exponent", "inf"])
+    assert code == 2 and out == ""
+    assert "2k - 1" in err
+
+
 def test_verify_budget_exit_code(capsys):
     code, _, err = _run(capsys, ["verify", "--set", "cube:1x5", "--k", "2"])
     assert code == 3
@@ -260,6 +267,16 @@ def test_identity_check_rejects_wide_last_coordinate(capsys):
     code, _, _ = _run(capsys, ["identity-check", "--set", "0,1,2", "--k", "2",
                                "--count", "5", "--seed", "0"])
     assert code == 2
+
+
+@pytest.mark.parametrize("text", ["[]\n", "# no points\n\n"])
+def test_identity_check_rejects_empty_base_set(tmp_path, capsys, text):
+    path = tmp_path / "empty.txt"
+    path.write_text(text)
+    code, out, err = _run(capsys, ["identity-check", "--set", str(path),
+                                   "--k", "2"])
+    assert code == 2 and out == ""
+    assert "nonempty" in err
 
 
 # ---------------------------------------------------------------------------

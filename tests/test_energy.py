@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from itertools import permutations, product
 
 import pytest
@@ -21,6 +22,7 @@ from cubenergy.energy import (
     split_last_coordinate,
     subset_energies,
 )
+from cubenergy import lattice
 from cubenergy.errors import BudgetExceeded
 from cubenergy.lattice import CountsMap, PointSet, indicator, pack_points
 
@@ -311,3 +313,69 @@ def test_decomposition_identity_degenerate_slice():
     for kind in EnergyKind:
         rep = decomposition_identity_check(a, 2, kind)
         assert rep.holds
+
+
+def _slice_report_oracle(pts, k, kind):
+    """Every field of DecompositionReport.to_dict(), counted by direct
+    enumeration of coordinate tuples (no lattice or energy kernel)."""
+    a0 = [p[:-1] for p in pts if p[-1] == 0]
+    a1 = [p[:-1] for p in pts if p[-1] == 1]
+
+    def sums(*factors):
+        return Counter(tuple(map(sum, zip(*t))) for t in product(*factors))
+
+    def diffs(xs, ys):
+        return Counter(tuple(u - v for u, v in zip(x, y))
+                       for x in xs for y in ys)
+
+    if kind is EnergyKind.ADDITIVE:
+        total = sum(c * c for c in sums(*[pts] * k).values())
+        s = [sum(c * c for c in sums(*[a0] * i + [a1] * (k - i)).values())
+             for i in range(k + 1)]
+        e0, e1, cross, c1 = s[k], s[0], s[1:k], None
+    else:
+        total = sum(c ** k for c in diffs(pts, pts).values())
+        r0, r1 = diffs(a0, a0), diffs(a1, a1)
+        e0 = sum(c ** k for c in r0.values())
+        e1 = sum(c ** k for c in r1.values())
+        cross = [sum(c ** i * r1[x] ** (k - i) for x, c in r0.items())
+                 for i in range(1, k)]
+        c1 = str(sum(c ** k for c in diffs(a0, a1).values()))
+    return {"kind": kind.value, "k": k, "set_size": len(pts),
+            "lhs": str(total), "e0": str(e0), "e1": str(e1),
+            "cross_terms": [str(c) for c in cross], "c1": c1, "c2": c1,
+            "rhs": str(total), "holds": True}
+
+
+@pytest.mark.parametrize("pts", [
+    # slices of different sizes, so a swap of e0/e1 or a reversed
+    # cross_terms list changes the report
+    [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 1, 1)],
+    [(0, 0), (1, 0), (2, 0), (0, 1), (2, 1)],
+    [(0, 0), (1, 0), (3, 0)],           # empty upper slice
+    [(0, 1), (2, 1)],                   # empty lower slice
+    [(0,), (1,)],                       # both slices the 0-dimensional {()}
+    [(1,)],
+])
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("kind", list(EnergyKind))
+def test_decomposition_report_matches_tuple_oracle(pts, k, kind):
+    rep = decomposition_identity_check(PointSet.from_points(pts), k, kind)
+    assert rep.to_dict() == _slice_report_oracle(sorted(pts), k, kind)
+
+
+def test_slice_identities_build_no_counts_map(monkeypatch):
+    a = PointSet.cube(1, 4)
+    f = indicator(a)
+    builds = []
+    post_init = lattice.CountsMap.__post_init__
+
+    def counted(self):
+        builds.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(lattice.CountsMap, "__post_init__", counted)
+    for kind in EnergyKind:
+        assert decomposition_identity_check(a, 3, kind).holds
+    assert bullet_product(f, f, 3) == higher_energy(a, 3).value
+    assert builds == []

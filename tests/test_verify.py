@@ -32,6 +32,16 @@ def test_sharp_exponents():
     assert c.exponent == 1.5
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_custom_exponent_range(k):
+    # every set meets |A|^(2k-1), so 2k - 1 is the largest informative target
+    top = ExponentTarget.custom(EnergyKind.ADDITIVE, k, 2 * k - 1)
+    assert sweep_cube(1, 2, top).ok
+    for bad in (math.inf, math.nan, 2 * k - 1 + 0.5, 0.0, -1.0):
+        with pytest.raises(ValueError):
+            ExponentTarget.custom(EnergyKind.ADDITIVE, k, bad)
+
+
 def test_sharp_rejects_bad_k():
     with pytest.raises(ValueError):
         ExponentTarget.sharp(EnergyKind.ADDITIVE, 1)
