@@ -318,6 +318,10 @@ def _run_witness(args) -> Tuple[dict, int, Optional[tuple]]:
         # the trivial whole-cube level can never cross by rounding
         threshold = math.log(19) / math.log(3)
         threshold_log = (19, 3)
+    # the cube grows with d: refuse an over-budget run before searching any d
+    for d in range(1, args.d_max + 1):
+        if (args.n + 1) ** d > args.max_points:
+            raise BudgetExceeded("cube with %d points refused" % ((args.n + 1) ** d))
     reports = []
     crossing_d = None
     for d in range(1, args.d_max + 1):

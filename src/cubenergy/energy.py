@@ -6,13 +6,16 @@ with a_1+...+a_k = b_1+...+b_k.  The higher energy of order k counts
 Every energy, slice identity and bullet product runs on pack_points keys
 through convolve_packed; brute_force_energy stays the independent oracle.
 subset_energies walks the subsets of a small point list, one point a step.
+level_set_energies gives E_k of the level sets of {0..n}^d (points with at
+most t coordinates off the middle letters) from a generating function over
+sum types, in time polynomial in d, without building the cube.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product as iter_product
+from itertools import groupby, product as iter_product
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import BudgetExceeded, DimensionMismatch
@@ -252,6 +255,90 @@ def full_cube_energy(n: int, d: int, k: int, kind: EnergyKind) -> EnergyValue:
         raise ValueError("need n >= 0 and d >= 0")
     base = energy(PointSet.cube(n, 1), k, kind)
     return EnergyValue(kind, k, (n + 1) ** d, base.value ** d)
+
+
+def _exponent_moves(key: Tuple[int, ...]) -> Iterator[Tuple[Tuple[int, ...], int, int]]:
+    """(sorted(key + f), |f|, number of such f) over the 0/1 vectors f, for
+    a sorted key; f raises a of the b equal entries of each run of key."""
+    runs = [(v, len(list(run))) for v, run in groupby(key)]
+    for picks in iter_product(*(range(b + 1) for _, b in runs)):
+        out: List[int] = []
+        ways = 1
+        for (v, b), a in zip(runs, picks):
+            out += [v] * (b - a) + [v + 1] * a
+            ways *= math.comb(b, a)
+        yield tuple(out), sum(picks), ways
+
+
+def level_set_energies(n: int, d: int, k: int) -> List[int]:
+    """[E_k(A_0), ..., E_k(A_d)] for the level sets A_t of {0..n}^d, the
+    points with at most t coordinates off the middle letter(s) n//2, (n+1)//2.
+
+    E_k(A_t) = sum_s r_t(s)^2 over the k-fold sums s in {0..kn}^d, and r_t(s)
+    depends on s only through its type (how many coordinates take each
+    value), so the energy is a sum over types of multinomial * r_t^2.  Per
+    coordinate sum s, R_s = sum_j coef[s][j] e_j(u_1..u_k) marks with u_i the
+    tuple members off the middle (e_j elementary symmetric); r_t(s) sums the
+    coefficients of prod_i R_(s_i) with every exponent <= t.  The walk
+    multiplies in one R_s per step over non-decreasing type sequences, with
+    s and kn - s folded together (R_s = R_(kn-s)), and keeps each symmetric
+    product as its coefficient sums over sorted exponent vectors.  The work
+    is polynomial in d; it never builds the cube.
+    """
+    _check_k(k)
+    if n < 0 or d < 0:
+        raise ValueError("need n >= 0 and d >= 0")
+    mids = {n // 2, (n + 1) // 2}
+    on = dict.fromkeys(mids, 1)
+    off = dict.fromkeys((c for c in range(n + 1) if c not in mids), 1)
+    half = k * n // 2
+    pow_off, pow_on = [{0: 1}], [{0: 1}]
+    for _ in range(k):
+        pow_off.append(convolve_packed(pow_off[-1], off))
+        pow_on.append(convolve_packed(pow_on[-1], on))
+    # coef[s][j]: letter k-tuples summing to s, the first j off the middle
+    coef = [[0] * (k + 1) for _ in range(half + 1)]
+    for j in range(k + 1):
+        poly = convolve_packed(pow_off[j], pow_on[k - j])
+        for s in range(half + 1):
+            coef[s][j] = poly.get(s, 0)
+    fold = [1 if 2 * s == k * n else 2 for s in range(half + 1)]
+    moves: Dict[Tuple[int, ...], list] = {}
+
+    def times(poly: dict, s: int) -> dict:
+        c = coef[s]
+        out: dict = {}
+        get = out.get
+        for key, q in poly.items():
+            steps = moves.get(key)
+            if steps is None:
+                steps = moves[key] = list(_exponent_moves(key))
+            for g, j, ways in steps:
+                if c[j]:
+                    out[g] = get(g, 0) + q * ways * c[j]
+        return out
+
+    totals = [0] * (d + 1)
+    counts = [0] * (half + 1)
+
+    def walk(poly: dict, depth: int, lo: int, weight: int) -> None:
+        if depth == d:
+            by_max = [0] * (d + 1)
+            for key, q in poly.items():
+                by_max[key[-1]] += q
+            r = 0
+            for t in range(d + 1):
+                r += by_max[t]
+                totals[t] += weight * r * r
+            return
+        for s in range(lo, half + 1):
+            counts[s] += 1
+            walk(times(poly, s), depth + 1, s,
+                 weight * (depth + 1) // counts[s] * fold[s])
+            counts[s] -= 1
+
+    walk({(0,) * k: 1}, 0, 0, 1)
+    return totals
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,10 @@ The boundary E <= |A|^exponent is decided exactly: when exponent = log2(M)
 and |A| = 2^j the right side is the integer M^j; otherwise a certified
 interval floor is used, escalating precision until the enclosure excludes
 every integer.  No verdict ever comes from bare floating point.
+
+The witness search over the level sets of {0..n}^d takes its exact energies
+from energy.level_set_energies and its level sizes from a binomial sum, so
+it builds no cube; its max_points only caps the size of the cube searched.
 """
 from __future__ import annotations
 
@@ -11,11 +15,12 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from mpmath import iv
 
-from .energy import EnergyKind, energy, subset_energies
+from .energy import (EnergyKind, EnergyValue, level_set_energies,
+                     subset_energies)
 from .errors import BudgetExceeded, PrecisionExhausted
 from .intervals import (certified_floor, decide_le, floor_power_log2,
                         log2_interval)
@@ -356,39 +361,40 @@ def witness_search_general_cube(n: int, d: int, threshold: float,
     """Search the superlevel sets of the tensor-power weight w^(x d) on
     {0..n}^d, where w puts weight 1 on the middle letter(s) and 1/2 on the
     rest; level t collects points with at most t non-middle coordinates.
-    Reports exact energies and the best log-ratio against the threshold.
+    Reports exact energies, from the generating-function engine
+    level_set_energies, and the best log-ratio against the threshold.
 
-    threshold_log = (a, b) declares the threshold to be log(a)/log(b)
-    exactly; crossings are then certified instead of compared in floats, so
-    a level whose ratio equals the bar exactly (the full cube) never counts.
+    max_points is only a cube-size limit: a cube {0..n}^d with more points
+    is refused, although no cube is built.  threshold_log = (a, b) declares
+    the threshold to be log(a)/log(b) exactly; crossings are then certified
+    instead of compared in floats, so a level whose ratio equals the bar
+    exactly (the full cube) never counts.  A NaN or infinite threshold is
+    rejected: it could never cross, or would always cross.
     """
     if n < 2:
         raise ValueError("need n >= 2")
+    if not math.isfinite(threshold):
+        raise ValueError("threshold must be finite, got %r" % (threshold,))
     if (n + 1) ** d > max_points:
         raise BudgetExceeded("cube with %d points refused" % ((n + 1) ** d))
-    mids = {n // 2, (n + 1) // 2}
-    pts = PointSet.cube(n, d).sorted_points()
-    tiers: Dict[int, List[tuple]] = {}
-    for p in pts:
-        t = sum(1 for c in p if c not in mids)
-        tiers.setdefault(t, []).append(p)
+    n_mid = len({n // 2, (n + 1) // 2})     # two middle letters for odd n
+    energies = level_set_energies(n, d, k)
 
     records: List[LevelRecord] = []
     best_ratio = None
     best_level = None
     crossed = False
     undecided: List[int] = []
-    cumulative: List[tuple] = []
-    for t in range(d + 1):
-        cumulative.extend(tiers.get(t, []))
-        a = PointSet(d, frozenset(cumulative))
-        e = energy(a, k, EnergyKind.ADDITIVE).value
-        ratio = math.log(e) / math.log(len(a)) if len(a) >= 2 else None
-        records.append(LevelRecord(t, len(a), e, ratio))
+    size = 0
+    for t, e in enumerate(energies):
+        size += math.comb(d, t) * (n + 1 - n_mid) ** t * n_mid ** (d - t)
+        EnergyValue(EnergyKind.ADDITIVE, k, size, e)    # the trivial bounds
+        ratio = math.log(e) / math.log(size) if size >= 2 else None
+        records.append(LevelRecord(t, size, e, ratio))
         if ratio is not None and (best_ratio is None or ratio > best_ratio):
             best_ratio = ratio
             best_level = t
-        verdict = _crosses(e, len(a), threshold, threshold_log)
+        verdict = _crosses(e, size, threshold, threshold_log)
         if verdict is None:
             undecided.append(t)
         elif verdict:

@@ -243,6 +243,40 @@ def test_witness_csv(capsys):
     assert lines[1].endswith(",false")
 
 
+@pytest.mark.parametrize("n, k, d_max, extra, digest", [
+    (2, 2, 7, [], "59ae469b366705b682bfd078abc2b0cf7fe8c6a2b5b7af0ca1dd041a572f6073"),
+    (3, 2, 5, [], "4475cad6b4c0e297d7c53cc5c7d434fdeb8eae8f58debbb2bb0a8c72517971d2"),
+    (2, 3, 6, [], "df6c769de3b9371f33ea9e784eae42364125c5cb5a8244e183017b726472f363"),
+    (4, 3, 4, [], "9c4fadfa3bdd910d97d4048405cffb3d204958393d5b95096198fa88a0a4e73c"),
+    (2, 4, 5, [], "571395a59a29996f3ea44929d10d1df46b94c388d52c6dbca4f192d42de18d10"),
+    (2, 2, 7, ["--format", "csv"],
+     "90af806175f428ca6e50a6e9e53c00a52826e8d681224d0ca7deab23e2b2a29e"),
+])
+def test_witness_golden_bytes(capsys, n, k, d_max, extra, digest):
+    # frozen output, measured when every level was convolved point by point
+    code, out, _ = _run(capsys, ["witness", "--n", str(n), "--k", str(k),
+                                 "--d-max", str(d_max)] + extra)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_witness_over_budget_refused_before_any_search(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an over-budget run must not search any d")
+    monkeypatch.setattr("cubenergy.verify.level_set_energies", refuse)
+    code, out, err = _run(capsys, ["witness", "--n", "2", "--d-max", "11"])
+    assert code == 3 and out == ""
+    assert "cube with 177147 points refused" in err
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+def test_witness_rejects_non_finite_threshold(capsys, threshold):
+    code, out, err = _run(capsys, ["witness", "--d-max", "2",
+                                   "--threshold=" + threshold])
+    assert code == 2 and out == ""
+    assert "finite" in err
+
+
 # ---------------------------------------------------------------------------
 # identity-check
 

@@ -18,6 +18,7 @@ from cubenergy.energy import (
     full_cube_energy,
     higher_energy,
     interval_energy_closed_form,
+    level_set_energies,
     packed_subset_energy,
     split_last_coordinate,
     subset_energies,
@@ -379,3 +380,60 @@ def test_slice_identities_build_no_counts_map(monkeypatch):
         assert decomposition_identity_check(a, 3, kind).holds
     assert bullet_product(f, f, 3) == higher_energy(a, 3).value
     assert builds == []
+
+
+# ---------------------------------------------------------------------------
+# level-set energies from the generating function
+
+
+def _level(n, d, t):
+    """The points of {0..n}^d with at most t coordinates off the middle."""
+    mids = {n // 2, (n + 1) // 2}
+    return [p for p in product(range(n + 1), repeat=d)
+            if sum(c not in mids for c in p) <= t]
+
+
+_LEVEL_CASES = ([(n, d, k) for n in (2, 3, 4) for k in (2, 3)
+                 for d in range(1, 7) if (n + 1) ** d <= 729]
+                + [(2, d, 4) for d in range(1, 5)])
+
+
+@pytest.mark.parametrize("n, d, k", _LEVEL_CASES)
+def test_level_set_energies_match_convolution(n, d, k):
+    want = [energy(PointSet(d, frozenset(_level(n, d, t))), k,
+                   EnergyKind.ADDITIVE).value for t in range(d + 1)]
+    assert level_set_energies(n, d, k) == want
+
+
+@pytest.mark.parametrize("n, d, k", [(0, 2, 2), (1, 2, 3), (2, 2, 2),
+                                     (2, 3, 2), (3, 2, 2), (3, 2, 3),
+                                     (4, 2, 2), (5, 1, 3), (5, 2, 2)])
+def test_level_set_energies_match_tuple_count(n, d, k):
+    # literal count of k-tuple pairs with equal sums; no kernel involved
+    want = []
+    for t in range(d + 1):
+        sums = Counter(tuple(map(sum, zip(*combo)))
+                       for combo in product(_level(n, d, t), repeat=k))
+        want.append(sum(c * c for c in sums.values()))
+    assert level_set_energies(n, d, k) == want
+
+
+def test_level_set_energies_zero_dimensions():
+    for n in range(5):
+        for k in (2, 3, 4):
+            assert level_set_energies(n, 0, k) == [1]
+
+
+def test_level_set_energies_top_level_is_full_cube():
+    for n, d, k in [(2, 10, 2), (3, 7, 2), (4, 5, 3), (2, 4, 6)]:
+        assert level_set_energies(n, d, k)[-1] == \
+            full_cube_energy(n, d, k, EnergyKind.ADDITIVE).value
+
+
+def test_level_set_energies_validate_arguments():
+    with pytest.raises(ValueError):
+        level_set_energies(2, 3, 1)
+    with pytest.raises(ValueError):
+        level_set_energies(-1, 3, 2)
+    with pytest.raises(ValueError):
+        level_set_energies(2, -1, 2)

@@ -1,5 +1,6 @@
 """Certified thresholds, cube sweeps, equality witnesses, witness search."""
 
+import importlib
 import math
 import random
 from itertools import combinations
@@ -263,3 +264,51 @@ def test_witness_search_level_records_are_exact():
         if rec.size >= 2:
             assert rec.ratio == pytest.approx(
                 math.log(rec.energy) / math.log(rec.size), rel=1e-12)
+
+
+def test_witness_search_levels_match_convolution():
+    # the engine's records against levels built and convolved point by point;
+    # odd n has two middle letters
+    for n, d in [(2, 4), (3, 3), (4, 2)]:
+        mids = {n // 2, (n + 1) // 2}
+        pts = PointSet.cube(n, d).sorted_points()
+        rep = witness_search_general_cube(n, d, 2.5)
+        for rec in rep.levels:
+            level = PointSet(d, frozenset(
+                p for p in pts if sum(c not in mids for c in p) <= rec.level))
+            assert rec.size == len(level)
+            assert rec.energy == energy(level, 2, EnergyKind.ADDITIVE).value
+
+
+def test_witness_search_builds_no_cube(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("witness search must not convolve the cube")
+    energy_module = importlib.import_module("cubenergy.energy")
+    monkeypatch.setattr(PointSet, "cube", refuse)
+    for name in ("energy", "additive_energy", "packed_power_energy"):
+        monkeypatch.setattr(energy_module, name, refuse)
+    assert not hasattr(verify, "energy")
+    rep = witness_search_general_cube(2, 6, math.log(19) / math.log(3),
+                                      threshold_log=(19, 3))
+    assert rep.levels[-1].size == 3 ** 6 and rep.levels[-1].energy == 19 ** 6
+
+
+def test_witness_search_reaches_dimension_12():
+    rep = witness_search_general_cube(2, 12, math.log(19) / math.log(3),
+                                      max_points=3 ** 12, threshold_log=(19, 3))
+    assert rep.best_level == 9
+    assert rep.best_ratio == 2.6831306869738154
+    assert rep.crossed
+    assert rep.undecided_levels == []
+
+
+def test_witness_search_budget_is_a_cube_size_limit():
+    with pytest.raises(BudgetExceeded, match="cube with 243 points refused"):
+        witness_search_general_cube(2, 5, 2.5, max_points=242)
+    assert len(witness_search_general_cube(2, 5, 2.5, max_points=243).levels) == 6
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+def test_witness_search_rejects_non_finite_threshold(threshold):
+    with pytest.raises(ValueError, match="finite"):
+        witness_search_general_cube(2, 2, threshold)
