@@ -16,10 +16,11 @@ from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from mpmath import iv
+from mpmath.libmp import fzero, mpf_lt
 
 from .errors import PrecisionExhausted
-from .intervals import (_escalate, _separation, decide_le, ipow, ipows,
-                        log2_interval, to_interval)
+from .intervals import (Interval, _escalate, _separation, decide_le, ipow,
+                        ipows, log2_interval)
 
 # exact-power comparison budget for compare_alpha, in bits
 EXACT_BITS_CAP = 1 << 21
@@ -53,7 +54,7 @@ class ExactAlpha:
 
     def interval(self):
         """Enclosure at the current interval precision."""
-        return iv.mpf(self.k) / log2_interval(self.central)
+        return Interval(self.k) / log2_interval(self.central)
 
     def float_value(self) -> float:
         return self.k / math.log2(self.central)
@@ -78,7 +79,7 @@ def compare_alpha(alpha: ExactAlpha, num: int, den: int) -> str:
     num //= g
     den //= g
     try:
-        less, _ = decide_le(alpha.interval, lambda: iv.mpf(num) / iv.mpf(den))
+        less, _ = decide_le(alpha.interval, lambda: Interval(num) / den)
     except PrecisionExhausted:
         k, m = alpha.k, alpha.central
         if max(k * den, num * m.bit_length()) > EXACT_BITS_CAP:
@@ -320,7 +321,7 @@ def _grid_check(name: str, k: int, xs: List[float], lo: float, hi: float,
 
     def level():
         lhs, rhs = sides()
-        pts = list(map(iv.mpf, xs))
+        pts = list(map(Interval, xs))
         return lambda j: _separation(lhs(pts[j]), rhs(pts[j]))
 
     verdicts = _settle([j for j, x in enumerate(xs) if x not in exact], level)
@@ -368,14 +369,14 @@ def check_legendre_inequality(k: int, ts: Optional[List[float]] = None,
 
     def sides():
         p = _pk_iv(k)
-        al = iv.mpf(k) / p
-        w = [iv.mpf(math.comb(k, j) ** 2) for j in range(k + 1)]
-        n = [iv.mpf(j) for j in range(k + 1)]
-        zero, one, two, scale = iv.mpf(0), iv.mpf(1), iv.mpf(2), iv.mpf(2 ** k)
+        al = Interval(k) / p
+        w = [Interval(math.comb(k, j) ** 2) for j in range(k + 1)]
+        zero, one, two, scale = (Interval(0), Interval(1), Interval(2),
+                                 Interval(2 ** k))
 
         def lhs(t):
             below, above = t - one, t + one
-            return sum((wj * below ** n[k - j] * above ** n[j]
+            return sum((wj * below ** (k - j) * above ** j
                         for j, wj in enumerate(w)), zero) / scale
         return lhs, lambda t: ipow(ipow((t - one) / two, al)
                                    + ipow((t + one) / two, al), p)
@@ -394,9 +395,9 @@ def check_key_inequality(k: int, xs: Optional[List[float]] = None,
 
     def sides():
         p = _pk_iv(k)
-        wiv = [iv.mpf(wi) for wi in w]
+        wiv = [Interval(wi) for wi in w]
         expos = [p * i / k for i in range(1, k + 1)]
-        one = iv.mpf(1)
+        one = Interval(1)
         # the i = 0 term is w_0 x^0 = 1 exactly
         return (lambda x: sum((wi * xe for wi, xe in
                                zip(wiv[1:], ipows(x, expos))), wiv[0]),
@@ -419,8 +420,8 @@ def check_goal_inequality(k: int, grid: Optional[List[float]] = None,
 
     def sides():
         q = _qk_iv(k)
-        qk, q2, one, two, kiv = q / k, q / 2, iv.mpf(1), iv.mpf(2), iv.mpf(k)
-        return (lambda a: (ipow(a, qk) + ipow(one - a, qk)) ** kiv
+        qk, q2, one, two = q / k, q / 2, Interval(1), Interval(2)
+        return (lambda a: (ipow(a, qk) + ipow(one - a, qk)) ** k
                 + two * ipow(a * (one - a), q2), lambda a: one)
 
     return _grid_check("goal", k, grid, 0.0, 1.0,
@@ -441,11 +442,11 @@ def check_two_point_inequality(k: int, xs: Optional[List[float]] = None,
 
     def sides():
         q = _qk_iv(k)
-        qk, q2, one, two, kiv = q / k, q / 2, iv.mpf(1), iv.mpf(2), iv.mpf(k)
+        qk, q2, one, two = q / k, q / 2, Interval(1), Interval(2)
 
         def lhs(x):
             xq2, xqk = ipows(x, (q2, qk))
-            return two * xq2 + (xqk + one) ** kiv
+            return two * xq2 + (xqk + one) ** k
         return lhs, lambda x: ipow(x + one, q)
 
     # at x = 0 both sides reduce to 1 exactly
@@ -467,7 +468,8 @@ def check_cfil_instance(k: int, grid: Optional[List[float]] = None,
 
     def sides():
         p = _qk_iv(k) / k
-        half, inv, less, one, two = p / 2, 2 / p, p - 1, iv.mpf(1), iv.mpf(2)
+        half, inv, less = p / 2, 2 / p, p - 1
+        one, two = Interval(1), Interval(2)
 
         def lhs(a):
             ap, ah = ipows(a, (p, half))
@@ -488,17 +490,30 @@ def check_convex_concave(k: int, zs: Optional[List[float]] = None,
     rationals), convexity of the left side and concavity of the right side
     via certified second differences.  The inequality is checked on zs; the
     shape flags are certified on the uniform grid of `points` points over
-    [0, 1], independent of zs, which needs points >= 3."""
+    [0, 1], independent of zs, which needs points >= 3.  Each side is
+    enclosed once per point and precision: the shape flags read the
+    enclosures the grid made."""
     if points < 3:
         raise ValueError("points must be >= 3 to certify second differences")
     if zs is None:
         zs = unit_grid(points)
     half = Fraction(2 ** k + 2, 2 ** k)
+    enclosures: Dict[tuple, object] = {}
+
+    def shared(side, f, prec):
+        def enclose(z):
+            key = side, prec, z._mpi_
+            value = enclosures.get(key)
+            if value is None:
+                value = enclosures[key] = f(z)
+            return value
+        return enclose
 
     def sides():
         q = _qk_iv(k)
-        q2, qk, scale, one = q / 2, q - k, iv.mpf(2 ** (k - 1)), iv.mpf(1)
-        return (lambda z: one + ipow(z, q2) / scale, lambda z: ipow(one + z, qk))
+        q2, qk, scale, one = q / 2, q - k, Interval(2 ** (k - 1)), Interval(1)
+        return (shared(0, lambda z: one + ipow(z, q2) / scale, iv.prec),
+                shared(1, lambda z: ipow(one + z, qk), iv.prec))
 
     # at z = 0 both sides are 1
     report = _grid_check("convex_concave", k, zs, 0.0, 1.0,
@@ -511,7 +526,7 @@ def check_convex_concave(k: int, zs: Optional[List[float]] = None,
     def with_exact_ends(side):
         def curve():
             f = sides()[side]
-            return lambda z: to_interval(ends[z]) if z in ends else f(iv.mpf(z))
+            return lambda z: Interval(ends[z]) if z in ends else f(Interval(z))
         return curve
 
     report.shape_flags["lhs_convex"] = _certify_second_differences(
@@ -532,8 +547,8 @@ def _classify_second_differences(xs: List[float], curve: Callable
         vals = list(map(curve(), xs))
 
         def judge(i):
-            d2 = vals[i + 1] - 2 * vals[i] + vals[i - 1]
-            return -1 if d2.b < 0 else 1 if d2.a > 0 else None
+            lo, hi = (vals[i + 1] - 2 * vals[i] + vals[i - 1])._mpi_
+            return -1 if mpf_lt(hi, fzero) else 1 if mpf_lt(fzero, lo) else None
         return judge
 
     interior = range(1, len(xs) - 1)
@@ -647,16 +662,16 @@ def certify_psi_shape(k: int, samples: int = 512) -> PsiShapeReport:
 
     def curve():
         p = _pk_iv(k)
-        zero, one = iv.mpf(0), iv.mpf(1)
-        terms = [(iv.mpf(math.comb(k, i) ** 2), iv.mpf(k - i) / k,
-                  iv.mpf(i) / k) for i in range(k)]
+        zero, one = Interval(0), Interval(1)
+        terms = [(Interval(math.comb(k, i) ** 2), Interval(k - i) / k,
+                  Interval(i) / k) for i in range(k)]
         expos = [p * (k - i) / k for i in range(k)]
         expos = [e - one for e in expos] + expos
 
         def psi_at(x):
             if x == 0.0:
                 return zero
-            pw = ipows(iv.mpf(x), expos)
+            pw = ipows(Interval(x), expos)
             return sum((wi * (c1 * pw[i] - c0 * pw[k + i])
                         for i, (wi, c1, c0) in enumerate(terms)), zero)
         return psi_at

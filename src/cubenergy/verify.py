@@ -17,13 +17,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from mpmath import iv
-
 from .energy import (EnergyKind, EnergyValue, level_set_energies,
                      subset_energies)
 from .errors import BudgetExceeded, PrecisionExhausted
-from .intervals import (certified_floor, decide_le, floor_power_log2,
-                        log2_interval)
+from .intervals import (Interval, certified_floor, decide_le,
+                        floor_power_log2, log2_interval)
 from .lattice import PointSet, pack_points
 
 MAX_EXHAUSTIVE_POINTS = 24
@@ -123,7 +121,8 @@ def energy_threshold(target: ExponentTarget, c: int) -> Tuple[int, bool]:
         r = _nth_root_floor(t, fr.denominator)
         if r ** fr.denominator == t:
             return r, True
-    return certified_floor(lambda: iv.mpf(c) ** iv.mpf(target.exponent)), False
+    return certified_floor(
+        lambda: Interval(c) ** Interval(target.exponent)), False
 
 
 @dataclass(frozen=True)
@@ -329,26 +328,47 @@ def _is_perfect_power_pair(energy_val: int, size: int,
     return s == size and base_num ** t == energy_val
 
 
+def _is_rational_ratio(energy_val: int, size: int, num: int, den: int) -> bool:
+    """True when log(energy)/log(size) = num/den exactly, for size >= 2 and
+    num/den in lowest terms with den >= 1: then size^num = energy^den, so
+    size = r^den and energy = r^num for one integer r >= 2."""
+    if den > size.bit_length() or num < 0:
+        return False
+    r = _nth_root_floor(size, den)
+    if r ** den != size:
+        return False
+    # r^num has at least (r.bit_length() - 1) * num + 1 bits
+    return ((r.bit_length() - 1) * num < energy_val.bit_length()
+            and r ** num == energy_val)
+
+
 def _crosses(energy_val: int, size: int, threshold: float,
              threshold_log: Optional[Tuple[int, int]]) -> Optional[bool]:
     """Does log(energy)/log(size) strictly exceed the threshold?
 
-    With threshold_log = (a, b) the bar is the exact number log(a)/log(b)
-    and the comparison is certified by interval arithmetic, with the
-    commensurable equal case detected exactly.  Returns None when the
-    interval comparison hits its precision cap (reported, never guessed).
+    With threshold_log = (a, b) the bar is the exact number log(a)/log(b);
+    without it, the bar is the float threshold's exact value num/den.  Both
+    comparisons are certified by interval arithmetic, with the equal case
+    detected exactly first.  Returns None when the interval comparison hits
+    its precision cap (reported, never guessed).
     """
     if size < 2:
         return False
     if threshold_log is None:
-        return math.log(energy_val) / math.log(size) > threshold
-    a, b = threshold_log
-    if _is_perfect_power_pair(energy_val, size, a, b):
-        return False
+        bar = Fraction(threshold)
+        num, den = bar.numerator, bar.denominator
+        if _is_rational_ratio(energy_val, size, num, den):
+            return False
+        sides = (lambda: num * log2_interval(size),
+                 lambda: den * log2_interval(energy_val))
+    else:
+        a, b = threshold_log
+        if _is_perfect_power_pair(energy_val, size, a, b):
+            return False
+        sides = (lambda: log2_interval(a) * log2_interval(size),
+                 lambda: log2_interval(energy_val) * log2_interval(b))
     try:
-        less, _ = decide_le(
-            lambda: log2_interval(a) * log2_interval(size),
-            lambda: log2_interval(energy_val) * log2_interval(b))
+        less, _ = decide_le(*sides)
     except PrecisionExhausted:
         return None
     return less

@@ -243,6 +243,18 @@ def test_witness_csv(capsys):
     assert lines[1].endswith(",false")
 
 
+@pytest.mark.parametrize("threshold, crossed", [
+    ("2.6801438592463751", True), ("2.6801438592463755", False)])
+def test_witness_explicit_threshold_is_decided_exactly(capsys, threshold,
+                                                       crossed):
+    # the two floats straddle log_3 19, the full cube's ratio at every d
+    doc = _run_json(capsys, ["witness", "--n", "2", "--d-max", "6",
+                             "--threshold", threshold])
+    res = doc["result"]
+    assert [rep["crossed"] for rep in res["per_dimension"]] == [crossed] * 6
+    assert res["smallest_crossing_d"] == (1 if crossed else None)
+
+
 @pytest.mark.parametrize("n, k, d_max, extra, digest", [
     (2, 2, 7, [], "59ae469b366705b682bfd078abc2b0cf7fe8c6a2b5b7af0ca1dd041a572f6073"),
     (3, 2, 5, [], "4475cad6b4c0e297d7c53cc5c7d434fdeb8eae8f58debbb2bb0a8c72517971d2"),

@@ -1,15 +1,17 @@
 """Adaptive-precision certified comparisons."""
 
 import math
+import operator
 from fractions import Fraction
 
 import pytest
-from mpmath import iv
+from mpmath import iv, mp
 
 from cubenergy.errors import PrecisionExhausted
 from cubenergy.intervals import (
     PREC_CAP,
     PREC_START,
+    Interval,
     _escalate,
     decide_le,
     floor_power_log2,
@@ -170,3 +172,105 @@ def test_floor_power_log2_tracks_floats():
             got = floor_power_log2(c, m)
             approx = c ** math.log2(m)
             assert abs(got - math.floor(approx)) <= 1
+
+
+# ---------------------------------------------------------------------------
+# Interval against mpmath's own interval class, operation by operation
+
+PRECS = [53, 64, 128, 1024]
+# point, positive, negative, mixed-sign and zero-containing intervals, with
+# ends that are not all exact in binary
+SHAPES = [0.1, [0.25, 3], [0.1, 2.7], [-3, -0.1], [-1, 2], [0, 2], [-2, 0],
+          0]
+SCALARS = [3, -7, 0, 2 ** 200 + 1, -(2 ** 200 + 1), 0.1, -2.5, 1e-300]
+OPERATORS = [operator.add, operator.sub, operator.mul, operator.truediv]
+
+
+def _as_plain(x):
+    """The operand mpmath's interval class would see."""
+    return iv.make_mpf(x._mpi_) if isinstance(x, iv.mpf) else x
+
+
+def _operands():
+    """Every (left, right) pair with at least one Interval."""
+    for s in SHAPES:
+        x = Interval(s)
+        for t in SHAPES:
+            yield x, Interval(t)
+            yield x, iv.mpf(t)
+            yield iv.mpf(t), x
+        for c in SCALARS:
+            yield x, c
+            yield c, x
+
+
+@pytest.mark.parametrize("prec", PRECS)
+@pytest.mark.parametrize("op", OPERATORS, ids=lambda op: op.__name__)
+def test_interval_arithmetic_matches_mpmath(prec, op):
+    with workprec(prec):
+        for left, right in _operands():
+            got = op(left, right)
+            want = op(_as_plain(left), _as_plain(right))
+            assert type(got) is Interval, (left, right)
+            assert got._mpi_ == want._mpi_, (op, left, right)
+
+
+@pytest.mark.parametrize("prec", PRECS)
+def test_interval_int_powers_match_mpmath(prec):
+    with workprec(prec):
+        for s in SHAPES:
+            x = Interval(s)
+            for n in range(13):
+                got = x ** n
+                assert type(got) is Interval
+                assert got._mpi_ == (iv.mpf(s) ** n)._mpi_, (s, n)
+                assert got._mpi_ == (iv.mpf(s) ** iv.mpf(n))._mpi_, (s, n)
+
+
+@pytest.mark.parametrize("prec", PRECS)
+def test_interval_constructor_matches_mpmath(prec):
+    with workprec(prec):
+        for x in SHAPES + SCALARS + ["0.1", [0.1, "0.3"], iv.mpf(0.7), iv.pi]:
+            got = Interval(x)
+            assert type(got) is Interval and got._mpi_ == iv.mpf(x)._mpi_
+        third = Interval(Fraction(1, 3))
+        assert third._mpi_ == (iv.mpf(1) / iv.mpf(3))._mpi_
+        assert Interval(third) is third
+        assert to_interval(Fraction(-5, 7))._mpi_ == \
+            (iv.mpf(-5) / iv.mpf(7))._mpi_
+        nan = Interval(math.nan)
+        assert nan._mpi_ == iv.mpf(math.nan)._mpi_
+
+
+def test_interval_reads_the_precision_mpmath_reads():
+    x = Interval(1)
+    with workprec(64):
+        at64 = (x / 3)._mpi_
+        with workprec(1024):
+            assert (x / 3)._mpi_ == (iv.mpf(1) / 3)._mpi_ != at64
+        assert (x / 3)._mpi_ == at64
+
+
+def test_interval_leaves_other_operands_to_mpmath():
+    with workprec(64):
+        x = Interval([0.25, 3])
+        plain = iv.make_mpf(x._mpi_)
+        for other in (True, "0.5", [0.5, 1], mp.mpf("0.1")):
+            assert (x + other)._mpi_ == (plain + other)._mpi_
+            if not isinstance(other, mp.mpf):     # mp.mpf * x is mp's own
+                assert (other * x)._mpi_ == (other * plain)._mpi_
+        # real and interval exponents, and an int too long to be a point
+        for expo in (0.5, 2.5, iv.mpf(1.5), Interval(-0.7), 2 ** 70 + 1):
+            assert (x ** expo)._mpi_ == (iv.make_mpf(x._mpi_) ** expo)._mpi_
+        with workprec(53):
+            assert (Interval(1.0) ** (2 ** 60 + 1))._mpi_ == \
+                (iv.mpf(1.0) ** (2 ** 60 + 1))._mpi_
+
+
+def test_interval_is_an_mpmath_interval():
+    with workprec(64):
+        x = Interval([0.25, 3])
+        assert isinstance(x, type(iv.mpf(0)))
+        assert float(x.a) == 0.25 and float(x.b) == 3.0
+        assert iv.log(x)._mpi_ == iv.log(iv.mpf([0.25, 3]))._mpi_
+        assert x == iv.mpf([0.25, 3]) and 1 in x

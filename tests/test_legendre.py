@@ -12,6 +12,7 @@ from mpmath.libmp import libmpi
 from cubenergy import intervals, legendre
 from cubenergy.cli import dumps_canonical
 from cubenergy.errors import PrecisionExhausted
+from cubenergy.intervals import to_interval
 from cubenergy.legendre import (
     ExactAlpha,
     GridCheckReport,
@@ -393,6 +394,103 @@ def test_grid_check_matches_a_per_point_ladder(rungs):
     assert rep.undecided == [6.0] and rep.equalities == [0.0]
     assert 0 < rep.min_margin < 1e-300
     assert dumps_canonical(rep.to_dict()) == dumps_canonical(want.to_dict())
+
+
+def test_key_grid_builds_no_mpmath_interval_per_point(monkeypatch):
+    # every per-point interval is an intervals.Interval, made without
+    # mpmath's make_mpf; only per-level constants may go through it
+    made = []
+    make_mpf = type(iv).make_mpf
+
+    def counting(ctx, v):
+        made.append(v)
+        return make_mpf(ctx, v)
+
+    monkeypatch.setattr(type(iv), "make_mpf", counting)
+    counts = []
+    for points in (50, 100):
+        made.clear()
+        assert check_key_inequality(10, points=points).ok
+        counts.append(len(made))
+    assert counts[0] == counts[1]
+
+
+@pytest.fixture
+def point_logs(monkeypatch):
+    """The precision of every per-point interval logarithm, in order."""
+    logs = []
+    mpi_log = libmpi.mpi_log
+
+    def counting(s, prec):
+        logs.append(prec)
+        return mpi_log(s, prec)
+
+    monkeypatch.setattr(libmpi, "mpi_log", counting)
+    return logs
+
+
+def test_convex_concave_encloses_each_side_once_per_point(rungs, point_logs):
+    # one log per side and point: the shape flags read the enclosures the
+    # grid made at the uniform points, which unit_grid(100) contains
+    rep = check_convex_concave(3, points=100)
+    assert rep.ok and rep.points == 107 and len(rep.equalities) == 2
+    assert rungs == [64, 64, 64]      # the grid, then the two shape flags
+    assert len(point_logs) == 2 * (rep.points - 2) == 210
+
+
+def _convex_concave_unshared(k, zs, points):
+    """check_convex_concave with no shared enclosures: the grid and each
+    shape flag build their own sides and enclose every point afresh."""
+    half = Fraction(2 ** k + 2, 2 ** k)
+
+    def sides():
+        q = intervals.log2_interval(2 ** k + 2)
+        q2, qk = q / 2, q - k
+        scale, one = to_interval(2 ** (k - 1)), to_interval(1)
+        return (lambda z: one + intervals.ipow(z, q2) / scale,
+                lambda z: intervals.ipow(one + z, qk))
+
+    report = _grid_check("convex_concave", k, zs, 0.0, 1.0,
+                         {0.0: True, 1.0: 1 + Fraction(1, 2 ** (k - 1)) == half},
+                         sides)
+    uniform = [j / (points - 1) for j in range(points)]
+    ends = {0.0: Fraction(1), 1.0: half}
+
+    def curve(side):
+        def build():
+            f = sides()[side]
+            return lambda z: (to_interval(ends[z]) if z in ends
+                              else f(to_interval(z)))
+        return build
+
+    report.shape_flags["lhs_convex"] = _certify_second_differences(
+        uniform, curve(0), expect_positive=True)
+    report.shape_flags["rhs_concave"] = _certify_second_differences(
+        uniform, curve(1), expect_positive=False)
+    return report
+
+
+def test_shared_enclosures_match_an_unshared_oracle(rungs, monkeypatch):
+    # on a 12 -> 24 bit ladder the grid and both shape flags climb two
+    # rungs; the 1/32 grid is exact at 12 bits, so a point's interval is the
+    # same on both rungs, and only the precision in the sharing key keeps a
+    # 12-bit enclosure out of the 24-bit rung
+    monkeypatch.setattr(intervals, "PREC_START", 12)
+    monkeypatch.setattr(intervals, "PREC_CAP", 24)
+    got = check_convex_concave(3, points=33)
+    assert rungs == [12, 24] * 3
+    want = _convex_concave_unshared(3, unit_grid(33), 33)
+    assert dumps_canonical(got.to_dict()) == dumps_canonical(want.to_dict())
+    assert got.undecided and got.min_margin > 0
+    assert got.shape_flags == {"lhs_convex": True, "rhs_concave": True}
+
+
+def test_convex_concave_on_given_zs_keeps_its_report():
+    # frozen before the shape flags shared the grid's enclosures; the
+    # uniform shape grid and the given zs have no interior point in common
+    rep = check_convex_concave(3, zs=[0.25, 0.3])
+    assert hashlib.sha256(dumps_canonical(rep.to_dict()).encode()).hexdigest() \
+        == "c6af5c38d1aeefd33ee822b285ef3f7663762884ae6b13b26cbdcd62fa7fcf3a"
 
 
 # frozen output: SHA-256 of the canonical JSON of each report, with failures,

@@ -6,8 +6,9 @@ import random
 from itertools import combinations
 
 import pytest
+from mpmath import mp, workdps
 
-from cubenergy import verify
+from cubenergy import intervals, verify
 from cubenergy.energy import EnergyKind, brute_force_energy, energy
 from cubenergy.errors import BudgetExceeded
 from cubenergy.lattice import PointSet
@@ -312,3 +313,49 @@ def test_witness_search_budget_is_a_cube_size_limit():
 def test_witness_search_rejects_non_finite_threshold(threshold):
     with pytest.raises(ValueError, match="finite"):
         witness_search_general_cube(2, 2, threshold)
+
+
+# the float just below log_3 19 and the next float up, which lies above it
+BELOW_LOG3_19 = 2.6801438592463751
+ABOVE_LOG3_19 = 2.6801438592463755
+
+
+def test_float_thresholds_straddle_log3_19():
+    assert math.nextafter(BELOW_LOG3_19, math.inf) == ABOVE_LOG3_19
+    with workdps(40):
+        bar = mp.log(19) / mp.log(3)
+        assert mp.mpf(BELOW_LOG3_19) < bar < mp.mpf(ABOVE_LOG3_19)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_explicit_float_threshold_is_decided_exactly(d):
+    # the full cube has the exact ratio log_3 19 at every d, above the
+    # first float and below the second; float logarithms round it to one
+    # side or the other depending on d
+    rep = witness_search_general_cube(2, d, BELOW_LOG3_19)
+    assert rep.crossed and rep.undecided_levels == []
+    rep = witness_search_general_cube(2, d, ABOVE_LOG3_19)
+    assert not rep.crossed and rep.undecided_levels == []
+
+
+def test_float_threshold_ties_do_not_cross():
+    # log(2^5)/log(2^2) is 2.5 exactly, and log(19^3)/log(3^3) is the bar
+    assert verify._crosses(2 ** 5, 2 ** 2, 2.5, None) is False
+    assert verify._crosses(2 ** 5 + 1, 2 ** 2, 2.5, None) is True
+    assert verify._crosses(2 ** 5 - 1, 2 ** 2, 2.5, None) is False
+    assert verify._crosses(3 ** 6, 3 ** 3, 2.0, None) is False
+    assert verify._crosses(1000, 10, 3.0, None) is False
+    assert verify._crosses(1000, 10, 0.0, None) is True
+    assert verify._crosses(1000, 10, -1.0, None) is True
+
+
+def test_float_threshold_far_from_the_ratio_is_cheap():
+    # a huge numerator or denominator rules a tie out without powering
+    assert verify._crosses(4, 2, 1e300, None) is False
+    assert verify._crosses(4, 2, 5e-324, None) is True
+
+
+def test_float_threshold_left_undecided_at_the_cap(monkeypatch):
+    monkeypatch.setattr(intervals, "PREC_START", 24)
+    monkeypatch.setattr(intervals, "PREC_CAP", 24)
+    assert verify._crosses(19, 3, BELOW_LOG3_19, None) is None
