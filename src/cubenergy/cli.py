@@ -138,15 +138,23 @@ def _write_output(text: str, path: Optional[str]):
 # argument helpers
 
 
+def _parse_cube_spec(spec: str) -> Optional[Tuple[int, int]]:
+    """(N, D) for a spec cube:NxD, None for any other spec."""
+    m = _CUBE_RE.match(spec)
+    if not m:
+        return None
+    n, d = int(m.group(1)), int(m.group(2))
+    if n < 0 or d < 1:
+        raise ParseError("cube spec needs N >= 0 and D >= 1")
+    return n, d
+
+
 def parse_set_spec(spec: str) -> PointSet:
     """cube:NxD for {0..N}^D, a comma list of integers for a 1-d set, or a
     path to a points file (JSON array or whitespace rows)."""
-    m = _CUBE_RE.match(spec)
-    if m:
-        n, d = int(m.group(1)), int(m.group(2))
-        if n < 0 or d < 1:
-            raise ParseError("cube spec needs N >= 0 and D >= 1")
-        return PointSet.cube(n, d)
+    cube = _parse_cube_spec(spec)
+    if cube is not None:
+        return PointSet.cube(*cube)
     if _LIST_RE.match(spec):
         vals = [int(v) for v in spec.split(",")]
         return PointSet.from_points([(v,) for v in vals])
@@ -263,11 +271,10 @@ def _run_energy(args) -> Tuple[dict, int, Optional[tuple]]:
 
 
 def _run_verify(args) -> Tuple[dict, int, Optional[tuple]]:
-    a = args.set
-    m = _CUBE_RE.match(a)
-    if not m:
+    cube = _parse_cube_spec(args.set)
+    if cube is None:
         raise ParseError("verify needs a cube:NxD family")
-    n, d = int(m.group(1)), int(m.group(2))
+    n, d = cube
     if args.exponent is None:
         target = ExponentTarget.sharp(_kind(args.kind), args.k)
     else:

@@ -5,7 +5,9 @@ with a_1+...+a_k = b_1+...+b_k.  The higher energy of order k counts
 2k-tuples (a_1, b_1, ..., a_k, b_k) with a_1-b_1 = a_2-b_2 = ... = a_k-b_k.
 Every energy, slice identity and bullet product runs on pack_points keys
 through convolve_packed; brute_force_energy stays the independent oracle.
-subset_energies walks the subsets of a small point list, one point a step.
+subset_energies walks the subsets of a small point list, one point a step;
+orbit_energies walks them one orbit of a given symmetry group at a time,
+computing one energy per orbit.
 level_set_energies gives E_k of the level sets of {0..n}^d (points with at
 most t coordinates off the middle letters) from a generating function over
 sum types, in time polynomial in d, without building the cube.
@@ -231,6 +233,55 @@ def subset_energies(packed: List[int], k: int, kind: EnergyKind,
                     else:
                         del tab[t]
         yield mask, size, energy
+
+
+def _byte_tables(perm: List[int]) -> List[Tuple[int, List[int]]]:
+    """(shift, table) per 8-bit chunk of a mask: table[b] is the image
+    under perm of the bits b at that shift, so OR-ing the tables' entries
+    applies perm to a whole mask."""
+    out = []
+    for shift in range(0, len(perm), 8):
+        table = [0] * 256
+        for b in range(1, 256):
+            low = b & -b
+            i = shift + low.bit_length() - 1
+            table[b] = table[b ^ low] | (1 << perm[i] if i < len(perm) else 0)
+        out.append((shift, table))
+    return out
+
+
+def orbit_energies(packed: List[int], k: int, kind: EnergyKind,
+                   symmetries: List[List[int]]
+                   ) -> Iterator[Tuple[int, int, int, List[int]]]:
+    """Yield (rep, |B|, E(B), members) once per orbit of the nonempty masks
+    under the group generated by `symmetries`, bit i of a mask selecting
+    packed[i] (pack with pack_points(..., max(k, 2))).
+
+    Each symmetry is a permutation of the point indices that preserves both
+    energies (for a cube {0..n}^d: coordinate permutations and reflections
+    x_i -> n - x_i).  Masks are scanned in increasing order and each unseen
+    one has its orbit closed by breadth-first search over the generators,
+    so rep is the orbit's smallest mask and reps arrive in increasing order.
+    E is computed once per orbit, from scratch.
+    """
+    n = len(packed)
+    tables = [_byte_tables(perm) for perm in symmetries]
+    seen = bytearray(1 << n)
+    for rep in range(1, 1 << n):
+        if seen[rep]:
+            continue
+        seen[rep] = 1
+        members = [rep]
+        for mask in members:            # grows while it is walked
+            for chunks in tables:
+                img = 0
+                for shift, table in chunks:
+                    img |= table[mask >> shift & 255]
+                if not seen[img]:
+                    seen[img] = 1
+                    members.append(img)
+        sel = [packed[i] for i in range(n) if rep >> i & 1]
+        yield rep, len(sel), packed_subset_energy(sel, k, kind), members
 
 
 def interval_energy_closed_form(n: int) -> int:

@@ -5,6 +5,12 @@ and |A| = 2^j the right side is the integer M^j; otherwise a certified
 interval floor is used, escalating precision until the enclosure excludes
 every integer.  No verdict ever comes from bare floating point.
 
+Both energies are invariant under the symmetries of the cube {0..n}^d, so
+an exhaustive sweep with d >= 2 computes one energy per orbit of its
+symmetry group (energy.orbit_energies; 401 orbits for the 65 535 nonempty
+subsets of {0,1}^4) and counts it for every member.  A sweep with d <= 1
+and a sampled sweep take their masks one at a time.
+
 The witness search over the level sets of {0..n}^d takes its exact energies
 from energy.level_set_energies and its level sizes from a binomial sum, so
 it builds no cube; its max_points only caps the size of the cube searched.
@@ -15,10 +21,10 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .energy import (EnergyKind, EnergyValue, level_set_energies,
-                     subset_energies)
+                     orbit_energies, subset_energies)
 from .errors import BudgetExceeded, PrecisionExhausted
 from .intervals import (Interval, certified_floor, decide_le,
                         floor_power_log2, log2_interval)
@@ -188,7 +194,10 @@ def sweep_cube(n: int, d: int, target: ExponentTarget, *,
 
     Exhaustive over all nonempty subsets when sample is None (requires at
     most max_points cube points); otherwise `sample` masks drawn uniformly
-    with the given seed.
+    with the given seed.  An exhaustive sweep with d >= 2 computes one
+    energy per orbit of the cube's symmetry group; the report is the same
+    as from a scan in mask order: violations and rows in mask order, a tie
+    for the best ratio going to the smallest mask.
     """
     if n < 0 or d < 0:
         raise ValueError("need n >= 0 and d >= 0")
@@ -221,22 +230,24 @@ def sweep_cube(n: int, d: int, target: ExponentTarget, *,
     equality_count = 0
     checked = 0
 
-    for mask, c, e in subset_energies(packed, target.k, target.kind, masks):
-        checked += 1
+    for mask, c, e, members in _walk(pts, n, packed, target.k, target.kind, masks):
+        checked += len(members)
         bound, exact_power = thresholds[c]
         if e > bound:
-            violations.append((mask, c, e, bound))
+            violations.extend((m, c, e, bound) for m in members)
         elif exact_power and e == bound:
-            equality_count += 1
+            equality_count += len(members)
         ratio = math.log(e) / math.log(c) if c >= 2 else None
-        # the walk runs in Gray-code order; a tie goes to the smallest mask,
-        # as in a scan in mask order.  A sample keeps its first maximiser.
+        # an exhaustive walk may visit masks in any order; a tie goes to the
+        # smallest mask, as in a scan in mask order.  mask is the smallest of
+        # its members, which share its ratio.  A sample keeps its first
+        # maximiser.
         if ratio is not None and (max_ratio is None or ratio > max_ratio or (
                 ratio == max_ratio and masks is None and mask < best_mask)):
             max_ratio = ratio
             best_mask = mask
         if rows is not None:
-            rows.append((mask, c, e, ratio))
+            rows.extend((m, c, e, ratio) for m in members)
     if masks is None:
         violations.sort()
         if rows is not None:
@@ -247,6 +258,38 @@ def sweep_cube(n: int, d: int, target: ExponentTarget, *,
                               checked, max_ratio, witness, equality_count,
                               [Violation(_mask_to_set(mask, pts), c, e, bound)
                                for mask, c, e, bound in violations], rows)
+
+
+def _cube_symmetries(pts: List[tuple], n: int) -> List[List[int]]:
+    """Generators of the symmetry group of the cube {0..n}^d whose sorted
+    points are pts, each as the permutation of point indices it induces:
+    reflect coordinate 0 (x_0 -> n - x_0), swap coordinates 0 and 1, and
+    rotate the coordinates (d >= 3).  With the swap, the rotation generates
+    every coordinate permutation, and with those the reflection generates
+    every reflection: the whole group of order 2^d d!."""
+    d = len(pts[0])
+    moves = [lambda p: (n - p[0],) + p[1:], lambda p: (p[1], p[0]) + p[2:]]
+    if d >= 3:
+        moves.append(lambda p: p[1:] + p[:1])
+    index = {p: i for i, p in enumerate(pts)}
+    return [[index[move(p)] for p in pts] for move in moves]
+
+
+def _walk(pts: List[tuple], n: int, packed: List[int], k: int,
+          kind: EnergyKind, masks: Optional[List[int]] = None
+          ) -> Iterator[Tuple[int, int, int, Sequence[int]]]:
+    """(mask, |B|, E(B), members) over the subsets of {0..n}^d: every mask
+    in members has energy E(B), and mask is the smallest of them.
+
+    An exhaustive walk with d >= 2 yields one entry per symmetry orbit.
+    With d <= 1 the group has order at most 2, too small to repay computing
+    each energy from scratch, so the Gray-code walk updates it in place, one
+    mask an entry; given masks are likewise taken one at a time.
+    """
+    if masks is None and len(pts[0]) >= 2:
+        return orbit_energies(packed, k, kind, _cube_symmetries(pts, n))
+    return ((mask, c, e, (mask,))
+            for mask, c, e in subset_energies(packed, k, kind, masks))
 
 
 def _mask_to_set(mask: int, pts: List[tuple]) -> PointSet:
@@ -269,8 +312,8 @@ def equality_witnesses(d: int, k: int, kind: EnergyKind, n: int = 1) -> List[Poi
     packed = pack_points(pts, max(k, 2))
     thresholds = [energy_threshold(target, c) for c in range(npts + 1)]
     # equality: an exact-power threshold (bound, True) with E == bound
-    masks = [mask for mask, c, e in subset_energies(packed, k, kind)
-             if thresholds[c] == (e, True)]
+    masks = [m for _, c, e, members in _walk(pts, n, packed, k, kind)
+             if thresholds[c] == (e, True) for m in members]
     return [_mask_to_set(mask, pts) for mask in sorted(masks)]
 
 

@@ -130,6 +130,14 @@ def test_verify_rejects_infinite_exponent(capsys):
     assert "2k - 1" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "energy"])
+def test_cube_spec_needs_a_dimension(capsys, command):
+    # verify and the other commands read cube:NxD through one parser
+    code, out, err = _run(capsys, [command, "--set", "cube:1x0", "--k", "2"])
+    assert code == 2 and out == ""
+    assert "D >= 1" in err
+
+
 def test_verify_budget_exit_code(capsys):
     code, _, err = _run(capsys, ["verify", "--set", "cube:1x5", "--k", "2"])
     assert code == 3

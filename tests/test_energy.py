@@ -19,6 +19,7 @@ from cubenergy.energy import (
     higher_energy,
     interval_energy_closed_form,
     level_set_energies,
+    orbit_energies,
     packed_subset_energy,
     split_last_coordinate,
     subset_energies,
@@ -26,6 +27,7 @@ from cubenergy.energy import (
 from cubenergy import lattice
 from cubenergy.errors import BudgetExceeded
 from cubenergy.lattice import CountsMap, PointSet, indicator, pack_points
+from cubenergy.verify import _cube_symmetries
 
 
 def _random_set(rng, dim, lo=0, hi=3, max_size=8):
@@ -240,6 +242,27 @@ def test_subset_walk_matches_brute_force(n, d, kind, k):
     assert sorted(seen) == list(range(1, 1 << len(pts)))
     # consecutive Gray-code masks differ in exactly one point
     assert all(bin(a ^ b).count("1") == 1 for a, b in zip(seen, seen[1:]))
+
+
+@pytest.mark.parametrize("n, d, orbits", [(1, 2, 5), (1, 3, 21), (2, 2, 101)])
+def test_orbit_walk_partitions_by_cube_symmetry(n, d, orbits):
+    pts = PointSet.cube(n, d).sorted_points()
+    k, kind = 2, EnergyKind.ADDITIVE
+    packed = pack_points(pts, k)
+    got = list(orbit_energies(packed, k, kind, _cube_symmetries(pts, n)))
+    assert len(got) == orbits
+    assert [rep for rep, _, _, _ in got] == sorted(rep for rep, _, _, _ in got)
+    assert sorted(m for _, _, _, members in got for m in members) == \
+        list(range(1, 1 << len(pts)))
+    for rep, size, e, members in got:
+        key = _cube_symmetry_class(_mask_set(pts, rep), n)
+        assert rep == min(members) and size == bin(rep).count("1")
+        assert e == energy(_mask_set(pts, rep), k, kind).value
+        assert all(_cube_symmetry_class(_mask_set(pts, m), n) == key
+                   for m in members)
+    # one orbit per class: two different orbits never share a class
+    classes = {_cube_symmetry_class(_mask_set(pts, rep), n) for rep, *_ in got}
+    assert len(classes) == orbits
 
 
 def test_subset_energies_given_masks_in_given_order():

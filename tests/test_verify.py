@@ -9,9 +9,10 @@ import pytest
 from mpmath import mp, workdps
 
 from cubenergy import intervals, verify
-from cubenergy.energy import EnergyKind, brute_force_energy, energy
+from cubenergy.energy import (EnergyKind, brute_force_energy, energy,
+                              subset_energies)
 from cubenergy.errors import BudgetExceeded
-from cubenergy.lattice import PointSet
+from cubenergy.lattice import PointSet, pack_points
 from cubenergy.verify import (
     ExponentTarget,
     energy_threshold,
@@ -145,24 +146,118 @@ def test_sweep_rows_and_mode():
 
 
 def test_sweep_reports_do_not_depend_on_walk_order(monkeypatch):
-    # replay the exhaustive walk backwards: violations, rows, the witness of
-    # the best ratio and the equality witnesses must all come out the same
+    # replay the exhaustive walks backwards, the orbit walk with each
+    # orbit's members reversed too: violations, rows, the witness of the
+    # best ratio and the equality witnesses must all come out the same
     walk = verify.subset_energies
+    orbits = verify.orbit_energies
 
     def backwards(packed, k, kind, masks=None):
         steps = list(walk(packed, k, kind, masks))
         return reversed(steps) if masks is None else steps
 
+    def orbits_backwards(packed, k, kind, symmetries):
+        steps = [(rep, c, e, members[::-1])
+                 for rep, c, e, members in orbits(packed, k, kind, symmetries)]
+        return reversed(steps)
+
     jobs = [(1, 3, ExponentTarget.custom(EnergyKind.ADDITIVE, 2, 2.3)),
             (1, 3, ExponentTarget.sharp(EnergyKind.HIGHER, 2)),
-            (2, 2, ExponentTarget.custom(EnergyKind.ADDITIVE, 3, 3.9))]
+            (2, 2, ExponentTarget.custom(EnergyKind.ADDITIVE, 3, 3.9)),
+            (7, 1, ExponentTarget.custom(EnergyKind.ADDITIVE, 2, 2.2))]
     want = [sweep_cube(n, d, t, collect_rows=True) for n, d, t in jobs]
-    eq = [equality_witnesses(3, 2, kind) for kind in EnergyKind]
+    eq = [equality_witnesses(d, 2, kind, n)
+          for d, n in [(3, 1), (1, 3)] for kind in EnergyKind]
     monkeypatch.setattr(verify, "subset_energies", backwards)
+    monkeypatch.setattr(verify, "orbit_energies", orbits_backwards)
     for (n, d, t), rep in zip(jobs, want):
         got = sweep_cube(n, d, t, collect_rows=True)
         assert got.to_dict() == rep.to_dict() and got.rows == rep.rows
-    assert [equality_witnesses(3, 2, kind) for kind in EnergyKind] == eq
+    assert [equality_witnesses(d, 2, kind, n)
+            for d, n in [(3, 1), (1, 3)] for kind in EnergyKind] == eq
+
+
+def _sweep_mask_by_mask(n, d, target):
+    """Oracle: the report fields of an exhaustive sweep, built from the
+    Gray-code walk one mask at a time."""
+    pts = PointSet.cube(n, d).sorted_points()
+    packed = pack_points(pts, max(target.k, 2))
+    thresholds = [energy_threshold(target, c) for c in range(len(pts) + 1)]
+    rows, violations, eq, best = [], [], 0, None
+    for mask, c, e in subset_energies(packed, target.k, target.kind):
+        bound, exact = thresholds[c]
+        if e > bound:
+            violations.append(mask)
+        elif exact and e == bound:
+            eq += 1
+        ratio = math.log(e) / math.log(c) if c >= 2 else None
+        rows.append((mask, c, e, ratio))
+        if ratio is not None and (best is None or (-ratio, mask) < best):
+            best = (-ratio, mask)
+    rows.sort()
+    witness = [list(p) for i, p in enumerate(pts) if best[1] >> i & 1]
+    return rows, sorted(violations), eq, -best[0], witness
+
+
+@pytest.mark.parametrize("n, d, target", [
+    (1, 2, ExponentTarget.sharp(EnergyKind.ADDITIVE, 2)),
+    (1, 3, ExponentTarget.sharp(EnergyKind.HIGHER, 3)),
+    (1, 3, ExponentTarget.custom(EnergyKind.ADDITIVE, 2, 2.3)),
+    (2, 2, ExponentTarget.custom(EnergyKind.ADDITIVE, 3, 3.9)),
+    (2, 2, ExponentTarget.custom(EnergyKind.HIGHER, 2, 2.5)),
+    (3, 2, ExponentTarget.sharp(EnergyKind.ADDITIVE, 2)),
+    (3, 2, ExponentTarget.sharp(EnergyKind.HIGHER, 2)),
+])
+def test_orbit_sweep_matches_mask_by_mask(n, d, target):
+    rows, violations, eq, max_ratio, witness = _sweep_mask_by_mask(n, d, target)
+    rep = sweep_cube(n, d, target, collect_rows=True)
+    assert rep.rows == rows
+    assert rep.subsets_checked == len(rows) == (1 << (n + 1) ** d) - 1
+    pts = PointSet.cube(n, d).sorted_points()
+    assert [sorted(map(list, v.subset.points)) for v in rep.violations] == \
+        [[list(p) for i, p in enumerate(pts) if m >> i & 1] for m in violations]
+    assert rep.equality_count == eq
+    assert rep.max_ratio == max_ratio
+    assert [list(p) for p in rep.max_ratio_witness.sorted_points()] == witness
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("kind", list(EnergyKind))
+def test_orbit_equality_witnesses_match_gray_walk(d, kind):
+    k = 2
+    pts = PointSet.cube(1, d).sorted_points()
+    target = ExponentTarget.sharp(kind, k)
+    thresholds = [energy_threshold(target, c) for c in range(len(pts) + 1)]
+    masks = sorted(mask for mask, c, e in
+                   subset_energies(pack_points(pts, k), k, kind)
+                   if thresholds[c] == (e, True))
+    assert equality_witnesses(d, k, kind) == [
+        PointSet.from_points(p for i, p in enumerate(pts) if mask >> i & 1)
+        for mask in masks]
+
+
+def test_exhaustive_sweep_computes_one_energy_per_orbit(monkeypatch):
+    # {0,1}^4 has 65535 nonempty subsets in 401 orbits of its symmetry group
+    calls = []
+    energy_module = importlib.import_module("cubenergy.energy")
+    inner = energy_module.packed_subset_energy
+
+    def counted(sel, k, kind):
+        calls.append(len(sel))
+        return inner(sel, k, kind)
+
+    monkeypatch.setattr(energy_module, "packed_subset_energy", counted)
+    rep = sweep_cube(1, 4, ExponentTarget.sharp(EnergyKind.HIGHER, 2))
+    assert rep.subsets_checked == 65535 and len(calls) == 401
+
+
+@pytest.mark.parametrize("k", [4, 5, 6])
+@pytest.mark.parametrize("kind", list(EnergyKind))
+def test_sharp_exponent_holds_on_the_4_cube(kind, k):
+    rep = sweep_cube(1, 4, ExponentTarget.sharp(kind, k))
+    assert rep.subsets_checked == 65535
+    assert not rep.violations
+    assert rep.equality_count == 257
 
 
 def test_sweep_exhaustive_budget():
