@@ -236,16 +236,15 @@ def subset_energies(packed: List[int], k: int, kind: EnergyKind,
 
 
 def _byte_tables(perm: List[int]) -> List[Tuple[int, List[int]]]:
-    """(shift, table) per 8-bit chunk of a mask: table[b] is the image
-    under perm of the bits b at that shift, so OR-ing the tables' entries
-    applies perm to a whole mask."""
+    """(shift, table) per chunk of at most 8 bits of a mask: table[b] is
+    the image under perm of the bits b at that shift, so OR-ing the tables'
+    entries applies perm to a whole mask."""
     out = []
     for shift in range(0, len(perm), 8):
-        table = [0] * 256
-        for b in range(1, 256):
+        table = [0] * (1 << min(8, len(perm) - shift))
+        for b in range(1, len(table)):
             low = b & -b
-            i = shift + low.bit_length() - 1
-            table[b] = table[b ^ low] | (1 << perm[i] if i < len(perm) else 0)
+            table[b] = table[b ^ low] | 1 << perm[shift + low.bit_length() - 1]
         out.append((shift, table))
     return out
 

@@ -284,7 +284,12 @@ def _walk(pts: List[tuple], n: int, packed: List[int], k: int,
     An exhaustive walk with d >= 2 yields one entry per symmetry orbit.
     With d <= 1 the group has order at most 2, too small to repay computing
     each energy from scratch, so the Gray-code walk updates it in place, one
-    mask an entry; given masks are likewise taken one at a time.
+    mask an entry; given masks are likewise taken one at a time.  Measured
+    on both energies, k = 2 and 3: the orbit walk takes 0.55-0.95x the Gray
+    walk's time on {0..3}^2 and {0,1,2}^2 (group order 8), and ties on
+    {0,1}^2 (15 masks); on {0..15}^1, with the reflection alone, it takes
+    0.95-1.45x.  Every cube with d >= 2 within MAX_EXHAUSTIVE_POINTS is one
+    of {0,1}^2, {0,1}^3, {0,1}^4, {0,1,2}^2 and {0..3}^2.
     """
     if masks is None and len(pts[0]) >= 2:
         return orbit_energies(packed, k, kind, _cube_symmetries(pts, n))

@@ -249,6 +249,9 @@ def test_exhaustive_sweep_computes_one_energy_per_orbit(monkeypatch):
     monkeypatch.setattr(energy_module, "packed_subset_energy", counted)
     rep = sweep_cube(1, 4, ExponentTarget.sharp(EnergyKind.HIGHER, 2))
     assert rep.subsets_checked == 65535 and len(calls) == 401
+    # a segment keeps the Gray-code walk, which computes no energy from scratch
+    rep = sweep_cube(7, 1, ExponentTarget.sharp(EnergyKind.HIGHER, 2))
+    assert rep.subsets_checked == 255 and len(calls) == 401
 
 
 @pytest.mark.parametrize("k", [4, 5, 6])
