@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import groupby, product as iter_product
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import BudgetExceeded, DimensionMismatch
 from .lattice import CountsMap, PointSet, convolve_packed, pack_points
@@ -89,6 +89,41 @@ def packed_power_energy(base: dict, k: int):
     for v in conv.values():
         total += v * v
     return total
+
+
+def power_energy_plan(keys: List[int], k: int) -> Callable[[List[float]], float]:
+    """packed_power_energy of dict(zip(keys, ws)) as a function of ws, for
+    distinct keys and positive float weights, bit for bit.
+
+    The float dict loop does the same multiply-adds for every set of
+    weights on the same keys, so they are recorded once: each convolution
+    stage is a list of (out_slot, in_slot, weight_index) steps, slots
+    numbered in the order the loop first meets each sum (the dict's
+    insertion order).  The returned function replays the steps on lists and
+    then sums the squares of the last stage in slot order."""
+    if len(set(keys)) != len(keys):
+        raise ValueError("keys must be distinct")
+    stages = []
+    cur = list(keys)
+    for _ in range(k - 1):
+        slot: Dict[int, int] = {}
+        steps = [(slot.setdefault(x + y, len(slot)), a, b)
+                 for a, x in enumerate(cur) for b, y in enumerate(keys)]
+        stages.append((len(slot), steps))
+        cur = list(slot)
+
+    def energy_of(ws: List[float]) -> float:
+        cur = ws
+        for size, steps in stages:
+            out = [0.0] * size
+            for o, a, b in steps:
+                out[o] += cur[a] * ws[b]
+            cur = out
+        total = 0.0
+        for v in cur:
+            total += v * v
+        return total
+    return energy_of
 
 
 def additive_energy(a: PointSet, k: int) -> EnergyValue:

@@ -11,10 +11,10 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .energy import (EnergyKind, interval_energy_closed_form,
-                     packed_power_energy, subset_energies)
+                     packed_power_energy, power_energy_plan, subset_energies)
 from .errors import DimensionMismatch
 from .intervals import decide_le, log2_interval
 from .lattice import PointSet, WeightFn, pack_points
@@ -73,10 +73,19 @@ def weighted_energy(f: WeightFn, k: int):
     return packed_power_energy(base, k)
 
 
+def _power_sum(ws: Iterable[float], q: float) -> float:
+    """sum of w^q added one by one in order: sum() compensates float
+    rounding from Python 3.12 on, which would change report bytes."""
+    total = 0.0
+    for w in ws:
+        total += w ** q
+    return total
+
+
 def lq_norm(f: WeightFn, q: float) -> float:
     if q <= 0:
         raise ValueError("q must be positive")
-    return sum(float(v) ** q for v in f.entries.values()) ** (1.0 / q)
+    return _power_sum(map(float, f.entries.values()), q) ** (1.0 / q)
 
 
 def de_ratio(f: WeightFn, problem: DEProblem) -> float:
@@ -175,7 +184,9 @@ class DEEstimate:
         }
 
 
-def _golden_max(fn, lo: float, hi: float, tol: float = 1e-12) -> Tuple[float, float]:
+def _golden_max(fn, lo: float, hi: float, tol: float = 1e-12) -> float:
+    """Abscissa of the golden-section search for a maximum of fn on
+    [lo, hi]; fn is not evaluated at the point returned."""
     invphi = (math.sqrt(5.0) - 1) / 2
     a, b = lo, hi
     c = b - invphi * (b - a)
@@ -190,8 +201,29 @@ def _golden_max(fn, lo: float, hi: float, tol: float = 1e-12) -> Tuple[float, fl
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
             fc = fn(c)
-    x = (a + b) / 2
-    return x, fn(x)
+    return (a + b) / 2
+
+
+def _ratio_function(keys: List[int], k: int,
+                    q: float) -> Callable[[List[float]], float]:
+    """ws -> the ratio of the float weights ws on the packed keys, as
+    de_ratio computes it.  The keys never change, so the float convolution
+    is recorded once as a power_energy_plan; a weight list with a zero,
+    which the coordinate search never makes, takes the dict loop on the
+    positive support instead."""
+    inv2k = 1.0 / (2 * k)
+    energy_of = power_energy_plan(keys, k)
+
+    def ratio_of(ws: List[float]) -> float:
+        if min(ws) > 0:
+            energy, support = energy_of(ws), ws
+        else:
+            base = {key: w for key, w in zip(keys, ws) if w > 0}
+            if not base:
+                return 0.0
+            energy, support = packed_power_energy(base, k), base.values()
+        return energy ** inv2k / _power_sum(support, q) ** (1.0 / q)
+    return ratio_of
 
 
 def optimize_de(problem: DEProblem, strategy: str = "coordinate",
@@ -212,23 +244,13 @@ def optimize_de(problem: DEProblem, strategy: str = "coordinate",
     pts = problem.alphabet.sorted_points()
     m = len(pts)
     k, q = problem.k, problem.q
-    inv2k = 1.0 / (2 * k)
 
     r_best, r_points, exhaustive = restricted_enumeration(
         problem, sample_count=restricted_sample, seed=seed)
     restricted_witness = WeightFn(problem.alphabet.dim,
                                   {p: 1 for p in r_points}, True)
 
-    keys = pack_points(pts, k)
-
-    def ratio_of(ws: List[float]) -> float:
-        base = {key: w for key, w in zip(keys, ws) if w > 0}
-        if not base:
-            return 0.0
-        energy = packed_power_energy(base, k)
-        norm = sum(w ** q for w in base.values()) ** (1.0 / q)
-        return energy ** inv2k / norm
-
+    ratio_of = _ratio_function(pack_points(pts, k), k, q)
     rng = random.Random(seed)
     best_val = -1.0
     best_ws: Optional[List[float]] = None
@@ -250,8 +272,7 @@ def optimize_de(problem: DEProblem, strategy: str = "coordinate",
                     val = ratio_of(ws)
                     ws[i] = old
                     return val
-                ti, _ = _golden_max(slice_fn, 0.0, 1.5)
-                ws[i] = ti
+                ws[i] = _golden_max(slice_fn, 0.0, 1.5)
             top = max(ws)
             if top > 0:
                 ws = [w / top for w in ws]

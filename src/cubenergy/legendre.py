@@ -600,17 +600,22 @@ def curve_data(which: str, k: int, samples: int) -> List[Tuple[float, float]]:
     xs = [j / (samples - 1) for j in range(samples)]
     w = [math.comb(k, i) ** 2 for i in range(k + 1)]
     out = []
+    # terms are added one by one in order: sum() compensates float rounding
+    # from Python 3.12 on, which would change the rows' bytes
     if name == "phi":
         p = _float_pk(k)
         for x in xs:
-            num = sum(w[i] * x ** (p * (k - i) / k) for i in range(k + 1))
+            num = 0.0
+            for i in range(k + 1):
+                num += w[i] * x ** (p * (k - i) / k)
             out.append((x, num / (1 + x) ** p))
     elif name == "psi":
         p = _float_pk(k)
         for x in xs:
-            val = sum(w[i] * ((k - i) / k * x ** (p * (k - i) / k - 1)
-                              - i / k * x ** (p * (k - i) / k))
-                      for i in range(k))
+            val = 0.0
+            for i in range(k):
+                val += w[i] * ((k - i) / k * x ** (p * (k - i) / k - 1)
+                               - i / k * x ** (p * (k - i) / k))
             out.append((x, val))
     else:
         q = _float_qk(k)

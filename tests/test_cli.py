@@ -192,6 +192,19 @@ def test_curves_psi_has_positive_second_difference(capsys):
     assert max(d2) > 0
 
 
+@pytest.mark.parametrize("which, k, digest", [
+    ("phi", 2, "0d40bc3d648963be1a0bdf39c651f6a8a803ec3a9b2e9acab3f8d07a0a94ee28"),
+    ("psi", 7, "9928c2bcd402481259561addfc4a995ba48392c44d27ed9e160a493434d2082c"),
+])
+def test_curves_golden_bytes(capsys, which, k, digest):
+    # frozen output; the terms of each row are added in order, so it holds
+    # on every Python version, not only those whose sum() does not compensate
+    code, out, _ = _run(capsys, ["curves", "--which", which, "--k", str(k),
+                                 "--samples", "1000"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_curves_goal_bounded(capsys):
     doc = _run_json(capsys, ["curves", "--which", "goal", "--k", "4",
                              "--samples", "100"])
@@ -225,6 +238,43 @@ def test_extension_deterministic_bytes(capsys):
     _, out1, _ = _run(capsys, argv)
     _, out2, _ = _run(capsys, argv)
     assert out1 == out2
+
+
+EXTENSION_PROBLEMS = [
+    ("0,1", 2, "--q", 4 / math.log2(6), 24,
+     "f1153036e843640b2479afd19ba1dd07af243ed6bb46cbe1e72392f4799ad5a6"),
+    ("0,1,2", 2, "--p", math.log(19) / math.log(3), 24,
+     "d7ee7657978c33e05a7f373e98848c6ff4947a084a9c0bd01958e72f438061b3"),
+    ("0,1,2,3,4", 3, "--p", math.log(1751) / math.log(5), 6,
+     "f439620268f11a4a44d1b30ddabed95c4b9ee5f1a786478a8186bf111bd5eb6a"),
+    ("cube:1x3", 2, "--p", math.log2(6), 4,
+     "19da0ef41c58fad82b3f1f3b212033d05ce8de5e8a5862e88880e7b296039fdf"),
+]
+
+
+def _extension_argv(alphabet, k, flag, value, starts):
+    return ["extension", "--alphabet", alphabet, "--k", str(k), flag,
+            repr(value), "--starts", str(starts), "--seed", "0"]
+
+
+@pytest.mark.parametrize("alphabet, k, flag, value, starts, digest",
+                         EXTENSION_PROBLEMS)
+def test_extension_golden_bytes(capsys, alphabet, k, flag, value, starts,
+                                digest):
+    # frozen output of the optimizer, measured when every ratio ran the
+    # float dict loop of packed_power_energy
+    code, out, _ = _run(capsys, _extension_argv(alphabet, k, flag, value,
+                                                starts))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_extension_csv_golden_bytes(capsys):
+    argv = _extension_argv(*EXTENSION_PROBLEMS[1][:5]) + ["--format", "csv"]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "0650a463522040fcc8362398fe08b5689d128a8bb7a63cf0c363c17e75c6ee7a"
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,9 @@ from cubenergy.energy import (
     interval_energy_closed_form,
     level_set_energies,
     orbit_energies,
+    packed_power_energy,
     packed_subset_energy,
+    power_energy_plan,
     split_last_coordinate,
     subset_energies,
 )
@@ -190,6 +192,34 @@ def test_brute_force_budget():
     a = PointSet.cube(1, 4)
     with pytest.raises(BudgetExceeded):
         brute_force_energy(a, 3, EnergyKind.ADDITIVE, budget=10 ** 3)
+
+
+PLAN_ALPHABETS = {
+    "point": [(3,)],
+    "segment2": [(0,), (1,)],
+    "segment5": [(c,) for c in range(5)],
+    "sidon": [(0,), (1,), (3,), (7,)],
+    "square": sorted(product(range(2), repeat=2)),
+    "cube3": sorted(product(range(2), repeat=3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLAN_ALPHABETS))
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_power_energy_plan_is_bit_identical_to_dict_loop(name, k):
+    # k = 1 has no convolution stage: the plan only sums the squares
+    keys = pack_points(PLAN_ALPHABETS[name], k)
+    energy_of = power_energy_plan(keys, k)
+    rng = random.Random("plan-%s-%d" % (name, k))
+    for _ in range(25):
+        scale = rng.choice([1e-3, 1.0, 1.5, 1e6])
+        ws = [rng.uniform(1e-9, 1.0) * scale for _ in keys]
+        assert energy_of(ws) == packed_power_energy(dict(zip(keys, ws)), k)
+
+
+def test_power_energy_plan_rejects_repeated_keys():
+    with pytest.raises(ValueError):
+        power_energy_plan([0, 1, 1], 2)
 
 
 def test_packed_subset_energy_agrees():

@@ -23,8 +23,9 @@ from cubenergy.extension import (
     tn_interval,
     weighted_energy,
 )
-from cubenergy.energy import EnergyKind, additive_energy, brute_force_energy
-from cubenergy.lattice import PointSet, WeightFn
+from cubenergy.energy import (EnergyKind, additive_energy, brute_force_energy,
+                              packed_power_energy)
+from cubenergy.lattice import PointSet, WeightFn, pack_points
 
 SEGMENT = PointSet.from_points([(0,), (1,)])
 THREE = PointSet.from_points([(0,), (1,), (2,)])
@@ -124,6 +125,13 @@ def test_lq_norm_values():
     f = WeightFn.from_pairs([((0,), Fraction(1)), ((1,), Fraction(1))])
     assert lq_norm(f, 2.0) == pytest.approx(math.sqrt(2), abs=1e-14)
     assert lq_norm(f, 1.0) == pytest.approx(2.0, abs=1e-14)
+
+
+def test_lq_norm_adds_in_order_without_compensation():
+    # compensated summation (sum() from Python 3.12 on) gives 1 + 2^-52;
+    # adding left to right rounds each tiny term away
+    f = WeightFn(1, {(0,): 1.0, (1,): 2.0 ** -53, (2,): 2.0 ** -53}, False)
+    assert lq_norm(f, 1.0) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +280,52 @@ def test_optimize_deterministic_per_seed():
     b = optimize_de(prob, seed=3, starts=6)
     assert a.lower_bound == b.lower_bound
     assert list(a.witness.items()) == list(b.witness.items())
+
+
+def _dict_loop_ratio(keys, ws, k, q):
+    # the optimizer's ratio as it was before the plan: the dict loop on the
+    # positive support, its q-th powers added in order
+    base = {key: w for key, w in zip(keys, ws) if w > 0}
+    norm = 0.0
+    for w in base.values():
+        norm += w ** q
+    return packed_power_energy(base, k) ** (1.0 / (2 * k)) / norm ** (1.0 / q)
+
+
+@pytest.mark.parametrize("alphabet, k, q", [
+    (SEGMENT, 2, CRITICAL_Q2),
+    (THREE, 2, Q_THREE),
+    (PointSet.cube(4, 1), 3, 1.7),
+    (PointSet.cube(1, 3), 2, 2.0),
+    (PointSet.from_points([(0,), (1,), (3,), (7,)]), 1, 0.9),
+])
+def test_ratio_function_plan_and_dict_paths(monkeypatch, alphabet, k, q):
+    pts = alphabet.sorted_points()
+    keys = pack_points(pts, k)
+    ratio_of = extension._ratio_function(keys, k, q)
+    dict_calls = []
+
+    def traced_ratio(ws):
+        # the ratio, and the sizes of the supports it sent down the dict loop
+        with monkeypatch.context() as patch:
+            patch.setattr(extension, "packed_power_energy",
+                          lambda base, k: dict_calls.append(len(base))
+                          or packed_power_energy(base, k))
+            return ratio_of(ws)
+
+    rng = random.Random(len(pts) * 10 + k)
+    for _ in range(10):
+        ws = [rng.uniform(0.05, 1.5) for _ in pts]
+        value = traced_ratio(ws)
+        assert value == _dict_loop_ratio(keys, ws, k, q)
+        assert value == de_ratio(
+            WeightFn(alphabet.dim, dict(zip(pts, ws)), False),
+            DEProblem(alphabet, k, q))
+    assert dict_calls == []
+    ws[rng.randrange(len(pts))] = 0.0
+    assert traced_ratio(ws) == _dict_loop_ratio(keys, ws, k, q)
+    assert dict_calls == [len(pts) - 1]
+    assert ratio_of([0.0] * len(pts)) == 0.0
 
 
 def test_optimize_rejects_unknown_strategy():
