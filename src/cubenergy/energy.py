@@ -101,8 +101,6 @@ def power_energy_plan(keys: List[int], k: int) -> Callable[[List[float]], float]
     numbered in the order the loop first meets each sum (the dict's
     insertion order).  The returned function replays the steps on lists and
     then sums the squares of the last stage in slot order."""
-    if len(set(keys)) != len(keys):
-        raise ValueError("keys must be distinct")
     stages = []
     cur = list(keys)
     for _ in range(k - 1):

@@ -206,23 +206,14 @@ def _golden_max(fn, lo: float, hi: float, tol: float = 1e-12) -> float:
 
 def _ratio_function(keys: List[int], k: int,
                     q: float) -> Callable[[List[float]], float]:
-    """ws -> the ratio of the float weights ws on the packed keys, as
-    de_ratio computes it.  The keys never change, so the float convolution
-    is recorded once as a power_energy_plan; a weight list with a zero,
-    which the coordinate search never makes, takes the dict loop on the
-    positive support instead."""
+    """ws -> the ratio of the positive float weights ws on the packed keys,
+    as de_ratio computes it.  The keys never change, so the float
+    convolution is recorded once as a power_energy_plan."""
     inv2k = 1.0 / (2 * k)
     energy_of = power_energy_plan(keys, k)
 
     def ratio_of(ws: List[float]) -> float:
-        if min(ws) > 0:
-            energy, support = energy_of(ws), ws
-        else:
-            base = {key: w for key, w in zip(keys, ws) if w > 0}
-            if not base:
-                return 0.0
-            energy, support = packed_power_energy(base, k), base.values()
-        return energy ** inv2k / _power_sum(support, q) ** (1.0 / q)
+        return energy_of(ws) ** inv2k / _power_sum(ws, q) ** (1.0 / q)
     return ratio_of
 
 

@@ -217,11 +217,6 @@ def test_power_energy_plan_is_bit_identical_to_dict_loop(name, k):
         assert energy_of(ws) == packed_power_energy(dict(zip(keys, ws)), k)
 
 
-def test_power_energy_plan_rejects_repeated_keys():
-    with pytest.raises(ValueError):
-        power_energy_plan([0, 1, 1], 2)
-
-
 def test_packed_subset_energy_agrees():
     rng = random.Random(43)
     for _ in range(10):
