@@ -23,14 +23,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .energy import (EnergyKind, EnergyValue, level_set_energies,
-                     orbit_energies, subset_energies)
+from .energy import (EnergyKind, EnergyValue, key_multiplier,
+                     level_set_energies, orbit_energies, subset_energies)
 from .errors import BudgetExceeded, PrecisionExhausted
 from .intervals import (Interval, certified_floor, decide_le,
                         floor_power_log2, log2_interval)
 from .lattice import PointSet, pack_points
 
 MAX_EXHAUSTIVE_POINTS = 24
+# a sampled sweep's sets hold about half the cube's points each
+MAX_SAMPLED_POINTS = 64
 
 
 def _is_power_of_two(c: int) -> bool:
@@ -194,18 +196,16 @@ def sweep_cube(n: int, d: int, target: ExponentTarget, *,
 
     Exhaustive over all nonempty subsets when sample is None (requires at
     most max_points cube points); otherwise `sample` masks drawn uniformly
-    with the given seed.  An exhaustive sweep with d >= 2 computes one
+    with the given seed (requires at most MAX_SAMPLED_POINTS cube points:
+    each mask holds about half of them).  Both budgets are checked before
+    the cube is built.  An exhaustive sweep with d >= 2 computes one
     energy per orbit of the cube's symmetry group; the report is the same
     as from a scan in mask order: violations and rows in mask order, a tie
     for the best ratio going to the smallest mask.
     """
     if n < 0 or d < 0:
         raise ValueError("need n >= 0 and d >= 0")
-    pts = PointSet.cube(n, d).sorted_points()
-    npts = len(pts)
-    packed = pack_points(pts, max(target.k, 2))
-    thresholds = [energy_threshold(target, c) for c in range(npts + 1)]
-
+    npts = (n + 1) ** d
     if sample is None:
         if npts > max_points:
             raise BudgetExceeded(
@@ -215,6 +215,9 @@ def sweep_cube(n: int, d: int, target: ExponentTarget, *,
     else:
         if sample < 1:
             raise ValueError("sample must be >= 1")
+        if npts > MAX_SAMPLED_POINTS:
+            raise BudgetExceeded("sampled sweep over %d points (> %d) refused"
+                                 % (npts, MAX_SAMPLED_POINTS))
         rng = random.Random(seed)
         masks = []
         while len(masks) < sample:
@@ -222,6 +225,9 @@ def sweep_cube(n: int, d: int, target: ExponentTarget, *,
             if m:
                 masks.append(m)
         mode = "sample"
+    pts = PointSet.cube(n, d).sorted_points()
+    packed = pack_points(pts, key_multiplier(target.k, target.kind))
+    thresholds = [energy_threshold(target, c) for c in range(npts + 1)]
 
     violations: List[Tuple[int, int, int, int]] = []
     rows: Optional[List[Tuple[int, int, int, Optional[float]]]] = [] if collect_rows else None
@@ -314,7 +320,7 @@ def equality_witnesses(d: int, k: int, kind: EnergyKind, n: int = 1) -> List[Poi
     npts = len(pts)
     if npts > 16:
         raise BudgetExceeded("equality sweep over %d points refused" % npts)
-    packed = pack_points(pts, max(k, 2))
+    packed = pack_points(pts, key_multiplier(k, kind))
     thresholds = [energy_threshold(target, c) for c in range(npts + 1)]
     # equality: an exact-power threshold (bound, True) with E == bound
     masks = [m for _, c, e, members in _walk(pts, n, packed, k, kind)

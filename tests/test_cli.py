@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import time
 
 import pytest
 
@@ -142,6 +143,33 @@ def test_verify_budget_exit_code(capsys):
     code, _, err = _run(capsys, ["verify", "--set", "cube:1x5", "--k", "2"])
     assert code == 3
     assert "budget" in err.lower()
+
+
+def test_sampled_verify_budget_exits_fast(capsys):
+    # 65 536 points: refused before the cube or any threshold is built
+    t0 = time.perf_counter()
+    code, out, err = _run(capsys, ["verify", "--set", "cube:1x16", "--k", "2",
+                                   "--sample", "3"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3 and out == ""
+    assert "sampled sweep over 65536 points" in err
+
+
+@pytest.mark.parametrize("extra, digest", [
+    (["--k", "2"],
+     "35fdd3eb559417eee34a5f1f5601415ed218c30c3ffe3a35a5b33036a27e79f5"),
+    (["--kind", "higher", "--k", "3"],
+     "c9c908049fb99bcfa70d9c83fcb1f11deb4d1e52dc4f0585bb3ad56cf32e36f7"),
+    # 2-byte slots: the additive bound |A|^2 passes 255 from |A| = 16 on
+    (["--k", "3"],
+     "64a516e162125fa07d44353c09f1c1a8b658745ee3f374b705793f6561f95699"),
+])
+def test_verify_sampled_golden_bytes(capsys, extra, digest):
+    # frozen output of sampled sweeps, whose energies take the product path
+    code, out, _ = _run(capsys, ["verify", "--set", "cube:1x5", "--sample",
+                                 "500", "--seed", "7"] + extra)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from cubenergy.energy import (
     full_cube_energy,
     higher_energy,
     interval_energy_closed_form,
+    key_multiplier,
     level_set_energies,
     orbit_energies,
     packed_power_energy,
@@ -26,6 +27,7 @@ from cubenergy.energy import (
     split_last_coordinate,
     subset_energies,
 )
+from cubenergy.energy import _dict_energy, _product_energy, _slot_width
 from cubenergy import lattice
 from cubenergy.errors import BudgetExceeded
 from cubenergy.lattice import CountsMap, PointSet, indicator, pack_points
@@ -218,13 +220,102 @@ def test_power_energy_plan_is_bit_identical_to_dict_loop(name, k):
 
 
 def test_packed_subset_energy_agrees():
+    # dense keys (the sweeps' packing) reach the product path, keys spread
+    # by a large multiplier the dict loop
     rng = random.Random(43)
-    for _ in range(10):
-        a = _random_set(rng, 2)
+    paths = Counter()
+    for _ in range(40):
+        a = _random_set(rng, 2, max_size=16)
         k = rng.choice([2, 3])
-        packed = pack_points(a.sorted_points(), 2 * k * 3 + 1)
         for kind in EnergyKind:
-            assert packed_subset_energy(packed, k, kind) == energy(a, k, kind).value
+            for mult in (key_multiplier(k, kind), 2 * k * 3 + 1):
+                packed = pack_points(a.sorted_points(), mult)
+                width = _slot_width(len(packed), k, kind is EnergyKind.HIGHER,
+                                    max(packed) - min(packed))
+                paths[kind, bool(width)] += 1
+                assert packed_subset_energy(packed, k, kind) == \
+                    energy(a, k, kind).value
+    assert all(paths[kind, True] and paths[kind, False] for kind in EnergyKind)
+
+
+def _bound_bytes(size, k, kind):
+    """The narrowest word, in bytes, that holds the kernel's slot bound."""
+    bound = size if kind is EnergyKind.HIGHER else size ** (k - 1)
+    return next(w for w in (1, 2, 4, 8, 16) if bound < 1 << 8 * w)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("kind", list(EnergyKind))
+def test_product_path_matches_brute_force(kind, k):
+    # every slot width that holds the bound gives the same exact energy;
+    # the sets stay small enough for the |A|^(2k) oracle
+    rng = random.Random("product-%s-%d" % (kind.value, k))
+    higher = kind is EnergyKind.HIGHER
+    max_size = {2: 12, 3: 7, 4: 5, 5: 4, 6: 3}[k]
+    for _ in range(6):
+        a = _random_set(rng, rng.choice([1, 2, 3]), max_size=max_size)
+        packed = pack_points(a.sorted_points(), key_multiplier(k, kind))
+        want = brute_force_energy(a, k, kind).value
+        for offset in (0, 1000, -77):
+            sel = [x + offset for x in packed]
+            lo, hi = min(sel), max(sel)
+            for width in (1, 2, 4, 8):
+                if width >= _bound_bytes(len(sel), k, kind):
+                    assert _product_energy(sel, k, higher, lo, hi, width) == want
+            assert _dict_energy(sel, k, higher) == want
+            assert packed_subset_energy(sel, k, kind) == want
+
+
+@pytest.mark.parametrize("kind", list(EnergyKind))
+@pytest.mark.parametrize("k", [2, 3, 6])
+def test_single_point_sets(kind, k):
+    for width in (1, 2, 4, 8):
+        assert _product_energy([41], k, kind is EnergyKind.HIGHER,
+                               41, 41, width) == 1
+    assert packed_subset_energy([41], k, kind) == 1
+
+
+@pytest.mark.parametrize("size, k, width", [
+    (16, 2, 1), (255, 2, 1), (256, 2, 2),      # additive bound |A|^(k-1)
+    (16, 3, 2), (20, 5, 4), (5, 8, 4), (16, 9, 8), (7, 13, 8), (16, 16, 8),
+    (16, 17, 0), (90, 11, 0)])                 # 16^16, 90^10 >= 2^64
+def test_slot_width_holds_the_bound(size, k, width):
+    # an interval, where the product pays whenever its slots fit (width 0
+    # is the dict loop); the oracle is the convolution path of energy()
+    pts = [(c,) for c in range(3, 3 + size)]
+    packed = pack_points(pts, k)
+    assert _slot_width(size, k, False, max(packed) - min(packed)) == width
+    assert packed_subset_energy(packed, k, EnergyKind.ADDITIVE) == \
+        energy(PointSet.from_points(pts), k, EnergyKind.ADDITIVE).value
+
+
+def _cube_keys(d, mult, size, seed):
+    pts = PointSet.cube(1, d).sorted_points()
+    sel = sorted(random.Random(seed).sample(pack_points(pts, mult), size))
+    return sel, sel[-1] - sel[0]
+
+
+@pytest.mark.parametrize("kind, k, mult, size, product", [
+    # random subsets of {0,1}^5: the product pays on the sampled sweeps'
+    # typical half-size sets ...
+    (EnergyKind.ADDITIVE, 2, 2, 16, True),
+    (EnergyKind.ADDITIVE, 3, 3, 16, True),
+    (EnergyKind.ADDITIVE, 4, 4, 16, True),
+    (EnergyKind.HIGHER, 2, 2, 16, True),
+    (EnergyKind.HIGHER, 6, 2, 16, True),
+    # ... and not on tiny sets, on differences of keys packed for k = 6,
+    # or on the additive k = 11 power
+    (EnergyKind.ADDITIVE, 2, 2, 3, False),
+    (EnergyKind.ADDITIVE, 3, 3, 5, False),
+    (EnergyKind.HIGHER, 2, 2, 4, False),
+    (EnergyKind.HIGHER, 6, 6, 16, False),
+    (EnergyKind.ADDITIVE, 11, 11, 16, False),
+])
+def test_path_crossover_on_cube_subsets(kind, k, mult, size, product):
+    for seed in range(5):
+        sel, gap = _cube_keys(5, mult, size, seed)
+        assert bool(_slot_width(size, k, kind is EnergyKind.HIGHER, gap)) \
+            == product
 
 
 def _mask_set(pts, mask):

@@ -268,6 +268,17 @@ def test_sweep_exhaustive_budget():
         sweep_cube(2, 5, ExponentTarget.sharp(EnergyKind.ADDITIVE, 2))
 
 
+def test_sweep_sampled_budget():
+    t = ExponentTarget.sharp(EnergyKind.ADDITIVE, 2)
+    # {0,1}^6 and {0..3}^3 hold MAX_SAMPLED_POINTS = 64 points; one more
+    # axis or letter is refused
+    for n, d in [(1, 6), (3, 3)]:
+        assert sweep_cube(n, d, t, sample=2, seed=0).subsets_checked == 2
+    for n, d in [(1, 7), (4, 3)]:
+        with pytest.raises(BudgetExceeded, match="sampled sweep"):
+            sweep_cube(n, d, t, sample=2, seed=0)
+
+
 def test_sweep_sampled_deterministic():
     t = ExponentTarget.sharp(EnergyKind.ADDITIVE, 2)
     a = sweep_cube(1, 4, t, sample=200, seed=5, collect_rows=True)
