@@ -85,6 +85,20 @@ def test_energy_csv(capsys):
     assert len(lines) == 2
 
 
+@pytest.mark.parametrize("argv, digest", [
+    # 100 points at k = 11: the slot bound 100^10 needs more than 64 bits
+    (["energy", "--set", "cube:9x2", "--k", "11"],
+     "6dbdbcd25cea0eef5e8936fb65aed84cb44cad6c99ff4e853240bf526db3f3a5"),
+    (["energy", "--set", "cube:1x4", "--k", "4", "--kind", "higher",
+      "--format", "csv"],
+     "80d30efa15691d5f40515addd1ff911897b652f189e2ff97c8b951f009a392d7"),
+])
+def test_energy_golden_bytes(capsys, argv, digest):
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -386,6 +400,16 @@ def test_identity_check_holds(capsys):
     res = doc["result"]
     assert res["all_hold"] and res["failures"] == []
     assert res["trials"] == 40
+
+
+def test_identity_check_golden_bytes(capsys):
+    code, out, _ = _run(capsys, ["identity-check", "--set", "cube:1x3",
+                                 "--k", "3", "--kind", "both",
+                                 "--count", "50", "--seed", "0"])
+    assert code == 0
+    assert json.loads(out)["result"]["trials"] == 100
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "8e7f3fe705129b89935c2e78dcc90391e1db44c9459b1d40736a5a849eef4b6b"
 
 
 def test_identity_check_has_no_csv_form(capsys):
