@@ -3,11 +3,14 @@
 The additive energy of order k counts 2k-tuples (a_1..a_k, b_1..b_k) in A
 with a_1+...+a_k = b_1+...+b_k.  The higher energy of order k counts
 2k-tuples (a_1, b_1, ..., a_k, b_k) with a_1-b_1 = a_2-b_2 = ... = a_k-b_k.
-Every energy runs on pack_points keys.  The energies of PointSets, the
-slice identities and the bullet product convolve through convolve_packed;
-the sweeps' from-scratch subset energies (packed_subset_energy) take one
-big-integer product read as machine words, or a dict loop where that does
-not pay.  brute_force_energy stays the independent oracle.
+Every energy runs on pack_points keys, by one of two routes.  A 0/1 set
+(energy(), the CLI, orbit representatives, sampled masks) goes through
+packed_subset_energy: one big-integer product read as machine words, or the
+weighted-map route where that does not pay.  A weighted map (the slice
+identities, the bullet product, the extension ratios) goes through
+convolve_packed: packed_power_energy for E_k, _correlation_moment for the
+k-th moment of a correlation.  brute_force_energy stays the independent
+oracle.
 subset_energies walks the subsets of a small point list, one point a step;
 orbit_energies walks them one orbit of a given symmetry group at a time,
 computing one energy per orbit.
@@ -97,6 +100,22 @@ def packed_power_energy(base: dict, k: int):
     return total
 
 
+def _correlation_moment(f: dict, g: dict, k: int) -> int:
+    """sum_c (sum_{x - y = c} f(x) g(y))^k for maps keyed by pack_points
+    integers: the k-th moment of the joint difference counts, f convolved
+    with the reflection of g."""
+    cross = convolve_packed(f, {-y: v for y, v in g.items()})
+    return sum(v ** k for v in cross.values())
+
+
+def _convolution_powers(base: dict, k: int) -> List[dict]:
+    """[base^0, base^1, ..., base^k] under convolve_packed, base^0 = {0: 1}."""
+    pows = [{0: 1}]
+    for _ in range(k):
+        pows.append(convolve_packed(pows[-1], base))
+    return pows
+
+
 def power_energy_plan(keys: List[int], k: int) -> Callable[[List[float]], float]:
     """packed_power_energy of dict(zip(keys, ws)) as a function of ws, for
     distinct keys and positive float weights, bit for bit.
@@ -130,34 +149,27 @@ def power_energy_plan(keys: List[int], k: int) -> Callable[[List[float]], float]
     return energy_of
 
 
+def energy(a: PointSet, k: int, kind: EnergyKind) -> EnergyValue:
+    """E_k(A) (additive) or E~_k(A) (higher) of a finite set A, exactly.
+
+    The one route for 0/1 sets: the points are packed with
+    pack_points(..., key_multiplier(k, kind)) and counted by
+    packed_subset_energy, the kernel the sweeps call on each subset."""
+    _check_k(k)
+    if not isinstance(kind, EnergyKind):
+        raise ValueError("unknown energy kind %r" % (kind,))
+    sel = pack_points(a.sorted_points(), key_multiplier(k, kind))
+    return EnergyValue(kind, k, len(a), packed_subset_energy(sel, k, kind))
+
+
 def additive_energy(a: PointSet, k: int) -> EnergyValue:
     """E_k(A) = sum_x (k-fold convolution of the indicator)(x)^2."""
-    _check_k(k)
-    if len(a) == 0:
-        return EnergyValue(EnergyKind.ADDITIVE, k, 0, 0)
-    ind = dict.fromkeys(pack_points(a.sorted_points(), k), 1)
-    return EnergyValue(EnergyKind.ADDITIVE, k, len(a),
-                       packed_power_energy(ind, k))
+    return energy(a, k, EnergyKind.ADDITIVE)
 
 
 def higher_energy(a: PointSet, k: int) -> EnergyValue:
     """E~_k(A) = sum_x (autocorrelation of the indicator)(x)^k."""
-    _check_k(k)
-    if len(a) == 0:
-        return EnergyValue(EnergyKind.HIGHER, k, 0, 0)
-    packed = pack_points(a.sorted_points(), 2)
-    auto = convolve_packed(dict.fromkeys(packed, 1),
-                           dict.fromkeys([-x for x in packed], 1))
-    return EnergyValue(EnergyKind.HIGHER, k, len(a),
-                       sum(v ** k for v in auto.values()))
-
-
-def energy(a: PointSet, k: int, kind: EnergyKind) -> EnergyValue:
-    if kind is EnergyKind.ADDITIVE:
-        return additive_energy(a, k)
-    if kind is EnergyKind.HIGHER:
-        return higher_energy(a, k)
-    raise ValueError("unknown energy kind %r" % (kind,))
+    return energy(a, k, EnergyKind.HIGHER)
 
 
 def brute_force_energy(a: PointSet, k: int, kind: EnergyKind,
@@ -209,11 +221,11 @@ def packed_subset_energy(sel: List[int], k: int, kind: EnergyKind) -> int:
     slots' k-th powers.  No slot exceeds |A|^(k-1) (additive) or |A|
     (higher), so slots of the smallest of 1, 2, 4 or 8 bytes holding that
     bound never carry into each other and the result is exact; Q's bytes
-    are read as machine words through memoryview.cast.  The dict loop
-    counts the sums (or differences) one by one; it takes every set whose
-    bound needs more than 8 bytes, whose product has more than
-    DENSE_MAX_CELLS slots, or whose keys are too sparse for the product to
-    pay (see _slot_width).
+    are read as machine words through memoryview.cast.  The weighted-map
+    route (packed_power_energy, or _correlation_moment for the higher
+    energy, on the indicator) takes every set whose bound needs more than
+    8 bytes, whose product has more than DENSE_MAX_CELLS slots, or whose
+    keys are too sparse for the product to pay (see _slot_width).
     """
     if not sel:
         return 0
@@ -222,21 +234,26 @@ def packed_subset_energy(sel: List[int], k: int, kind: EnergyKind) -> int:
     width = _slot_width(len(sel), k, higher, hi - lo)
     if width:
         return _product_energy(sel, k, higher, lo, hi, width)
-    return _dict_energy(sel, k, higher)
+    ind = dict.fromkeys(sel, 1)
+    if higher:
+        return _correlation_moment(ind, ind, k)
+    return packed_power_energy(ind, k)
 
 
 def _slot_width(size: int, k: int, higher: bool, gap: int) -> int:
     """Slot width in bytes for the product path of packed_subset_energy, or
-    0 for its dict loop, for a set of `size` keys spread over gap + 1.
+    0 for its weighted-map route, for a set of `size` keys spread over
+    gap + 1.
 
-    The choice compares the two paths' costs, counted in updates of the
-    dict loop.  The loop makes size**2 updates (higher) or size * sum_{j<k}
-    n_j, where n_j = min(C(size+j-1, j), j*gap + 1) bounds the distinct
-    j-fold sums (additive).  The product path costs 0.3 updates per slot of
-    Q it reads, plus 10 updates for the higher product or (bytes of
-    Q)**1.585 / 530 for the additive power (Karatsuba).  The constants were
-    fitted to timings of both paths on random subsets of {0,1}^d (d <= 5),
-    {0,1,2}^d, {0..3}^2 and {0..n}, k = 2..11.
+    The choice compares the two paths' costs, counted in updates of
+    convolve_packed's dict loop.  The loop makes size**2 updates (higher)
+    or size * sum_{j<k} n_j, where n_j = min(C(size+j-1, j), j*gap + 1)
+    bounds the distinct j-fold sums (additive).  The product path costs
+    0.3 updates per slot of Q it reads, plus 10 updates for the higher
+    product or (bytes of Q)**1.585 / 530 for the additive power
+    (Karatsuba).  The constants were fitted to timings of both paths on
+    random subsets of {0,1}^d (d <= 5), {0,1,2}^d, {0..3}^2 and {0..n},
+    k = 2..11, against a loop that counted without multiplying by weights.
     """
     bound = size if higher else size ** (k - 1)
     bits = bound.bit_length()
@@ -277,28 +294,6 @@ def _product_energy(sel: List[int], k: int, higher: bool, lo: int, hi: int,
         table = [c ** k for c in range(len(sel) + 1)]
         return sum(map(table.__getitem__, words))
     return sum(map(operator.mul, words, words))
-
-
-def _dict_energy(sel: List[int], k: int, higher: bool) -> int:
-    """packed_subset_energy by counting sums (or differences) in a dict."""
-    if higher:
-        counts: Dict[int, int] = {}
-        get = counts.get
-        for x in sel:
-            for y in sel:
-                d = x - y
-                counts[d] = get(d, 0) + 1
-        return sum(v ** k for v in counts.values())
-    cur: Dict[int, int] = {x: 1 for x in sel}
-    for _ in range(k - 1):
-        nxt: Dict[int, int] = {}
-        get = nxt.get
-        for s, c in cur.items():
-            for x in sel:
-                t = s + x
-                nxt[t] = get(t, 0) + c
-        cur = nxt
-    return sum(c * c for c in cur.values())
 
 
 def subset_energies(packed: List[int], k: int, kind: EnergyKind,
@@ -472,10 +467,7 @@ def level_set_energies(n: int, d: int, k: int) -> List[int]:
     on = dict.fromkeys(mids, 1)
     off = dict.fromkeys((c for c in range(n + 1) if c not in mids), 1)
     half = k * n // 2
-    pow_off, pow_on = [{0: 1}], [{0: 1}]
-    for _ in range(k):
-        pow_off.append(convolve_packed(pow_off[-1], off))
-        pow_on.append(convolve_packed(pow_on[-1], on))
+    pow_off, pow_on = _convolution_powers(off, k), _convolution_powers(on, k)
     # coef[s][j]: letter k-tuples summing to s, the first j off the middle
     coef = [[0] * (k + 1) for _ in range(half + 1)]
     for j in range(k + 1):
@@ -569,10 +561,9 @@ def bullet_product(f: CountsMap, g: CountsMap, k: int) -> int:
     if f.dim != g.dim:
         raise DimensionMismatch("dims %d and %d" % (f.dim, g.dim))
     packed = pack_points(list(f.entries) + list(g.entries), 2)
-    cross = convolve_packed(
-        dict(zip(packed, f.entries.values())),
-        {-y: v for y, v in zip(packed[len(f):], g.entries.values())})
-    return sum(v ** k for v in cross.values())
+    return _correlation_moment(dict(zip(packed, f.entries.values())),
+                               dict(zip(packed[len(f):], g.entries.values())),
+                               k)
 
 
 @dataclass(frozen=True)
@@ -623,23 +614,20 @@ def decomposition_identity_check(a: PointSet, k: int, kind: EnergyKind) -> Decom
     lhs = energy(a, k, kind).value
     c1 = None
     if kind is EnergyKind.ADDITIVE:
-        pow0, pow1 = [{0: 1}], [{0: 1}]
-        for _ in range(k):
-            pow0.append(convolve_packed(pow0[-1], ind0))
-            pow1.append(convolve_packed(pow1[-1], ind1))
+        pow0, pow1 = _convolution_powers(ind0, k), _convolution_powers(ind1, k)
         s = [sum(v * v for v in convolve_packed(pow0[i], pow1[k - i]).values())
              for i in range(k + 1)]
         rhs = sum(math.comb(k, i) ** 2 * s_i for i, s_i in enumerate(s))
         e0, e1, cross = s[k], s[0], s[1:k]
     else:
-        neg0, neg1 = ({-x: 1 for x in ind} for ind in (ind0, ind1))
-        auto0, auto1 = convolve_packed(ind0, neg0), convolve_packed(ind1, neg1)
+        auto0, auto1 = (convolve_packed(ind, {-x: 1 for x in ind})
+                        for ind in (ind0, ind1))
         e0 = sum(v ** k for v in auto0.values())
         e1 = sum(v ** k for v in auto1.values())
         common = [(u, auto1[x]) for x, u in auto0.items() if x in auto1]
         cross = [sum(u ** i * v ** (k - i) for u, v in common)
                  for i in range(1, k)]
-        c1 = sum(v ** k for v in convolve_packed(ind0, neg1).values())
+        c1 = _correlation_moment(ind0, ind1, k)
         rhs = 2 * c1 + e0 + e1 + sum(math.comb(k, i) * t_i
                                      for i, t_i in enumerate(cross, 1))
     split = SplitDecomposition(split.a0, split.a1, tuple(cross), c1, c1)

@@ -1,10 +1,12 @@
 """Exact lattice point sets and finitely supported maps on Z^d.
 
-Every convolution runs through one kernel, convolve_packed, on maps keyed by
-carry-free packed integers (pack_points): adding two keys adds the points.
-Dense nonnegative integer maps take one big-integer product (Kronecker
-substitution); all other maps, float and Fraction weights included, take a
-dict loop in a fixed order.  The CountsMap functions (indicator, convolve,
+Every convolution of a weighted map runs through one kernel, convolve_packed,
+on maps keyed by carry-free packed integers (pack_points): adding two keys adds
+the points.  Dense nonnegative integer maps take one big-integer product
+(Kronecker substitution); all other maps, float and Fraction weights included,
+take a dict loop in a fixed order.  Energies of 0/1 sets take their own route,
+energy.packed_subset_energy, which comes here only for sets its machine-word
+product does not serve.  The CountsMap functions (indicator, convolve,
 correlate, ...) are the public tuple-keyed API; nothing else in src/ calls them.
 """
 from __future__ import annotations

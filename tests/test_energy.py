@@ -27,10 +27,11 @@ from cubenergy.energy import (
     split_last_coordinate,
     subset_energies,
 )
-from cubenergy.energy import _dict_energy, _product_energy, _slot_width
+from cubenergy.energy import _correlation_moment, _product_energy, _slot_width
 from cubenergy import lattice
 from cubenergy.errors import BudgetExceeded
-from cubenergy.lattice import CountsMap, PointSet, indicator, pack_points
+from cubenergy.lattice import (CountsMap, PointSet, indicator,
+                               iterate_convolve, pack_points)
 from cubenergy.verify import _cube_symmetries
 
 
@@ -221,7 +222,7 @@ def test_power_energy_plan_is_bit_identical_to_dict_loop(name, k):
 
 def test_packed_subset_energy_agrees():
     # dense keys (the sweeps' packing) reach the product path, keys spread
-    # by a large multiplier the dict loop
+    # by a large multiplier the weighted-map route
     rng = random.Random(43)
     paths = Counter()
     for _ in range(40):
@@ -234,8 +235,17 @@ def test_packed_subset_energy_agrees():
                                     max(packed) - min(packed))
                 paths[kind, bool(width)] += 1
                 assert packed_subset_energy(packed, k, kind) == \
-                    energy(a, k, kind).value
+                    _counts_map_energy(a, k, kind)
     assert all(paths[kind, True] and paths[kind, False] for kind in EnergyKind)
+
+
+def _counts_map_energy(a, k, kind):
+    """The energy from the tuple-keyed CountsMap API, which packs the points
+    its own way and never calls packed_subset_energy."""
+    ind = indicator(a)
+    if kind is EnergyKind.HIGHER:
+        return bullet_product(ind, ind, k)
+    return sum(v * v for v in iterate_convolve(ind, k).entries.values())
 
 
 def _bound_bytes(size, k, kind):
@@ -262,7 +272,11 @@ def test_product_path_matches_brute_force(kind, k):
             for width in (1, 2, 4, 8):
                 if width >= _bound_bytes(len(sel), k, kind):
                     assert _product_energy(sel, k, higher, lo, hi, width) == want
-            assert _dict_energy(sel, k, higher) == want
+            ind = dict.fromkeys(sel, 1)
+            if higher:
+                assert _correlation_moment(ind, ind, k) == want
+            else:
+                assert packed_power_energy(ind, k) == want
             assert packed_subset_energy(sel, k, kind) == want
 
 
@@ -281,12 +295,36 @@ def test_single_point_sets(kind, k):
     (16, 17, 0), (90, 11, 0)])                 # 16^16, 90^10 >= 2^64
 def test_slot_width_holds_the_bound(size, k, width):
     # an interval, where the product pays whenever its slots fit (width 0
-    # is the dict loop); the oracle is the convolution path of energy()
+    # is the weighted-map route); the oracle is the generating function of
+    # level_set_energies, whose top level set of {0..size-1}^1 is the
+    # interval itself
     pts = [(c,) for c in range(3, 3 + size)]
     packed = pack_points(pts, k)
     assert _slot_width(size, k, False, max(packed) - min(packed)) == width
     assert packed_subset_energy(packed, k, EnergyKind.ADDITIVE) == \
-        energy(PointSet.from_points(pts), k, EnergyKind.ADDITIVE).value
+        level_set_energies(size - 1, 1, k)[-1]
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_dilated_cube_takes_the_weighted_map_route(d, k):
+    # {0, 10^7}^d is {0,1}^d stretched: E_k({0,1}) = sum_j C(k,j)^2 =
+    # C(2k,k), E~_k({0,1}) = 2^k + 1 + 1, and both energies multiply over
+    # products; the keys are too far apart for the product path
+    a = PointSet.from_points(product((0, 10 ** 7), repeat=d))
+    for kind in EnergyKind:
+        packed = pack_points(a.sorted_points(), key_multiplier(k, kind))
+        assert _slot_width(len(a), k, kind is EnergyKind.HIGHER,
+                           max(packed) - min(packed)) == 0
+    assert additive_energy(a, k).value == math.comb(2 * k, k) ** d
+    assert higher_energy(a, k).value == (2 ** k + 2) ** d
+
+
+def test_wide_slot_energy_matches_generating_function():
+    # 100 points at k = 11: the slot bound 100^10 needs more than 64 bits,
+    # so the weighted-map route runs convolve_packed's big-integer branch
+    assert additive_energy(PointSet.cube(9, 2), 11).value == \
+        level_set_energies(9, 2, 11)[-1]
 
 
 def _cube_keys(d, mult, size, seed):

@@ -395,7 +395,8 @@ def test_witness_search_builds_no_cube(monkeypatch):
         raise AssertionError("witness search must not convolve the cube")
     energy_module = importlib.import_module("cubenergy.energy")
     monkeypatch.setattr(PointSet, "cube", refuse)
-    for name in ("energy", "additive_energy", "packed_power_energy"):
+    for name in ("energy", "additive_energy", "packed_power_energy",
+                 "packed_subset_energy"):
         monkeypatch.setattr(energy_module, name, refuse)
     assert not hasattr(verify, "energy")
     rep = witness_search_general_cube(2, 6, math.log(19) / math.log(3),
