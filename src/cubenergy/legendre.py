@@ -19,8 +19,8 @@ from mpmath import iv
 from mpmath.libmp import fzero, mpf_lt
 
 from .errors import PrecisionExhausted
-from .intervals import (Interval, _escalate, _separation, decide_le, ipow,
-                        ipows, log2_interval)
+from .intervals import (Interval, _escalate, _fan_out, _lift, _separation,
+                        decide_le, ipow, ipows, log2_interval)
 
 # exact-power comparison budget for compare_alpha, in bits
 EXACT_BITS_CAP = 1 << 21
@@ -32,10 +32,15 @@ def _is_power_of_two(m: int) -> bool:
 
 @dataclass(frozen=True)
 class ExactAlpha:
-    """alpha = k / log2(M) with M = C(2k,k), kept symbolically."""
+    """alpha = k / log2(M) with M = C(2k,k), kept symbolically.
+
+    Each object encloses alpha once per precision, so every comparison made
+    with one object shares its enclosures."""
 
     k: int
     central: int
+    _enclosures: Dict[int, object] = field(default_factory=dict, init=False,
+                                           repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 2:
@@ -54,7 +59,12 @@ class ExactAlpha:
 
     def interval(self):
         """Enclosure at the current interval precision."""
-        return Interval(self.k) / log2_interval(self.central)
+        prec = iv.prec
+        x = self._enclosures.get(prec)
+        if x is None:
+            x = self._enclosures[prec] = \
+                Interval(self.k) / log2_interval(self.central)
+        return x
 
     def float_value(self) -> float:
         return self.k / math.log2(self.central)
@@ -130,8 +140,11 @@ def coefficient_form(k: int, i: int) -> CoeffLinearForm:
     return coefficient_forms(k)[i]
 
 
-def sign_of_coefficient(k: int, i: int) -> int:
-    """Exact sign of C_i; 0 iff both integer coefficients vanish."""
+def sign_of_coefficient(k: int, i: int,
+                        alpha: Optional[ExactAlpha] = None) -> int:
+    """Exact sign of C_i; 0 iff both integer coefficients vanish.
+
+    ``alpha`` is ExactAlpha.for_k(k), or a shared object of it."""
     form = coefficient_form(k, i)
     a, b = form.alpha_coeff, form.const_coeff
     if a < 0:
@@ -141,7 +154,8 @@ def sign_of_coefficient(k: int, i: int) -> int:
     if b >= 0:
         return 1
     # C_i > 0 <=> alpha > -b/a
-    return 1 if compare_alpha(ExactAlpha.for_k(k), -b, a) == ">" else -1
+    alpha = alpha or ExactAlpha.for_k(k)
+    return 1 if compare_alpha(alpha, -b, a) == ">" else -1
 
 
 @dataclass(frozen=True)
@@ -187,9 +201,12 @@ def weight_balance_identity(k: int) -> bool:
         sum(v * i for i, v in enumerate(w))
 
 
-def numerator_positive_at_one(k: int) -> bool:
+def numerator_positive_at_one(k: int,
+                              alpha: Optional[ExactAlpha] = None) -> bool:
     """Certified sign of P(1) = sum_i C_i(alpha): positive exactly when
-    alpha > k/(2k-1), i.e. the sharp exponent sits below 2k-1."""
+    alpha > k/(2k-1), i.e. the sharp exponent sits below 2k-1.
+
+    ``alpha`` is ExactAlpha.for_k(k), or a shared object of it."""
     forms = coefficient_forms(k)
     a_sum = sum(f.alpha_coeff for f in forms)
     b_sum = sum(f.const_coeff for f in forms)
@@ -197,23 +214,25 @@ def numerator_positive_at_one(k: int) -> bool:
         raise AssertionError("total alpha coefficient must be positive")
     if b_sum >= 0:
         return True
-    return compare_alpha(ExactAlpha.for_k(k), -b_sum, a_sum) == ">"
+    return compare_alpha(alpha or ExactAlpha.for_k(k), -b_sum, a_sum) == ">"
 
 
 def certify_sign_pattern(k: int) -> SignCertificate:
     forms = coefficient_forms(k)
+    # one object for every comparison: alpha is enclosed once per precision
+    alpha = ExactAlpha.for_k(k)
     palindromic = all(
         forms[i].alpha_coeff == forms[2 * k - i].alpha_coeff
         and forms[i].const_coeff == forms[2 * k - i].const_coeff
         for i in range(k + 1))
     endpoints = (forms[0].alpha_coeff == forms[0].const_coeff == 0
                  and forms[2 * k].alpha_coeff == forms[2 * k].const_coeff == 0)
-    signs = tuple(sign_of_coefficient(k, i) for i in range(1, k + 1))
+    signs = tuple(sign_of_coefficient(k, i, alpha) for i in range(1, k + 1))
     nonzero = [s for s in signs if s != 0]
     changes = sum(1 for a, b in zip(nonzero, nonzero[1:]) if a != b)
     return SignCertificate(
         k, signs, changes, changes <= 1, palindromic, endpoints,
-        weight_balance_identity(k), numerator_positive_at_one(k))
+        weight_balance_identity(k), numerator_positive_at_one(k, alpha))
 
 
 def sign_table(k_lo: int, k_hi: int) -> List[SignCertificate]:
@@ -281,18 +300,16 @@ class GridCheckReport:
 def _settle(indices: Iterable[int], level: Callable) -> Dict[int, object]:
     """Climb the precision ladder once for a whole set of indices.
 
-    At each level ``level()`` builds that level's constants and returns
-    ``judge``; ``judge(i)`` is index i's verdict, or None while undecided.
-    Each index keeps the verdict of the first level that decides it; an
-    index still undecided at the cap has no verdict.
+    At each level ``level(pending)`` builds that level's constants and
+    returns the verdicts of the pending indices, in their order: None for an
+    index still undecided.  Each index keeps the verdict of the first level
+    that decides it; an index still undecided at the cap has no verdict.
     """
     verdicts: Dict[int, object] = {}
     pending = list(indices)
 
     def step():
-        judge = level()
-        for i in pending:
-            verdict = judge(i)
+        for i, verdict in zip(pending, level(pending)):
             if verdict is not None:
                 verdicts[i] = verdict
         pending[:] = [i for i in pending if i not in verdicts]
@@ -315,15 +332,25 @@ def _grid_check(name: str, k: int, xs: List[float], lo: float, hi: float,
     one certified decision of lhs(x) < rhs(x) on interval enclosures, all
     points on one precision ladder: ``sides()`` builds one level's
     constants and returns ``(lhs, rhs)``, functions of the point's interval.
+    The points of a level are decided through the fan-out.
     """
+    def level(pending):
+        lhs, rhs = sides()
+
+        def judge(j):
+            x = Interval(xs[j])
+            return _separation(lhs(x), rhs(x))
+        return _fan_out(judge, pending)
+
+    return _grid_report(name, k, xs, lo, hi, exact, level)
+
+
+def _grid_report(name: str, k: int, xs: List[float], lo: float, hi: float,
+                 exact: Dict[float, bool], level: Callable) -> GridCheckReport:
+    """The report of ``_grid_check``, whose ladder settles the indices of
+    the points outside ``exact`` with ``level`` as in ``_settle``."""
     if not all(lo <= x <= hi for x in xs):
         raise ValueError("grid must lie in [%r, %r]" % (lo, hi))
-
-    def level():
-        lhs, rhs = sides()
-        pts = list(map(Interval, xs))
-        return lambda j: _separation(lhs(pts[j]), rhs(pts[j]))
-
     verdicts = _settle([j for j, x in enumerate(xs) if x not in exact], level)
     report = GridCheckReport(name, k, len(xs))
     for j, x in enumerate(xs):
@@ -491,34 +518,38 @@ def check_convex_concave(k: int, zs: Optional[List[float]] = None,
     via certified second differences.  The inequality is checked on zs; the
     shape flags are certified on the uniform grid of `points` points over
     [0, 1], independent of zs, which needs points >= 3.  Each side is
-    enclosed once per point and precision: the shape flags read the
-    enclosures the grid made."""
+    enclosed once per point and precision: the grid keeps the enclosures it
+    makes, and the shape flags read them."""
     if points < 3:
         raise ValueError("points must be >= 3 to certify second differences")
     if zs is None:
         zs = unit_grid(points)
     half = Fraction(2 ** k + 2, 2 ** k)
-    enclosures: Dict[tuple, object] = {}
-
-    def shared(side, f, prec):
-        def enclose(z):
-            key = side, prec, z._mpi_
-            value = enclosures.get(key)
-            if value is None:
-                value = enclosures[key] = f(z)
-            return value
-        return enclose
+    enclosures: Dict[tuple, object] = {}    # (side, prec, z) -> Interval
 
     def sides():
         q = _qk_iv(k)
         q2, qk, scale, one = q / 2, q - k, Interval(2 ** (k - 1)), Interval(1)
-        return (shared(0, lambda z: one + ipow(z, q2) / scale, iv.prec),
-                shared(1, lambda z: ipow(one + z, qk), iv.prec))
+        return (lambda z: one + ipow(z, q2) / scale,
+                lambda z: ipow(one + z, qk))
+
+    def level(pending):
+        lhs, rhs = sides()
+        prec = iv.prec
+        new = list(dict.fromkeys(zs[j] for j in pending))
+
+        def both(z):
+            x = Interval(z)
+            return lhs(x)._mpi_, rhs(x)._mpi_
+        for z, (a, b) in zip(new, _fan_out(both, new)):
+            enclosures[0, prec, z] = _lift(a)
+            enclosures[1, prec, z] = _lift(b)
+        return [_separation(enclosures[0, prec, z], enclosures[1, prec, z])
+                for z in (zs[j] for j in pending)]
 
     # at z = 0 both sides are 1
-    report = _grid_check("convex_concave", k, zs, 0.0, 1.0,
-                         {0.0: True, 1.0: 1 + Fraction(1, 2 ** (k - 1)) == half},
-                         sides)
+    exact = {0.0: True, 1.0: 1 + Fraction(1, 2 ** (k - 1)) == half}
+    report = _grid_report("convex_concave", k, zs, 0.0, 1.0, exact, level)
 
     uniform = [j / (points - 1) for j in range(points)]
     ends = {0.0: Fraction(1), 1.0: half}
@@ -526,7 +557,14 @@ def check_convex_concave(k: int, zs: Optional[List[float]] = None,
     def with_exact_ends(side):
         def curve():
             f = sides()[side]
-            return lambda z: Interval(ends[z]) if z in ends else f(Interval(z))
+            prec = iv.prec
+
+            def at(z):
+                if z in ends:
+                    return Interval(ends[z])
+                value = enclosures.get((side, prec, z))
+                return f(Interval(z)) if value is None else value
+            return at
         return curve
 
     report.shape_flags["lhs_convex"] = _certify_second_differences(
@@ -541,15 +579,20 @@ def _classify_second_differences(xs: List[float], curve: Callable
     """Indices i in 1..len(xs)-2 whose second difference
     f(xs[i+1]) - 2 f(xs[i]) + f(xs[i-1]) is certified negative, certified
     positive, or still undecided at the precision cap, each in index order.
-    ``curve()`` builds f, a function of the float x, for one precision level.
+    ``curve()`` builds f, a function of the float x, for one precision level;
+    a level encloses, through the fan-out, the points its pending second
+    differences need.
     """
-    def level():
-        vals = list(map(curve(), xs))
+    def level(pending):
+        f = curve()
+        needed = sorted({j for i in pending for j in (i - 1, i, i + 1)})
+        vals = dict(zip(needed, map(_lift, _fan_out(lambda j: f(xs[j])._mpi_,
+                                                     needed))))
 
         def judge(i):
             lo, hi = (vals[i + 1] - 2 * vals[i] + vals[i - 1])._mpi_
             return -1 if mpf_lt(hi, fzero) else 1 if mpf_lt(fzero, lo) else None
-        return judge
+        return list(map(judge, pending))
 
     interior = range(1, len(xs) - 1)
     signs = _settle(interior, level)

@@ -2,17 +2,22 @@
 
 import math
 import operator
+import os
+import threading
+import time
 from fractions import Fraction
 
 import pytest
 from mpmath import iv, mp
 
+from cubenergy import intervals
 from cubenergy.errors import PrecisionExhausted
 from cubenergy.intervals import (
     PREC_CAP,
     PREC_START,
     Interval,
     _escalate,
+    _fan_out,
     decide_le,
     floor_power_log2,
     ipow,
@@ -274,3 +279,131 @@ def test_interval_is_an_mpmath_interval():
         assert float(x.a) == 0.25 and float(x.b) == 3.0
         assert iv.log(x)._mpi_ == iv.log(iv.mpf([0.25, 3]))._mpi_
         assert x == iv.mpf([0.25, 3]) and 1 in x
+
+
+# ---------------------------------------------------------------------------
+# the fan-out over forked workers
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the CPU count the fan-out sees; a worker may take one item."""
+    monkeypatch.setattr(intervals, "FAN_OUT_MIN_CHUNK", 1)
+
+    def set_count(count):
+        monkeypatch.setattr(intervals, "_cpu_count", lambda: count)
+    return set_count
+
+
+def _with_pid(x):
+    return x, os.getpid()
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_fan_out_keeps_item_order(cpus):
+    cpus(2)
+    got = _fan_out(_with_pid, range(10))
+    assert [x for x, _ in got] == list(range(10))
+    pids = [pid for _, pid in got]
+    # the caller takes the first chunk, one worker the second
+    assert pids[:5] == [os.getpid()] * 5
+    assert len(set(pids[5:])) == 1 and pids[5] != os.getpid()
+    assert_no_child_left()
+
+
+def test_fan_out_with_fewer_items_than_workers(cpus):
+    cpus(4)
+    got = _fan_out(_with_pid, [7, 8, 9])
+    assert [x for x, _ in got] == [7, 8, 9]
+    assert len({pid for _, pid in got}) == 3
+    assert _fan_out(_with_pid, []) == []
+    assert_no_child_left()
+
+
+def test_fan_out_forks_only_for_full_chunks(monkeypatch):
+    monkeypatch.setattr(intervals, "_cpu_count", lambda: 2)
+    n = 2 * intervals.FAN_OUT_MIN_CHUNK
+    assert {pid for _, pid in _fan_out(_with_pid, range(n - 1))} == {os.getpid()}
+    assert len({pid for _, pid in _fan_out(_with_pid, range(n))}) == 2
+    assert_no_child_left()
+
+
+def test_fan_out_raises_a_workers_exception(cpus):
+    cpus(2)
+
+    def seven_fails(x):
+        if x == 7:
+            raise ValueError("no seven at pid %d" % os.getpid())
+        return x
+
+    with pytest.raises(ValueError, match=r"^no seven at pid (\d+)$") as info:
+        _fan_out(seven_fails, range(10))
+    assert info.value.args[0] != "no seven at pid %d" % os.getpid()
+    assert_no_child_left()
+
+
+def test_fan_out_reaps_busy_workers_when_the_caller_fails(cpus):
+    cpus(2)
+    parent = os.getpid()
+
+    def caller_fails(x):
+        if os.getpid() == parent:
+            raise KeyError(x)
+        time.sleep(60)          # the worker is killed, not waited for
+
+    start = time.monotonic()
+    with pytest.raises(KeyError):
+        _fan_out(caller_fails, range(4))
+    assert time.monotonic() - start < 30
+    assert_no_child_left()
+
+
+def test_fan_out_names_a_worker_that_died(cpus):
+    cpus(2)
+    parent = os.getpid()
+
+    def worker_dies(x):
+        if os.getpid() != parent:
+            os._exit(3)
+        return x
+
+    with pytest.raises(RuntimeError, match="exited without its results"):
+        _fan_out(worker_dies, range(4))
+    assert_no_child_left()
+
+
+def test_fan_out_nested_call_runs_serially(cpus):
+    cpus(2)
+
+    def inner(x):
+        return os.getpid(), [pid for _, pid in _fan_out(_with_pid, range(4))]
+
+    got = _fan_out(inner, range(4))
+    assert len({outer for outer, _ in got}) == 2
+    for outer, pids in got:
+        assert pids == [outer] * 4
+    assert_no_child_left()
+
+
+def test_fan_out_without_fork_runs_serially(cpus, monkeypatch):
+    cpus(2)
+    monkeypatch.delattr(os, "fork")
+    assert _fan_out(_with_pid, range(6)) == [(x, os.getpid()) for x in range(6)]
+
+
+def test_fan_out_beside_another_thread_runs_serially(cpus):
+    cpus(2)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(30,))
+    thread.start()
+    try:
+        got = _fan_out(_with_pid, range(6))
+    finally:
+        release.set()
+        thread.join(30)
+    assert not thread.is_alive()
+    assert got == [(x, os.getpid()) for x in range(6)]

@@ -328,6 +328,13 @@ def rungs(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def one_worker(monkeypatch):
+    """Run every fan-out in this process, where a monkeypatched counter sees
+    the calls it makes; calls made in a forked worker are not seen."""
+    monkeypatch.setattr(intervals, "_cpu_count", lambda: 1)
+
+
 def test_grid_and_shape_checks_climb_one_ladder(rungs):
     assert check_key_inequality(2, points=80).ok
     assert rungs == [64]
@@ -336,7 +343,8 @@ def test_grid_and_shape_checks_climb_one_ladder(rungs):
     assert rungs == [64]
 
 
-def test_key_grid_takes_two_logarithms_per_point(rungs, monkeypatch):
+def test_key_grid_takes_two_logarithms_per_point(rungs, one_worker,
+                                                  monkeypatch):
     # one log of x for all k powers x^(ip/k), one of 1 + x for (1 + x)^p;
     # a power per ** would take k + 1 = 11 per point
     logs = []
@@ -396,7 +404,7 @@ def test_grid_check_matches_a_per_point_ladder(rungs):
     assert dumps_canonical(rep.to_dict()) == dumps_canonical(want.to_dict())
 
 
-def test_key_grid_builds_no_mpmath_interval_per_point(monkeypatch):
+def test_key_grid_builds_no_mpmath_interval_per_point(one_worker, monkeypatch):
     # every per-point interval is an intervals.Interval, made without
     # mpmath's make_mpf; only per-level constants may go through it
     made = []
@@ -429,7 +437,8 @@ def point_logs(monkeypatch):
     return logs
 
 
-def test_convex_concave_encloses_each_side_once_per_point(rungs, point_logs):
+def test_convex_concave_encloses_each_side_once_per_point(rungs, one_worker,
+                                                          point_logs):
     # one log per side and point: the shape flags read the enclosures the
     # grid made at the uniform points, which unit_grid(100) contains
     rep = check_convex_concave(3, points=100)
@@ -485,12 +494,20 @@ def test_shared_enclosures_match_an_unshared_oracle(rungs, monkeypatch):
     assert got.shape_flags == {"lhs_convex": True, "rhs_concave": True}
 
 
+# frozen before the shape flags shared the grid's enclosures; the uniform
+# shape grid and the given zs have no interior point in common
+CONVEX_CONCAVE_ZS = [0.25, 0.3]
+CONVEX_CONCAVE_ZS_DIGEST = \
+    "c6af5c38d1aeefd33ee822b285ef3f7663762884ae6b13b26cbdcd62fa7fcf3a"
+
+
+def _digest(report):
+    return hashlib.sha256(dumps_canonical(report).encode()).hexdigest()
+
+
 def test_convex_concave_on_given_zs_keeps_its_report():
-    # frozen before the shape flags shared the grid's enclosures; the
-    # uniform shape grid and the given zs have no interior point in common
-    rep = check_convex_concave(3, zs=[0.25, 0.3])
-    assert hashlib.sha256(dumps_canonical(rep.to_dict()).encode()).hexdigest() \
-        == "c6af5c38d1aeefd33ee822b285ef3f7663762884ae6b13b26cbdcd62fa7fcf3a"
+    rep = check_convex_concave(3, zs=CONVEX_CONCAVE_ZS)
+    assert _digest(rep.to_dict()) == CONVEX_CONCAVE_ZS_DIGEST
 
 
 # frozen output: SHA-256 of the canonical JSON of each report, with failures,
@@ -528,16 +545,27 @@ GRID_CHECKS = {
 }
 
 
-def test_grid_reports_golden_bytes():
+def _grid_report_digests():
     got = {}
     for k in (2, 6, 10):
         for name, check in GRID_CHECKS.items():
             got[name, k] = check(k, points=200).to_dict()
     for k in (3, 7):
         got["psi", k] = certify_psi_shape(k, samples=128).to_dict()
-    digests = {key: hashlib.sha256(dumps_canonical(rep).encode()).hexdigest()
-               for key, rep in got.items()}
-    assert digests == GRID_REPORT_DIGESTS
+    return {key: _digest(rep) for key, rep in got.items()}
+
+
+def test_grid_reports_golden_bytes():
+    assert _grid_report_digests() == GRID_REPORT_DIGESTS
+
+
+def test_grid_reports_golden_bytes_on_any_worker_count(workers):
+    # the reports are merged in grid order, and a point's verdict depends
+    # only on the point and the rung, so forking changes no byte
+    assert _grid_report_digests() == GRID_REPORT_DIGESTS
+    rep = check_convex_concave(3, zs=CONVEX_CONCAVE_ZS)
+    assert _digest(rep.to_dict()) == CONVEX_CONCAVE_ZS_DIGEST
+    assert bool(workers.forks) == (workers.count > 1)
 
 
 @pytest.mark.parametrize("check, points, count", [
