@@ -5,12 +5,11 @@ with a_1+...+a_k = b_1+...+b_k.  The higher energy of order k counts
 2k-tuples (a_1, b_1, ..., a_k, b_k) with a_1-b_1 = a_2-b_2 = ... = a_k-b_k.
 Every energy runs on pack_points keys, by one of two routes.  A 0/1 set
 (energy(), the CLI, orbit representatives, sampled masks) goes through
-packed_subset_energy: one big-integer product read as machine words, or the
-weighted-map route where that does not pay.  A weighted map (the slice
-identities, the bullet product, the extension ratios) goes through
-convolve_packed: packed_power_energy for E_k, _correlation_moment for the
-k-th moment of a correlation.  brute_force_energy stays the independent
-oracle.
+packed_subset_energy; a weighted map (the slice identities, the bullet
+product, the extension ratios) through convolve_packed: packed_power_energy
+for E_k, _correlation_moment for the k-th moment of a correlation.  Both
+exact big-integer products use lattice's slot format (see
+lattice._slot_bytes).  brute_force_energy stays the independent oracle.
 subset_energies walks the subsets of a small point list, one point a step;
 orbit_energies walks them one orbit of a given symmetry group at a time,
 computing one energy per orbit.
@@ -22,15 +21,14 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 from dataclasses import dataclass
 from enum import Enum
-from itertools import groupby, product as iter_product
+from itertools import groupby, product as iter_product, repeat
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import BudgetExceeded, DimensionMismatch
-from .lattice import (DENSE_MAX_CELLS, CountsMap, PointSet, convolve_packed,
-                      pack_points)
+from .lattice import (DENSE_MAX_CELLS, CountsMap, PointSet, _int_slots,
+                      _slot_bytes, _slots_int, convolve_packed, pack_points)
 
 
 class EnergyKind(str, Enum):
@@ -203,30 +201,12 @@ def key_multiplier(k: int, kind: EnergyKind) -> int:
     return k if kind is EnergyKind.ADDITIVE else 2
 
 
-# memoryview.cast formats of the product path's slots, by width in bytes
-_WORD_FORMAT = {1: "B", 2: "H", 4: "I", 8: "Q"}
-
-
 def packed_subset_energy(sel: List[int], k: int, kind: EnergyKind) -> int:
-    """Energy of a set given as distinct carry-free packed integers (the
-    inner loop of sweeps; keys from pack_points(..., key_multiplier(k,
-    kind))).
-
-    Two exact paths.  The product path puts the indicator in one big
-    integer P, slot i holding key lo + i (lo = min(sel)), and takes one
-    product: Q = P**k, whose slot s counts the ordered k-tuples with sum
-    k*lo + s, so E_k is the sum of the squared slots; or Q = P * R, R the
-    indicator reflected about hi = max(sel), whose slot s counts the pairs
-    with difference s - (hi - lo), so the higher energy is the sum of the
-    slots' k-th powers.  No slot exceeds |A|^(k-1) (additive) or |A|
-    (higher), so slots of the smallest of 1, 2, 4 or 8 bytes holding that
-    bound never carry into each other and the result is exact; Q's bytes
-    are read as machine words through memoryview.cast.  The weighted-map
-    route (packed_power_energy, or _correlation_moment for the higher
-    energy, on the indicator) takes every set whose bound needs more than
-    8 bytes, whose product has more than DENSE_MAX_CELLS slots, or whose
-    keys are too sparse for the product to pay (see _slot_width).
-    """
+    """Energy of a set given as distinct carry-free packed integers (keys
+    from pack_points(..., key_multiplier(k, kind)); the sweeps' inner loop):
+    one product of the indicator (_product_energy) where _slot_width finds
+    that it pays, else the weighted-map route, packed_power_energy or, for
+    the higher energy, _correlation_moment on the indicator."""
     if not sel:
         return 0
     higher = kind is EnergyKind.HIGHER
@@ -241,27 +221,23 @@ def packed_subset_energy(sel: List[int], k: int, kind: EnergyKind) -> int:
 
 
 def _slot_width(size: int, k: int, higher: bool, gap: int) -> int:
-    """Slot width in bytes for the product path of packed_subset_energy, or
-    0 for its weighted-map route, for a set of `size` keys spread over
-    gap + 1.
+    """lattice._slot_bytes of the slot bound, |A|^(k-1) (additive) or |A|
+    (higher), for the product path of packed_subset_energy, or 0 for its
+    weighted-map route, for a set of `size` keys spread over gap + 1.
 
     The choice compares the two paths' costs, counted in updates of
     convolve_packed's dict loop.  The loop makes size**2 updates (higher)
     or size * sum_{j<k} n_j, where n_j = min(C(size+j-1, j), j*gap + 1)
     bounds the distinct j-fold sums (additive).  The product path costs
-    0.3 updates per slot of Q it reads, plus 10 updates for the higher
+    0.3 updates per slot of its product Q, plus 10 updates for the higher
     product or (bytes of Q)**1.585 / 530 for the additive power
     (Karatsuba).  The constants were fitted to timings of both paths on
     random subsets of {0,1}^d (d <= 5), {0,1,2}^d, {0..3}^2 and {0..n},
     k = 2..11, against a loop that counted without multiplying by weights.
     """
-    bound = size if higher else size ** (k - 1)
-    bits = bound.bit_length()
-    if bits > 64:
-        return 0
-    width = 1 if bits <= 8 else 2 if bits <= 16 else 4 if bits <= 32 else 8
+    width = _slot_bytes(size if higher else size ** (k - 1))
     cells = (2 if higher else k) * gap + 1
-    if cells > DENSE_MAX_CELLS:
+    if width > 8 or cells > DENSE_MAX_CELLS:
         return 0
     if higher:
         return width if 0.3 * cells + 10 < size * size else 0
@@ -274,26 +250,20 @@ def _slot_width(size: int, k: int, higher: bool, gap: int) -> int:
 
 def _product_energy(sel: List[int], k: int, higher: bool, lo: int, hi: int,
                     width: int) -> int:
-    """packed_subset_energy by one big-integer product, slots `width` bytes
-    wide (the caller checks that no slot can carry)."""
-    buf = bytearray((hi - lo + 1) * width)
-    for x in sel:
-        buf[(x - lo) * width] = 1
-    p = int.from_bytes(buf, "little")
+    """packed_subset_energy by one product of indicators in lattice's slot
+    format, `width`-byte slots that the caller checked cannot carry: slot s
+    of P**k counts the ordered k-tuples with sum k*lo + s (additive), slot s
+    of P * R, R the reflected indicator, the pairs with difference
+    s - (hi - lo) (higher)."""
+    cells = hi - lo + 1
+    p = _slots_int(sel, repeat(1), lo, cells, width)
     if higher:
-        # read big-endian, byte (x - lo) * width weighs slot hi - x, shifted
-        # up by width - 1 bytes
-        q = p * (int.from_bytes(buf, "big") >> 8 * (width - 1))
-        cells = 2 * (hi - lo) + 1
-    else:
-        q = p ** k
-        cells = k * (hi - lo) + 1
-    words = memoryview(q.to_bytes(cells * width, sys.byteorder)).cast(
-        _WORD_FORMAT[width])
-    if higher:
+        r = _slots_int(map(operator.neg, sel), repeat(1), -hi, cells, width)
+        slots = _int_slots(p * r, 2 * cells - 1, width)
         table = [c ** k for c in range(len(sel) + 1)]
-        return sum(map(table.__getitem__, words))
-    return sum(map(operator.mul, words, words))
+        return sum(map(table.__getitem__, slots))
+    slots = _int_slots(p ** k, k * (cells - 1) + 1, width)
+    return sum(map(operator.mul, slots, slots))
 
 
 def subset_energies(packed: List[int], k: int, kind: EnergyKind,

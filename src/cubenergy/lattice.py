@@ -2,16 +2,16 @@
 
 Every convolution of a weighted map runs through one kernel, convolve_packed,
 on maps keyed by carry-free packed integers (pack_points): adding two keys adds
-the points.  Dense nonnegative integer maps take one big-integer product
-(Kronecker substitution); all other maps, float and Fraction weights included,
-take a dict loop in a fixed order.  Energies of 0/1 sets take their own route,
-energy.packed_subset_energy, which comes here only for sets its machine-word
-product does not serve.  The CountsMap functions (indicator, convolve,
-correlate, ...) are the public tuple-keyed API; nothing else in src/ calls them.
+the points.  Dense nonnegative integer maps take one big-integer product, in
+the slot format that energy's product for 0/1 sets shares (see _slot_bytes);
+all other maps, float and Fraction weights included, take a dict loop in a
+fixed order.  The CountsMap functions (indicator, convolve, correlate, ...) are
+the public tuple-keyed API; nothing else in src/ calls them.
 """
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -187,16 +187,59 @@ def pack_points(pts: Sequence[Point], multiplier: int) -> List[int]:
     return [_pack(p, los, weights) for p in pts]
 
 
+# The slot format of the exact big-integer products (Kronecker substitution;
+# D. Harvey, J. Symbolic Comput. 44, 2009): a map from keys lo .. lo+cells-1
+# to nonnegative ints is the integer whose slot key - lo, `width` bytes wide,
+# holds the key's value, so slot i of a product (or power) sums the products
+# of the values whose slots add to i while no slot passes 256**width - 1.
+# Slots of 1, 2, 4 or 8 bytes are machine words (memoryview.cast; bytes are
+# their own 1-byte view), wider ones an int each, all in sys.byteorder:
+# big-endian operands and products are reversed alike, so slots keep key order.
+
+_TYPECODE = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _slot_bytes(bound: int) -> int:
+    """The narrowest slot holding `bound`: 1, 2, 4, 8 or past 8 bytes."""
+    size = -(-bound.bit_length() // 8)
+    return size if size > 8 else 1 << max(size - 1, 0).bit_length()
+
+
+def _slots_int(keys: Iterable[int], values: Iterable[int], lo: int,
+               cells: int, width: int) -> int:
+    """The integer whose slot key - lo holds the key's value."""
+    buf = bytearray(cells * width)
+    if width in _TYPECODE:
+        words = buf if width == 1 else memoryview(buf).cast(_TYPECODE[width])
+        for key, val in zip(keys, values):
+            words[key - lo] = val
+    else:
+        for key, val in zip(keys, values):
+            off = (key - lo) * width
+            buf[off:off + width] = val.to_bytes(width, sys.byteorder)
+    return int.from_bytes(buf, sys.byteorder)
+
+
+def _int_slots(q: int, cells: int, width: int) -> Sequence[int]:
+    """The `cells` slots of q, lowest first."""
+    raw = q.to_bytes(cells * width, sys.byteorder)
+    if width in _TYPECODE:
+        return raw if width == 1 else memoryview(raw).cast(_TYPECODE[width])
+    return [int.from_bytes(raw[off:off + width], sys.byteorder)
+            for off in range(0, len(raw), width)]
+
+
 def convolve_packed(a: dict, b: dict) -> dict:
     """(a * b)[x + y] = sum of a[x] b[y] over maps keyed by pack_points
-    integers.  Nonnegative int maps on a dense key range are multiplied as
-    one big integer whose slot i holds key lo + i (zero slots are skipped);
+    integers.  Nonnegative int maps on a dense key range take one product
+    in the slot format above and return the nonzero slots in key order;
     everything else runs a dict loop in a fixed order (a outer, b inner), so
     float sums are reproducible bit for bit."""
     if not a or not b:
         return {}
     lo_a, lo_b = min(a), min(b)
-    cells = max(a) - lo_a + max(b) - lo_b + 1
+    span_a, span_b = max(a) - lo_a, max(b) - lo_b
+    cells = span_a + span_b + 1
     if (cells > DENSE_MAX_CELLS or len(a) * len(b) < 4 * cells or not all(
             type(v) is int and v >= 0 for m in (a, b) for v in m.values())):
         out: dict = {}
@@ -206,28 +249,15 @@ def convolve_packed(a: dict, b: dict) -> dict:
                 s = x + y
                 out[s] = get(s, 0) + u * v
         return out
-    # no product slot exceeds this bound, so one spare byte per slot keeps
-    # neighbouring slots from carrying into each other
     bound = min(sum(a.values()) * max(b.values()),
                 sum(b.values()) * max(a.values()))
-    stride = (bound.bit_length() + 8) // 8
-
-    def to_int(m: dict, lo: int) -> int:
-        buf = bytearray(cells * stride)
-        for key, val in m.items():
-            off = (key - lo) * stride
-            buf[off:off + stride] = val.to_bytes(stride, "little")
-        return int.from_bytes(buf, "little")
-
-    raw = (to_int(a, lo_a) * to_int(b, lo_b)).to_bytes(cells * stride, "little")
-    zero = bytes(stride)
-    lo = lo_a + lo_b
-    out = {}
-    for i, off in enumerate(range(0, cells * stride, stride)):
-        chunk = raw[off:off + stride]
-        if chunk != zero:
-            out[lo + i] = int.from_bytes(chunk, "little")
-    return out
+    if not bound:               # a or b is all zeros
+        return {}
+    width = _slot_bytes(bound)
+    slots = _int_slots(_slots_int(a, a.values(), lo_a, span_a + 1, width)
+                       * _slots_int(b, b.values(), lo_b, span_b + 1, width),
+                       cells, width)
+    return {lo_a + lo_b + i: v for i, v in enumerate(slots) if v}
 
 
 def _convolve_points(e1: dict, e2: dict) -> dict:

@@ -519,7 +519,8 @@ def check_convex_concave(k: int, zs: Optional[List[float]] = None,
     shape flags are certified on the uniform grid of `points` points over
     [0, 1], independent of zs, which needs points >= 3.  Each side is
     enclosed once per point and precision: the grid keeps the enclosures it
-    makes, and the shape flags read them."""
+    makes, and the shape flags read them in this process and fan out only
+    the points the grid did not enclose."""
     if points < 3:
         raise ValueError("points must be >= 3 to certify second differences")
     if zs is None:
@@ -554,40 +555,40 @@ def check_convex_concave(k: int, zs: Optional[List[float]] = None,
     uniform = [j / (points - 1) for j in range(points)]
     ends = {0.0: Fraction(1), 1.0: half}
 
-    def with_exact_ends(side):
+    def shape(side, expect_positive):
         def curve():
             f = sides()[side]
-            prec = iv.prec
+            return lambda z: f(Interval(z))
 
-            def at(z):
-                if z in ends:
-                    return Interval(ends[z])
-                value = enclosures.get((side, prec, z))
-                return f(Interval(z)) if value is None else value
-            return at
-        return curve
+        def known(z):
+            if z in ends:
+                return Interval(ends[z])
+            return enclosures.get((side, iv.prec, z))
+        return _certify_second_differences(uniform, curve, expect_positive,
+                                           known)
 
-    report.shape_flags["lhs_convex"] = _certify_second_differences(
-        uniform, with_exact_ends(0), expect_positive=True)
-    report.shape_flags["rhs_concave"] = _certify_second_differences(
-        uniform, with_exact_ends(1), expect_positive=False)
+    report.shape_flags["lhs_convex"] = shape(0, expect_positive=True)
+    report.shape_flags["rhs_concave"] = shape(1, expect_positive=False)
     return report
 
 
-def _classify_second_differences(xs: List[float], curve: Callable
+def _classify_second_differences(xs: List[float], curve: Callable,
+                                 known: Callable = lambda x: None
                                  ) -> Tuple[List[int], List[int], List[int]]:
     """Indices i in 1..len(xs)-2 whose second difference
     f(xs[i+1]) - 2 f(xs[i]) + f(xs[i-1]) is certified negative, certified
     positive, or still undecided at the precision cap, each in index order.
     ``curve()`` builds f, a function of the float x, for one precision level;
-    a level encloses, through the fan-out, the points its pending second
-    differences need.
+    a level takes f(x) from ``known(x)`` when that is not None, and encloses
+    through the fan-out the other points its pending second differences need.
     """
     def level(pending):
         f = curve()
         needed = sorted({j for i in pending for j in (i - 1, i, i + 1)})
-        vals = dict(zip(needed, map(_lift, _fan_out(lambda j: f(xs[j])._mpi_,
-                                                     needed))))
+        vals = {j: known(xs[j]) for j in needed}
+        misses = [j for j in needed if vals[j] is None]
+        vals.update(zip(misses, map(_lift, _fan_out(
+            lambda j: f(xs[j])._mpi_, misses))))
 
         def judge(i):
             lo, hi = (vals[i + 1] - 2 * vals[i] + vals[i - 1])._mpi_
@@ -602,10 +603,13 @@ def _classify_second_differences(xs: List[float], curve: Callable
 
 
 def _certify_second_differences(xs: List[float], curve: Callable,
-                                expect_positive: bool) -> bool:
+                                expect_positive: bool,
+                                known: Callable = lambda x: None) -> bool:
     """Certify the sign of every interior second difference of f on xs,
-    where ``curve()`` builds f for one precision level."""
-    negative, positive, undecided = _classify_second_differences(xs, curve)
+    where ``curve()`` builds f for one precision level and ``known`` is as
+    in ``_classify_second_differences``."""
+    negative, positive, undecided = _classify_second_differences(xs, curve,
+                                                                 known)
     wrong = negative if expect_positive else positive
     return not wrong and not undecided
 

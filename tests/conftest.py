@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from cubenergy import intervals
+from cubenergy import intervals, lattice
 
 
 @pytest.fixture(params=[1, 2], ids=["1-worker", "2-workers"])
@@ -27,3 +27,17 @@ def workers(request, monkeypatch):
     if count > 1:
         monkeypatch.setattr(intervals, "FAN_OUT_MIN_CHUNK", 1)
     return SimpleNamespace(count=count, forks=forks)
+
+
+@pytest.fixture
+def slot_widths(monkeypatch):
+    """The slot width of every product that convolve_packed reads back."""
+    widths = []
+    read = lattice._int_slots
+
+    def recording(q, cells, width):
+        widths.append(width)
+        return read(q, cells, width)
+
+    monkeypatch.setattr(lattice, "_int_slots", recording)
+    return widths

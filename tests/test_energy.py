@@ -327,6 +327,13 @@ def test_wide_slot_energy_matches_generating_function():
         level_set_energies(9, 2, 11)[-1]
 
 
+def test_wide_slot_energy_reads_words_and_wide_slots(slot_widths):
+    # the energy --set cube:9x2 --k 11 golden passes both branches of the
+    # shared slot reader: machine words and one int per slot past 8 bytes
+    additive_energy(PointSet.cube(9, 2), 11)
+    assert any(w <= 8 for w in slot_widths) and any(w > 8 for w in slot_widths)
+
+
 def _cube_keys(d, mult, size, seed):
     pts = PointSet.cube(1, d).sorted_points()
     sel = sorted(random.Random(seed).sample(pack_points(pts, mult), size))

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from cubenergy import lattice
 from cubenergy.energy import additive_energy
 from cubenergy.errors import DimensionMismatch, ParseError
 from cubenergy.extension import weighted_energy
@@ -198,6 +199,33 @@ def test_convolve_packed_big_integer_branch():
     b[7] = 0
     want = {s: v for s, v in _dict_convolve(a, b).items() if v}
     assert convolve_packed(a, b) == want
+
+
+@pytest.mark.parametrize("a_max, b_max, bound_bytes", [
+    (1, 1, 1), (30, 9, 2), (3000, 9, 3), (10 ** 9, 9, 5),
+    (10 ** 18, 100, 9), (10 ** 6, 0, 0)])
+def test_convolve_packed_big_integer_branch_widths(a_max, b_max, bound_bytes,
+                                                   slot_widths):
+    # negative keys, zero values, and a gap between a's two runs that leaves
+    # the product's slots 24..44 zero; every slot width the rule picks, and
+    # an all-zero b, which takes no product at all
+    rng = random.Random(a_max)
+    a = {x: rng.randint(0, a_max) for x in [*range(-20, 0), *range(40, 60)]}
+    b = {y: rng.randint(0, b_max) for y in range(5, 25)}
+    bound = min(sum(a.values()) * max(b.values()),
+                sum(b.values()) * max(a.values()))
+    assert -(-bound.bit_length() // 8) == bound_bytes
+    got = convolve_packed(a, b)
+    assert got == {s: v for s, v in _dict_convolve(a, b).items() if v}
+    assert list(got) == sorted(got)
+    assert slot_widths == ([lattice._slot_bytes(bound)] if bound else [])
+
+
+@pytest.mark.parametrize("bound, width", [
+    (0, 1), (255, 1), (256, 2), (2 ** 16, 4), (2 ** 32 - 1, 4), (2 ** 32, 8),
+    (2 ** 64 - 1, 8), (2 ** 64, 9)])
+def test_slot_width_rule(bound, width):
+    assert lattice._slot_bytes(bound) == width
 
 
 @pytest.mark.parametrize("values", [

@@ -568,6 +568,32 @@ def test_grid_reports_golden_bytes_on_any_worker_count(workers):
     assert bool(workers.forks) == (workers.count > 1)
 
 
+def test_shape_flags_fork_only_for_points_the_grid_missed(workers,
+                                                         monkeypatch):
+    # the default zs are the flags' uniform grid, so the grid's enclosures
+    # serve every point and the flags fork nothing; zs between those points
+    # leave all of them to the flags' own fan-out
+    forks_per_flag = []
+    classify = legendre._classify_second_differences
+
+    def counting(*args):
+        before = len(workers.forks)
+        out = classify(*args)
+        forks_per_flag.append(len(workers.forks) - before)
+        return out
+
+    monkeypatch.setattr(legendre, "_classify_second_differences", counting)
+    rep = check_convex_concave(3, points=200)
+    assert forks_per_flag == [0, 0]
+    assert rep.shape_flags == {"lhs_convex": True, "rhs_concave": True}
+    forks_per_flag.clear()
+    zs = [(j + 0.5) / 199 for j in range(199)]
+    flags = check_convex_concave(3, zs=zs, points=200).shape_flags
+    assert all(forks_per_flag) == (workers.count > 1)
+    monkeypatch.setattr(intervals, "_cpu_count", lambda: 1)
+    assert check_convex_concave(3, zs=zs, points=200).shape_flags == flags
+
+
 @pytest.mark.parametrize("check, points, count", [
     (check_goal_inequality, 1, 1),
     (check_cfil_instance, 1, 1),
