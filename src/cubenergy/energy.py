@@ -9,7 +9,10 @@ packed_subset_energy; a weighted map (the slice identities, the bullet
 product, the extension ratios) through convolve_packed: packed_power_energy
 for E_k, _correlation_moment for the k-th moment of a correlation.  Both
 exact big-integer products use lattice's slot format (see
-lattice._slot_bytes).  brute_force_energy stays the independent oracle.
+lattice._slot_bytes).  power_energy_plan compiles packed_power_energy's
+float dict loop, for fixed keys, into one straight-line function of the
+weights (the extension optimizer's ratios), bit for bit the same.
+brute_force_energy stays the independent oracle.
 subset_energies walks the subsets of a small point list, one point a step;
 orbit_energies walks them one orbit of a given symmetry group at a time,
 computing one energy per orbit.
@@ -28,7 +31,8 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import BudgetExceeded, DimensionMismatch
 from .lattice import (DENSE_MAX_CELLS, CountsMap, PointSet, _int_slots,
-                      _slot_bytes, _slots_int, convolve_packed, pack_points)
+                      _slot_bytes, _slots_int, _slots_int_reflected,
+                      convolve_packed, pack_points)
 
 
 class EnergyKind(str, Enum):
@@ -119,32 +123,36 @@ def power_energy_plan(keys: List[int], k: int) -> Callable[[List[float]], float]
     distinct keys and positive float weights, bit for bit.
 
     The float dict loop does the same multiply-adds for every set of
-    weights on the same keys, so they are recorded once: each convolution
-    stage is a list of (out_slot, in_slot, weight_index) steps, slots
-    numbered in the order the loop first meets each sum (the dict's
-    insertion order).  The returned function replays the steps on lists and
-    then sums the squares of the last stage in slot order."""
-    stages = []
-    cur = list(keys)
-    for _ in range(k - 1):
-        slot: Dict[int, int] = {}
-        steps = [(slot.setdefault(x + y, len(slot)), a, b)
-                 for a, x in enumerate(cur) for b, y in enumerate(keys)]
-        stages.append((len(slot), steps))
-        cur = list(slot)
-
-    def energy_of(ws: List[float]) -> float:
-        cur = ws
-        for size, steps in stages:
-            out = [0.0] * size
-            for o, a, b in steps:
-                out[o] += cur[a] * ws[b]
-            cur = out
-        total = 0.0
-        for v in cur:
-            total += v * v
-        return total
-    return energy_of
+    weights on the same keys, so they are recorded once, as the source of
+    one straight-line function (the way dataclasses writes __init__) that
+    is compiled once.  It unpacks ws into locals w0, w1, ...; stage j of
+    the convolution has a local sj_o per slot o, slots numbered in the
+    order the loop first meets each sum (the dict's insertion order).  A
+    slot's first step is `sj_o = 0.0 + c * wb`, each later one `sj_o += c
+    * wb`, c a slot of stage j - 1 (or a weight), in the loop's order; then
+    the squares of the last stage are added to t in slot order.  So every
+    slot sees the dict loop's multiplications and additions in the same
+    order.  The source holds only names built from integer indices."""
+    cur = ["w%d" % b for b in range(len(keys))]
+    lines = ["def energy_of(ws):", "    [%s] = ws" % ", ".join(cur)]
+    sums = list(keys)
+    for j in range(1, k):
+        slot: Dict[int, str] = {}
+        for c, x in zip(cur, sums):
+            for b, y in enumerate(keys):
+                name = slot.get(x + y)
+                if name is None:
+                    name = slot[x + y] = "s%d_%d" % (j, len(slot))
+                    lines.append("    %s = 0.0 + %s * w%d" % (name, c, b))
+                else:
+                    lines.append("    %s += %s * w%d" % (name, c, b))
+        cur, sums = list(slot.values()), list(slot)
+    lines.append("    t = 0.0")
+    lines += ["    t += %s * %s" % (v, v) for v in cur]
+    lines.append("    return t")
+    namespace: dict = {}
+    exec(compile("\n".join(lines), "<power_energy_plan>", "exec"), namespace)
+    return namespace["energy_of"]
 
 
 def energy(a: PointSet, k: int, kind: EnergyKind) -> EnergyValue:
@@ -256,12 +264,12 @@ def _product_energy(sel: List[int], k: int, higher: bool, lo: int, hi: int,
     of P * R, R the reflected indicator, the pairs with difference
     s - (hi - lo) (higher)."""
     cells = hi - lo + 1
-    p = _slots_int(sel, repeat(1), lo, cells, width)
     if higher:
-        r = _slots_int(map(operator.neg, sel), repeat(1), -hi, cells, width)
+        p, r = _slots_int_reflected(sel, repeat(1), lo, cells, width)
         slots = _int_slots(p * r, 2 * cells - 1, width)
         table = [c ** k for c in range(len(sel) + 1)]
         return sum(map(table.__getitem__, slots))
+    p = _slots_int(sel, repeat(1), lo, cells, width)
     slots = _int_slots(p ** k, k * (cells - 1) + 1, width)
     return sum(map(operator.mul, slots, slots))
 

@@ -208,7 +208,8 @@ def _ratio_function(keys: List[int], k: int,
                     q: float) -> Callable[[List[float]], float]:
     """ws -> the ratio of the positive float weights ws on the packed keys,
     as de_ratio computes it.  The keys never change, so the float
-    convolution is recorded once as a power_energy_plan."""
+    convolution is compiled once, by power_energy_plan, into straight-line
+    multiply-adds that give de_ratio's energy bit for bit."""
     inv2k = 1.0 / (2 * k)
     energy_of = power_energy_plan(keys, k)
 

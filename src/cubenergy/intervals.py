@@ -62,22 +62,38 @@ def _lift(mpi) -> "Interval":
 
 
 def _operators(f, parent, parent_reflected):
-    """``s op t`` and ``t op s`` as ``f`` on endpoints, for an interval, int
-    or float operand t; any other t goes to mpmath's operators."""
+    """``s op t`` and ``t op s`` as ``f`` on endpoints, for an interval, int,
+    float or Fraction operand t (a Fraction enclosed as ``Interval`` encloses
+    it); any other t goes to mpmath's operators, or gives NotImplemented,
+    so that t's own operator runs, when mpmath cannot convert it."""
     def op(s, t):
         prec = _PREC[0]
         v = t._mpi_ if isinstance(t, _IVMPF) else _endpoints(t, prec)
         if v is None:
-            return parent(s, t)
+            if not isinstance(t, Fraction):
+                return _mpmath_operator(parent, s, t)
+            v = Interval(t)._mpi_
         return _lift(f(s._mpi_, v, prec))
 
     def rop(s, t):
         prec = _PREC[0]
         v = t._mpi_ if isinstance(t, _IVMPF) else _endpoints(t, prec)
         if v is None:
-            return parent_reflected(s, t)
+            if not isinstance(t, Fraction):
+                return _mpmath_operator(parent_reflected, s, t)
+            v = Interval(t)._mpi_
         return _lift(f(v, s._mpi_, prec))
     return op, rop
+
+
+def _mpmath_operator(parent, s, t):
+    """mpmath's operator ``parent(s, t)``, or NotImplemented for an operand
+    t that mpmath cannot convert."""
+    try:
+        t = iv.convert(t)
+    except NotImplementedError:
+        return NotImplemented
+    return parent(s, t)
 
 
 class Interval(_IVMPF):
@@ -88,7 +104,9 @@ class Interval(_IVMPF):
     operator reaches (``mpi_add``, ``mpi_sub``, ``mpi_mul``, ``mpi_div``,
     ``mpi_pow_int``), at ``iv.prec``, with int and float operands rounded
     out as ``iv.convert`` rounds them: the same enclosures, without the
-    conversion and dispatch.  Any other operand goes to mpmath's operator.
+    conversion and dispatch.  A Fraction operand is enclosed as
+    ``Interval(Fraction)`` encloses it.  Any other operand goes to mpmath's
+    operator, or gives NotImplemented when mpmath cannot convert it.
     ``Interval(x)`` encloses an int, float or Fraction at the current
     precision, and anything else ``iv.mpf`` takes.
     """

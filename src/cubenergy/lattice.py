@@ -205,9 +205,9 @@ def _slot_bytes(bound: int) -> int:
     return size if size > 8 else 1 << max(size - 1, 0).bit_length()
 
 
-def _slots_int(keys: Iterable[int], values: Iterable[int], lo: int,
-               cells: int, width: int) -> int:
-    """The integer whose slot key - lo holds the key's value."""
+def _slot_buffer(keys: Iterable[int], values: Iterable[int], lo: int,
+                 cells: int, width: int) -> bytearray:
+    """The bytes of _slots_int's integer."""
     buf = bytearray(cells * width)
     if width in _TYPECODE:
         words = buf if width == 1 else memoryview(buf).cast(_TYPECODE[width])
@@ -217,7 +217,29 @@ def _slots_int(keys: Iterable[int], values: Iterable[int], lo: int,
         for key, val in zip(keys, values):
             off = (key - lo) * width
             buf[off:off + width] = val.to_bytes(width, sys.byteorder)
-    return int.from_bytes(buf, sys.byteorder)
+    return buf
+
+
+def _slots_int(keys: Iterable[int], values: Iterable[int], lo: int,
+               cells: int, width: int) -> int:
+    """The integer whose slot key - lo holds the key's value."""
+    return int.from_bytes(_slot_buffer(keys, values, lo, cells, width),
+                          sys.byteorder)
+
+
+def _slots_int_reflected(keys: Iterable[int], values: Iterable[int], lo: int,
+                         cells: int, width: int) -> Tuple[int, int]:
+    """_slots_int and its reflection, the integer whose slot
+    cells - 1 - (key - lo) holds the key's value, for slots of 1, 2, 4 or 8
+    bytes: the reflection reverses the words of the one buffer instead of
+    encoding again."""
+    buf = _slot_buffer(keys, values, lo, cells, width)
+    if width == 1:
+        rev = buf[::-1]
+    else:
+        rev = memoryview(buf).cast(_TYPECODE[width])[::-1].tobytes()
+    return (int.from_bytes(buf, sys.byteorder),
+            int.from_bytes(rev, sys.byteorder))
 
 
 def _int_slots(q: int, cells: int, width: int) -> Sequence[int]:

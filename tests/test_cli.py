@@ -320,6 +320,16 @@ def test_extension_golden_bytes(capsys, alphabet, k, flag, value, starts,
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_extension_golden_bytes_on_sixteen_points(capsys):
+    # {0..3}^2 at k = 2, p = log_4 44, where the full indicator has ratio
+    # exactly 1: a 16-weight plan, and a witness with interior weights
+    argv = _extension_argv("cube:3x2", 2, "--p", math.log(44) / math.log(4), 2)
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "23088f6915aee0356947f7b11492b4aeb5809419555d7f345cb31fed018a1ec6"
+
+
 def test_extension_csv_golden_bytes(capsys):
     argv = _extension_argv(*EXTENSION_PROBLEMS[1][:5]) + ["--format", "csv"]
     code, out, _ = _run(capsys, argv)

@@ -220,6 +220,56 @@ def test_power_energy_plan_is_bit_identical_to_dict_loop(name, k):
         assert energy_of(ws) == packed_power_energy(dict(zip(keys, ws)), k)
 
 
+def _plan_weights(rng, size):
+    return [rng.uniform(1e-9, 1.0) * rng.choice([1e-3, 1.0, 1e6])
+            for _ in range(size)]
+
+
+def test_power_energy_plan_compiles_two_stages_on_sixteen_weights():
+    # {0,1}^4 at k = 3: locals w0..w15, one per weight, then one local per
+    # slot of each stage, 3^4 pair sums and 4^4 triple sums
+    keys = pack_points(PointSet.cube(1, 4).sorted_points(), 3)
+    energy_of = power_energy_plan(keys, 3)
+    names = energy_of.__code__.co_varnames
+    assert [v for v in names if v[0] == "w"] == \
+        ["ws"] + ["w%d" % b for b in range(16)]
+    assert sum(v.startswith("s1_") for v in names) == 81
+    assert sum(v.startswith("s2_") for v in names) == 256
+    rng = random.Random("plan-cube1x4")
+    for _ in range(25):
+        ws = _plan_weights(rng, len(keys))
+        assert energy_of(ws) == packed_power_energy(dict(zip(keys, ws)), 3)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_power_energy_plan_takes_zero_weights(k):
+    # a zero weight still adds 0.0 to its slots; the first, the last, every
+    # other and every weight zero
+    keys = pack_points(PointSet.cube(1, 3).sorted_points(), k)
+    energy_of = power_energy_plan(keys, k)
+    rng = random.Random("plan-zeros-%d" % k)
+    for zeros in ({0}, {len(keys) - 1}, set(range(0, len(keys), 2)),
+                  set(range(len(keys)))):
+        ws = [0.0 if b in zeros else w
+              for b, w in enumerate(_plan_weights(rng, len(keys)))]
+        got = energy_of(ws)
+        want = packed_power_energy(dict(zip(keys, ws)), k)
+        assert got == want and math.copysign(1.0, got) == 1.0
+
+
+def test_power_energy_plan_compiles_a_large_plan():
+    # {0,1}^5 at k = 3: 32 * 32 + 243 * 32 = 8800 multiply-adds
+    keys = pack_points(PointSet.cube(1, 5).sorted_points(), 3)
+    energy_of = power_energy_plan(keys, 3)
+    names = energy_of.__code__.co_varnames
+    assert sum(v.startswith("s1_") for v in names) == 243
+    assert sum(v.startswith("s2_") for v in names) == 1024
+    rng = random.Random("plan-cube1x5")
+    for _ in range(3):
+        ws = _plan_weights(rng, len(keys))
+        assert energy_of(ws) == packed_power_energy(dict(zip(keys, ws)), 3)
+
+
 def test_packed_subset_energy_agrees():
     # dense keys (the sweeps' packing) reach the product path, keys spread
     # by a large multiplier the weighted-map route

@@ -272,6 +272,64 @@ def test_interval_leaves_other_operands_to_mpmath():
                 (iv.mpf(1.0) ** (2 ** 60 + 1))._mpi_
 
 
+FRACTIONS = [Fraction(1, 3), Fraction(-5, 7), Fraction(2 ** 200 + 1, 3),
+             Fraction(4), Fraction(0)]
+
+
+@pytest.mark.parametrize("prec", PRECS)
+@pytest.mark.parametrize("op", OPERATORS, ids=lambda op: op.__name__)
+def test_interval_encloses_a_fraction_operand_in_either_order(prec, op):
+    # a Fraction is enclosed as Interval(Fraction) encloses it, then taken
+    # like an interval operand; mpmath itself cannot convert a Fraction
+    with workprec(prec):
+        for s in SHAPES:
+            x = Interval(s)
+            for c in FRACTIONS:
+                enclosed = Interval(c)
+                got = op(x, c)
+                assert type(got) is Interval
+                assert got._mpi_ == op(x, enclosed)._mpi_, (op, s, c)
+                got = op(c, x)
+                assert type(got) is Interval
+                assert got._mpi_ == op(enclosed, x)._mpi_, (op, c, s)
+        assert (Interval(1) - Fraction(1, 3))._mpi_ == \
+            (iv.mpf(1) - iv.mpf(1) / 3)._mpi_
+
+
+class _Tagged:
+    """A foreign operand with its own operators, such as a dual number."""
+
+    def __init__(self):
+        self.calls = []
+
+    def _record(name):
+        def method(self, other):
+            self.calls.append((name, type(other)))
+            return name
+        return method
+
+    __add__, __radd__ = _record("add"), _record("radd")
+    __sub__, __rsub__ = _record("sub"), _record("rsub")
+    __mul__, __rmul__ = _record("mul"), _record("rmul")
+    __truediv__, __rtruediv__ = _record("truediv"), _record("rtruediv")
+
+
+@pytest.mark.parametrize("op", OPERATORS, ids=lambda op: op.__name__)
+def test_interval_defers_to_an_operand_mpmath_cannot_convert(op):
+    # Interval op t gives NotImplemented, so t's reflected operator runs;
+    # t op Interval runs t's own operator first
+    with workprec(64):
+        x, t = Interval([0.25, 3]), _Tagged()
+        name = op.__name__
+        assert op(x, t) == "r" + name
+        assert op(t, x) == name
+        assert t.calls == [("r" + name, Interval), (name, Interval)]
+        with pytest.raises(TypeError):
+            op(x, object())
+        with pytest.raises(TypeError):
+            op(object(), x)
+
+
 def test_interval_is_an_mpmath_interval():
     with workprec(64):
         x = Interval([0.25, 3])

@@ -228,6 +228,22 @@ def test_slot_width_rule(bound, width):
     assert lattice._slot_bytes(bound) == width
 
 
+@pytest.mark.parametrize("width", [1, 2, 4, 8])
+def test_reflected_encoding_reverses_the_slots(width):
+    # the reflection read from one buffer equals a second encoding at the
+    # negated keys; values fill their slot, and slot 0 and the last are used
+    rng = random.Random(width)
+    lo, cells = -7, 40
+    keys = [lo, *rng.sample(range(lo + 1, lo + cells - 1), 15), lo + cells - 1]
+    values = [rng.randint(1, 256 ** width - 1) for _ in keys]
+    p, r = lattice._slots_int_reflected(keys, values, lo, cells, width)
+    assert p == lattice._slots_int(keys, values, lo, cells, width)
+    assert r == lattice._slots_int([-x for x in keys], values,
+                                   -(lo + cells - 1), cells, width)
+    slots = lattice._int_slots(r, cells, width)
+    assert [slots[lo + cells - 1 - x] for x in keys] == values
+
+
 @pytest.mark.parametrize("values", [
     lambda rng: rng.randint(-5, 5),
     lambda rng: Fraction(rng.randint(1, 9), rng.randint(1, 9)),
