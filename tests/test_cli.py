@@ -169,7 +169,29 @@ def test_sampled_verify_budget_exits_fast(capsys):
     assert "sampled sweep over 65536 points" in err
 
 
-@pytest.mark.parametrize("extra, digest", [
+@pytest.mark.parametrize("argv, code, digest", [
+    # the four exhaustive {0,1}^4 sweeps of the subset-sweep benchmark
+    (["verify", "--set", "cube:1x4", "--k", "2"], 0,
+     "2b13f08c8befbdd14e98cf50e642ddb62422e0a2f6b47a7716c411f1b2bc9925"),
+    (["verify", "--set", "cube:1x4", "--k", "2", "--kind", "higher"], 0,
+     "a409c3d8cb16753c9bba207f1cf6f216b8f751fc987b720bf1936f9e71eaa0ab"),
+    (["verify", "--set", "cube:1x4", "--k", "3", "--kind", "higher"], 0,
+     "7c0b87ce757eb9eeaacda3ce2031109f131a895fbbb55c43ed7c09d3d26f5560"),
+    (["verify", "--set", "cube:1x4", "--k", "2", "--exponent", "2.6"], 0,
+     "e48127a3f0cedf55b84abb3f02f7e1daf94353136bf79105b7c76163780f4c96"),
+    # {0..3}^2: 8 547 orbits of a group of order 8, with violations
+    (["verify", "--set", "cube:3x2", "--k", "2", "--kind", "higher"], 1,
+     "c4ab14c91a150f73543c45f4b4547d797ecf00ce3f8f33ed604975efe7b3430d"),
+])
+def test_verify_exhaustive_golden_bytes(capsys, workers, argv, code, digest):
+    # frozen output of orbit sweeps: one energy per orbit, reported as a
+    # scan in mask order would report it
+    got, out, _ = _run(capsys, argv)
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+SAMPLED_GOLDENS = [
     (["--k", "2"],
      "35fdd3eb559417eee34a5f1f5601415ed218c30c3ffe3a35a5b33036a27e79f5"),
     (["--kind", "higher", "--k", "3"],
@@ -177,13 +199,23 @@ def test_sampled_verify_budget_exits_fast(capsys):
     # 2-byte slots: the additive bound |A|^2 passes 255 from |A| = 16 on
     (["--k", "3"],
      "64a516e162125fa07d44353c09f1c1a8b658745ee3f374b705793f6561f95699"),
-])
+]
+
+
+@pytest.mark.parametrize("extra, digest", SAMPLED_GOLDENS)
 def test_verify_sampled_golden_bytes(capsys, extra, digest):
     # frozen output of sampled sweeps, whose energies take the product path
     code, out, _ = _run(capsys, ["verify", "--set", "cube:1x5", "--sample",
                                  "500", "--seed", "7"] + extra)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("extra, digest", SAMPLED_GOLDENS)
+def test_verify_sampled_golden_bytes_on_any_worker_count(capsys, workers,
+                                                         extra, digest):
+    # the sampled energies fan out; they merge in mask order
+    test_verify_sampled_golden_bytes(capsys, extra, digest)
 
 
 # ---------------------------------------------------------------------------
