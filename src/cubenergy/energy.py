@@ -13,9 +13,12 @@ lattice._slot_bytes).  power_energy_plan compiles packed_power_energy's
 float dict loop, for fixed keys, into one straight-line function of the
 weights (the extension optimizer's ratios), bit for bit the same.
 brute_force_energy stays the independent oracle.
-subset_energies walks the subsets of a small point list, one point a step;
-orbit_energies walks them one orbit of a given symmetry group at a time,
-computing one energy per orbit.
+subset_energies walks the subsets of a small point list, one point a step,
+or recounts given masks, each selected through per-byte lookup lists, with
+their energies fanned out over forked workers (_fanout) and merged in mask
+order; orbit_energies walks the subsets one orbit of a given symmetry group
+at a time, computing one energy per orbit, and applies each generator to a
+mask through three unrolled 256-entry byte tables.
 level_set_energies gives E_k of the level sets of {0..n}^d (points with at
 most t coordinates off the middle letters) from a generating function over
 sum types, in time polynomial in d, without building the cube.
@@ -29,6 +32,7 @@ from enum import Enum
 from itertools import groupby, product as iter_product, repeat
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
+from ._fanout import _fan_out
 from .errors import BudgetExceeded, DimensionMismatch
 from .lattice import (DENSE_MAX_CELLS, CountsMap, PointSet, _int_slots,
                       _slot_bytes, _slots_int, _slots_int_reflected,
@@ -274,6 +278,11 @@ def _product_energy(sel: List[int], k: int, higher: bool, lo: int, hi: int,
     return sum(map(operator.mul, slots, slots))
 
 
+# a forked worker pays for its fork, pipe and reaping (2 to 5 ms) only with
+# enough masks: one energy of a sampled subset of {0,1}^5 takes 15 to 20 us
+SAMPLE_MIN_CHUNK = 256
+
+
 def subset_energies(packed: List[int], k: int, kind: EnergyKind,
                     masks: Optional[Iterable[int]] = None
                     ) -> Iterator[Tuple[int, int, int]]:
@@ -286,13 +295,16 @@ def subset_energies(packed: List[int], k: int, kind: EnergyKind,
     counts ordered j-tuples by sum; adding p adds C(j,i) reps[j-i] shifted
     by i*p, top-down, and removing p subtracts it bottom-up, so no update
     reads a table that contains p.  Higher: the pair-difference counts.
-    Given masks are recounted from scratch, in the order given.
+    Given masks are recounted from scratch and yielded in the order given;
+    their energies fan out over forked workers (_fanout._fan_out) in
+    contiguous chunks of at least SAMPLE_MIN_CHUNK masks.
     """
     n = len(packed)
     if masks is not None:
-        for mask in masks:
-            sel = [packed[i] for i in range(n) if mask >> i & 1]
-            yield mask, len(sel), packed_subset_energy(sel, k, kind)
+        masks = list(masks)
+        yield from zip(masks, map(int.bit_count, masks),
+                       _fan_out(_mask_energy(packed, k, kind), masks,
+                                SAMPLE_MIN_CHUNK))
         return
     higher = kind is EnergyKind.HIGHER
     power = [c ** k for c in range(n + 1)]
@@ -338,17 +350,43 @@ def subset_energies(packed: List[int], k: int, kind: EnergyKind,
         yield mask, size, energy
 
 
-def _byte_tables(perm: List[int]) -> List[Tuple[int, List[int]]]:
-    """(shift, table) per chunk of at most 8 bits of a mask: table[b] is
-    the image under perm of the bits b at that shift, so OR-ing the tables'
-    entries applies perm to a whole mask."""
+def _mask_energy(packed: List[int], k: int, kind: EnergyKind
+                 ) -> Callable[[int], int]:
+    """mask -> packed_subset_energy of the keys it selects, bit i of mask
+    selecting packed[i]: the selection is one list concatenation, of a
+    per-byte lookup list for each byte of the mask."""
+    chunks = []
+    for shift in range(0, len(packed), 8):
+        keys = packed[shift:shift + 8]
+        lists = [[]]
+        for key in keys:                # lists[b]: the keys of b's bits
+            lists += [sel + [key] for sel in lists]
+        chunks.append((shift, lists))
+
+    def mask_energy(mask: int) -> int:
+        sel = []
+        for shift, lists in chunks:
+            sel += lists[mask >> shift & 255]
+        return packed_subset_energy(sel, k, kind)
+    return mask_energy
+
+
+# the largest set the orbit walk's bitmap of 2^points bytes may cover
+MAX_ORBIT_POINTS = 24
+
+
+def _byte_tables(perm: List[int]) -> List[List[int]]:
+    """Three 256-entry tables, for bits 0-7, 8-15 and 16-23 of a mask:
+    table[b] is the image under perm of the bits b at that byte, so
+    a[m & 255] | b[m >> 8 & 255] | c[m >> 16] applies perm to a mask m of
+    at most 24 bits."""
     out = []
-    for shift in range(0, len(perm), 8):
-        table = [0] * (1 << min(8, len(perm) - shift))
-        for b in range(1, len(table)):
+    for shift in (0, 8, 16):
+        table = [0] * 256
+        for b in range(1, 1 << min(8, max(0, len(perm) - shift))):
             low = b & -b
             table[b] = table[b ^ low] | 1 << perm[shift + low.bit_length() - 1]
-        out.append((shift, table))
+        out.append(table)
     return out
 
 
@@ -361,29 +399,34 @@ def orbit_energies(packed: List[int], k: int, kind: EnergyKind,
 
     Each symmetry is a permutation of the point indices that preserves both
     energies (for a cube {0..n}^d: coordinate permutations and reflections
-    x_i -> n - x_i).  Masks are scanned in increasing order and each unseen
-    one has its orbit closed by breadth-first search over the generators,
-    so rep is the orbit's smallest mask and reps arrive in increasing order.
-    E is computed once per orbit, from scratch.
+    x_i -> n - x_i).  Each generator is applied to a mask through three
+    byte tables (_byte_tables), one expression per image.  A bitmap of
+    2^points bytes marks the masks seen, so at most MAX_ORBIT_POINTS points
+    are taken.  The scan jumps to the next unseen mask (bytearray.find) and
+    closes its orbit by breadth-first search over the generators, so rep is
+    the orbit's smallest mask and reps arrive in increasing order.  E is
+    computed once per orbit, from scratch.
     """
     n = len(packed)
+    if n > MAX_ORBIT_POINTS:
+        raise ValueError("orbit walk over %d points (> %d) refused"
+                         % (n, MAX_ORBIT_POINTS))
     tables = [_byte_tables(perm) for perm in symmetries]
+    mask_energy = _mask_energy(packed, k, kind)
     seen = bytearray(1 << n)
-    for rep in range(1, 1 << n):
-        if seen[rep]:
-            continue
+    seen[0] = 1                         # the empty set is not walked
+    rep = seen.find(0)
+    while rep > 0:
         seen[rep] = 1
         members = [rep]
         for mask in members:            # grows while it is walked
-            for chunks in tables:
-                img = 0
-                for shift, table in chunks:
-                    img |= table[mask >> shift & 255]
+            for a, b, c in tables:
+                img = a[mask & 255] | b[mask >> 8 & 255] | c[mask >> 16]
                 if not seen[img]:
                     seen[img] = 1
                     members.append(img)
-        sel = [packed[i] for i in range(n) if rep >> i & 1]
-        yield rep, len(sel), packed_subset_energy(sel, k, kind), members
+        yield rep, rep.bit_count(), mask_energy(rep), members
+        rep = seen.find(0, rep)
 
 
 def interval_energy_closed_form(n: int) -> int:

@@ -18,9 +18,10 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from mpmath import iv
 from mpmath.libmp import fzero, mpf_lt
 
+from ._fanout import _fan_out
 from .errors import PrecisionExhausted
-from .intervals import (Interval, _escalate, _fan_out, _lift, _separation,
-                        decide_le, ipow, ipows, log2_interval)
+from .intervals import (Interval, _escalate, _lift, _separation, decide_le,
+                        ipow, ipows, log2_interval)
 
 # exact-power comparison budget for compare_alpha, in bits
 EXACT_BITS_CAP = 1 << 21

@@ -8,8 +8,12 @@ every integer.  No verdict ever comes from bare floating point.
 Both energies are invariant under the symmetries of the cube {0..n}^d, so
 an exhaustive sweep with d >= 2 computes one energy per orbit of its
 symmetry group (energy.orbit_energies; 401 orbits for the 65 535 nonempty
-subsets of {0,1}^4) and counts it for every member.  A sweep with d <= 1
-and a sampled sweep take their masks one at a time.
+subsets of {0,1}^4) and counts it for every member.  The walk closes each
+orbit under two generators, the swap of coordinates 0 and 1 and the signed
+rotation p -> p[1:] + (n - p[0],), each applied to a mask through three
+256-entry byte tables.  A sweep with d <= 1 takes its masks one at a time,
+on the Gray-code walk; a sampled sweep recounts each mask from scratch,
+its energies fanned out over forked workers and merged in mask order.
 
 The witness search over the level sets of {0..n}^d takes its exact energies
 from energy.level_set_energies and its level sizes from a binomial sum, so
@@ -267,16 +271,14 @@ def sweep_cube(n: int, d: int, target: ExponentTarget, *,
 
 
 def _cube_symmetries(pts: List[tuple], n: int) -> List[List[int]]:
-    """Generators of the symmetry group of the cube {0..n}^d whose sorted
-    points are pts, each as the permutation of point indices it induces:
-    reflect coordinate 0 (x_0 -> n - x_0), swap coordinates 0 and 1, and
-    rotate the coordinates (d >= 3).  With the swap, the rotation generates
-    every coordinate permutation, and with those the reflection generates
-    every reflection: the whole group of order 2^d d!."""
-    d = len(pts[0])
-    moves = [lambda p: (n - p[0],) + p[1:], lambda p: (p[1], p[0]) + p[2:]]
-    if d >= 3:
-        moves.append(lambda p: p[1:] + p[:1])
+    """Two generators of the symmetry group of the cube {0..n}^d, d >= 2,
+    whose sorted points are pts, each as the permutation of point indices
+    it induces: the swap of coordinates 0 and 1, and the signed rotation
+    p -> p[1:] + (n - p[0],), a d-cycle of the coordinates that reflects
+    one of them.  A transposition and a signed d-cycle generate the whole
+    group of coordinate permutations and reflections, of order 2^d d!
+    (closed and counted in the tests for every cube the sweeps take)."""
+    moves = [lambda p: (p[1], p[0]) + p[2:], lambda p: p[1:] + (n - p[0],)]
     index = {p: i for i, p in enumerate(pts)}
     return [[index[move(p)] for p in pts] for move in moves]
 
@@ -290,12 +292,15 @@ def _walk(pts: List[tuple], n: int, packed: List[int], k: int,
     An exhaustive walk with d >= 2 yields one entry per symmetry orbit.
     With d <= 1 the group has order at most 2, too small to repay computing
     each energy from scratch, so the Gray-code walk updates it in place, one
-    mask an entry; given masks are likewise taken one at a time.  Measured
-    on both energies, k = 2 and 3: the orbit walk takes 0.55-0.95x the Gray
-    walk's time on {0..3}^2 and {0,1,2}^2 (group order 8), and ties on
-    {0,1}^2 (15 masks); on {0..15}^1, with the reflection alone, it takes
-    0.95-1.45x.  Every cube with d >= 2 within MAX_EXHAUSTIVE_POINTS is one
-    of {0,1}^2, {0,1}^3, {0,1}^4, {0,1,2}^2 and {0..3}^2.
+    mask an entry; given masks are likewise taken one at a time (their
+    energies fan out over forked workers).  Measured on both energies,
+    k = 2 and 3, best of 5 to 50 runs, three runs each: the orbit walk takes
+    0.18-0.53x the Gray walk's time on {0..3}^2 and 0.33-1.03x on {0,1,2}^2
+    (group order 8), and 0.85-1.7x on {0,1}^2, where either walk takes
+    under 0.1 ms; on {0..15}^1, with the reflection alone, it takes
+    0.56-1.45x, faster at additive k = 3 only.  Every cube with d >= 2
+    within MAX_EXHAUSTIVE_POINTS is one of {0,1}^2, {0,1}^3, {0,1}^4,
+    {0,1,2}^2 and {0..3}^2.
     """
     if masks is None and len(pts[0]) >= 2:
         return orbit_energies(packed, k, kind, _cube_symmetries(pts, n))

@@ -1,11 +1,12 @@
 """Fixtures shared by the test modules."""
 
+import importlib
 import os
 from types import SimpleNamespace
 
 import pytest
 
-from cubenergy import intervals, lattice
+from cubenergy import _fanout, lattice
 
 
 @pytest.fixture(params=[1, 2], ids=["1-worker", "2-workers"])
@@ -23,9 +24,11 @@ def workers(request, monkeypatch):
         return pid
 
     monkeypatch.setattr(os, "fork", counting_fork)
-    monkeypatch.setattr(intervals, "_cpu_count", lambda: count)
+    monkeypatch.setattr(_fanout, "_cpu_count", lambda: count)
     if count > 1:
-        monkeypatch.setattr(intervals, "FAN_OUT_MIN_CHUNK", 1)
+        monkeypatch.setattr(_fanout, "FAN_OUT_MIN_CHUNK", 1)
+        monkeypatch.setattr(importlib.import_module("cubenergy.energy"),
+                            "SAMPLE_MIN_CHUNK", 1)
     return SimpleNamespace(count=count, forks=forks)
 
 

@@ -216,6 +216,7 @@ def test_verify_sampled_golden_bytes_on_any_worker_count(capsys, workers,
                                                          extra, digest):
     # the sampled energies fan out; they merge in mask order
     test_verify_sampled_golden_bytes(capsys, extra, digest)
+    assert len(workers.forks) == workers.count - 1
 
 
 # ---------------------------------------------------------------------------

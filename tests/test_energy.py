@@ -1,6 +1,7 @@
 """Exact energy computation, closed forms, and decomposition identities."""
 
 import math
+import os
 import random
 from collections import Counter
 from itertools import permutations, product
@@ -8,6 +9,7 @@ from itertools import permutations, product
 import pytest
 
 from cubenergy.energy import (
+    SAMPLE_MIN_CHUNK,
     EnergyKind,
     EnergyValue,
     additive_energy,
@@ -27,12 +29,13 @@ from cubenergy.energy import (
     split_last_coordinate,
     subset_energies,
 )
-from cubenergy.energy import _correlation_moment, _product_energy, _slot_width
-from cubenergy import lattice
+from cubenergy.energy import (_byte_tables, _correlation_moment,
+                              _product_energy, _slot_width)
+from cubenergy import _fanout, lattice
 from cubenergy.errors import BudgetExceeded
 from cubenergy.lattice import (CountsMap, PointSet, indicator,
                                iterate_convolve, pack_points)
-from cubenergy.verify import _cube_symmetries
+from cubenergy.verify import MAX_EXHAUSTIVE_POINTS, _cube_symmetries
 
 
 def _random_set(rng, dim, lo=0, hi=3, max_size=8):
@@ -455,7 +458,52 @@ def test_subset_walk_matches_brute_force(n, d, kind, k):
     assert all(bin(a ^ b).count("1") == 1 for a, b in zip(seen, seen[1:]))
 
 
-@pytest.mark.parametrize("n, d, orbits", [(1, 2, 5), (1, 3, 21), (2, 2, 101)])
+def _cube_group(pts, n):
+    """Every symmetry of {0..n}^d as the permutation of point indices it
+    induces, built from each coordinate permutation and set of reflections,
+    not from generators."""
+    d = len(pts[0])
+    index = {p: i for i, p in enumerate(pts)}
+    return [[index[tuple(n - p[j] if f else p[j] for j, f in zip(perm, flips))]
+             for p in pts]
+            for perm in permutations(range(d))
+            for flips in product((False, True), repeat=d)]
+
+
+def _mask_image(mask, perm):
+    return sum(1 << j for i, j in enumerate(perm) if mask >> i & 1)
+
+
+# every cube with d >= 2 an exhaustive sweep takes (2^d <= its points), and
+# {0,1}^5
+SWEPT_CUBES = [(n, d) for n in range(1, MAX_EXHAUSTIVE_POINTS)
+               for d in range(2, MAX_EXHAUSTIVE_POINTS.bit_length())
+               if (n + 1) ** d <= MAX_EXHAUSTIVE_POINTS] + [(1, 5)]
+
+
+@pytest.mark.parametrize("n, d", SWEPT_CUBES)
+def test_cube_symmetries_generate_the_whole_group(n, d):
+    pts = PointSet.cube(n, d).sorted_points()
+    gens = [tuple(g) for g in _cube_symmetries(pts, n)]
+    assert len(gens) == 2
+    group = {tuple(range(len(pts)))}
+    frontier = list(group)
+    while frontier:                 # close the group under the generators
+        frontier = [h for h in {tuple(gen[i] for i in g)
+                                for g in frontier for gen in gens}
+                    if h not in group]
+        group.update(frontier)
+    assert len(group) == 2 ** d * math.factorial(d)
+    assert group == {tuple(g) for g in _cube_group(pts, n)}
+
+
+def test_cube_symmetries_cover_the_swept_cubes():
+    assert {(n, d) for n, d in SWEPT_CUBES if d < 5} == \
+        {(1, 2), (1, 3), (1, 4), (2, 2), (3, 2)}
+
+
+@pytest.mark.parametrize("n, d, orbits", [(1, 2, 5), (1, 3, 21), (2, 2, 101),
+                                          (1, 4, 401), (3, 2, 8547)])
 def test_orbit_walk_partitions_by_cube_symmetry(n, d, orbits):
     pts = PointSet.cube(n, d).sorted_points()
     k, kind = 2, EnergyKind.ADDITIVE
@@ -465,15 +513,36 @@ def test_orbit_walk_partitions_by_cube_symmetry(n, d, orbits):
     assert [rep for rep, _, _, _ in got] == sorted(rep for rep, _, _, _ in got)
     assert sorted(m for _, _, _, members in got for m in members) == \
         list(range(1, 1 << len(pts)))
+    group = _cube_group(pts, n)
     for rep, size, e, members in got:
-        key = _cube_symmetry_class(_mask_set(pts, rep), n)
         assert rep == min(members) and size == bin(rep).count("1")
         assert e == energy(_mask_set(pts, rep), k, kind).value
-        assert all(_cube_symmetry_class(_mask_set(pts, m), n) == key
-                   for m in members)
+        # the members are the images of rep under the whole group
+        assert set(members) == {_mask_image(rep, g) for g in group}
+    if len(pts) > 9:
+        return      # the point-set oracle below takes seconds past 9 points
     # one orbit per class: two different orbits never share a class
     classes = {_cube_symmetry_class(_mask_set(pts, rep), n) for rep, *_ in got}
     assert len(classes) == orbits
+
+
+def test_byte_tables_apply_a_permutation_of_up_to_24_points():
+    rng = random.Random(24)
+    for points in (1, 7, 8, 9, 16, 17, 23, 24):
+        perm = list(range(points))
+        rng.shuffle(perm)
+        a, b, c = _byte_tables(perm)
+        for mask in [0, (1 << points) - 1] + [rng.getrandbits(points)
+                                              for _ in range(200)]:
+            assert a[mask & 255] | b[mask >> 8 & 255] | c[mask >> 16] == \
+                _mask_image(mask, perm), (points, mask)
+
+
+def test_orbit_walk_refuses_more_than_24_points():
+    # a bitmap of 2^25 bytes, and as many Python steps, are not affordable
+    packed = pack_points(PointSet.cube(4, 2).sorted_points(), 2)
+    with pytest.raises(ValueError, match="25 points"):
+        next(orbit_energies(packed, 2, EnergyKind.ADDITIVE, []))
 
 
 def test_subset_energies_given_masks_in_given_order():
@@ -490,6 +559,34 @@ def test_subset_energies_given_masks_in_given_order():
             sub = _mask_set(pts, mask)
             assert size == len(sub)
             assert e == brute_force_energy(sub, k, kind).value
+
+
+def test_sampled_masks_fork_only_for_full_chunks(monkeypatch):
+    # a fork costs what about 250 sampled energies cost: a 96-mask sample
+    # stays in this process, two full chunks fork one worker
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(_fanout, "_cpu_count", lambda: 2)
+    pts = PointSet.cube(1, 5).sorted_points()
+    packed = pack_points(pts, 2)
+    rng = random.Random(96)
+    masks = [rng.getrandbits(32) | 1 for _ in range(2 * SAMPLE_MIN_CHUNK)]
+    got = list(subset_energies(packed, 2, EnergyKind.ADDITIVE, masks[:96]))
+    assert forks == []
+    assert got == list(subset_energies(packed, 2, EnergyKind.ADDITIVE,
+                                       masks))[:96]
+    assert len(forks) == 1
+    for mask, size, e in got[:8]:
+        sub = _mask_set(pts, mask)
+        assert size == len(sub) and e == energy(sub, 2, EnergyKind.ADDITIVE).value
 
 
 # ---------------------------------------------------------------------------

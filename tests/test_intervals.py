@@ -10,14 +10,14 @@ from fractions import Fraction
 import pytest
 from mpmath import iv, mp
 
-from cubenergy import intervals
+from cubenergy import _fanout, intervals
+from cubenergy._fanout import _fan_out
 from cubenergy.errors import PrecisionExhausted
 from cubenergy.intervals import (
     PREC_CAP,
     PREC_START,
     Interval,
     _escalate,
-    _fan_out,
     decide_le,
     floor_power_log2,
     ipow,
@@ -296,6 +296,46 @@ def test_interval_encloses_a_fraction_operand_in_either_order(prec, op):
             (iv.mpf(1) - iv.mpf(1) / 3)._mpi_
 
 
+@pytest.mark.parametrize("prec", PRECS)
+def test_interval_encloses_a_fraction_exponent(prec):
+    # mpmath's ** raises NotImplementedError on a Fraction exponent
+    with workprec(prec):
+        for s in ([0.25, 3], 2, [1, 1.5]):
+            x = Interval(s)
+            for c in (Fraction(1, 2), Fraction(-5, 7), Fraction(4),
+                      Fraction(2 ** 80 + 1, 3)):
+                assert (x ** c)._mpi_ == (x ** Interval(c))._mpi_, (s, c)
+        root = Interval(2) ** Fraction(1, 2)
+        assert root.a ** 2 <= 2 <= root.b ** 2
+        assert root._mpi_ == (Interval(2) ** 0.5)._mpi_
+        # the other order is Fraction's own: it rounds itself to a float,
+        # which here is exact
+        assert (Fraction(1, 2) ** Interval(2))._mpi_ == \
+            (Interval(Fraction(1, 2)) ** 2)._mpi_
+
+
+COMPARISONS = [operator.lt, operator.le, operator.gt, operator.ge,
+               operator.eq, operator.ne]
+
+
+@pytest.mark.parametrize("prec", PRECS)
+@pytest.mark.parametrize("op", COMPARISONS, ids=lambda op: op.__name__)
+def test_interval_compares_with_a_fraction_in_either_order(prec, op):
+    # a Fraction comparand is enclosed as Interval(Fraction) encloses it;
+    # the decision is mpmath's (None while the enclosures overlap)
+    with workprec(prec):
+        for s in SHAPES + [Fraction(1, 3)]:
+            x = Interval(s)
+            for c in FRACTIONS:
+                enclosed = Interval(c)
+                assert op(x, c) is op(x, enclosed), (op, s, c)
+                assert op(c, x) is op(enclosed, x), (op, c, s)
+    with workprec(64):
+        assert (Interval(2) < Fraction(1, 2)) is False
+        assert (Fraction(1, 2) < Interval(2)) is True
+        assert (Interval(1) / 3 < Fraction(1, 3)) is None
+
+
 class _Tagged:
     """A foreign operand with its own operators, such as a dual number."""
 
@@ -346,10 +386,10 @@ def test_interval_is_an_mpmath_interval():
 @pytest.fixture
 def cpus(monkeypatch):
     """Set the CPU count the fan-out sees; a worker may take one item."""
-    monkeypatch.setattr(intervals, "FAN_OUT_MIN_CHUNK", 1)
+    monkeypatch.setattr(_fanout, "FAN_OUT_MIN_CHUNK", 1)
 
     def set_count(count):
-        monkeypatch.setattr(intervals, "_cpu_count", lambda: count)
+        monkeypatch.setattr(_fanout, "_cpu_count", lambda: count)
     return set_count
 
 
@@ -383,8 +423,8 @@ def test_fan_out_with_fewer_items_than_workers(cpus):
 
 
 def test_fan_out_forks_only_for_full_chunks(monkeypatch):
-    monkeypatch.setattr(intervals, "_cpu_count", lambda: 2)
-    n = 2 * intervals.FAN_OUT_MIN_CHUNK
+    monkeypatch.setattr(_fanout, "_cpu_count", lambda: 2)
+    n = 2 * _fanout.FAN_OUT_MIN_CHUNK
     assert {pid for _, pid in _fan_out(_with_pid, range(n - 1))} == {os.getpid()}
     assert len({pid for _, pid in _fan_out(_with_pid, range(n))}) == 2
     assert_no_child_left()

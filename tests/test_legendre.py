@@ -9,7 +9,7 @@ import pytest
 from mpmath import iv
 from mpmath.libmp import libmpi
 
-from cubenergy import intervals, legendre
+from cubenergy import _fanout, intervals, legendre
 from cubenergy.cli import dumps_canonical
 from cubenergy.errors import PrecisionExhausted
 from cubenergy.intervals import to_interval
@@ -332,7 +332,7 @@ def rungs(monkeypatch):
 def one_worker(monkeypatch):
     """Run every fan-out in this process, where a monkeypatched counter sees
     the calls it makes; calls made in a forked worker are not seen."""
-    monkeypatch.setattr(intervals, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(_fanout, "_cpu_count", lambda: 1)
 
 
 def test_grid_and_shape_checks_climb_one_ladder(rungs):
@@ -590,7 +590,7 @@ def test_shape_flags_fork_only_for_points_the_grid_missed(workers,
     zs = [(j + 0.5) / 199 for j in range(199)]
     flags = check_convex_concave(3, zs=zs, points=200).shape_flags
     assert all(forks_per_flag) == (workers.count > 1)
-    monkeypatch.setattr(intervals, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(_fanout, "_cpu_count", lambda: 1)
     assert check_convex_concave(3, zs=zs, points=200).shape_flags == flags
 
 
