@@ -44,15 +44,15 @@ def _fan_out(fn: Callable, items: Sequence,
     The items are split into contiguous chunks, one per CPU of the affinity
     mask and each of at least ``min_chunk`` items (FAN_OUT_MIN_CHUNK when
     None).  The caller computes the first chunk, each other chunk is
-    computed by a forked worker, and the results are merged in item order.  ``fn`` and the items reach a worker
-    through the fork, so they need not pickle; results do, and what ``fn``
-    changes in a worker is lost.  The first exception in chunk order is
-    raised.  The work runs serially in the caller when a single chunk is
-    left, when ``os.fork`` is missing, when the process runs other threads,
-    and inside another fan-out.  No worker outlives the call.
+    computed by a forked worker, and the results are merged in item order.
+    ``fn`` and the items reach a worker through the fork, so they need not
+    pickle; results do, and what ``fn`` changes in a worker is lost.  The
+    first exception in chunk order is raised.  The work runs serially in
+    the caller when a single chunk is left, when ``os.fork`` is missing,
+    when the process runs other threads, and inside another fan-out.  No
+    worker outlives the call.
     """
     global _fanning_out
-    items = list(items)
     width = _fan_out_width(len(items), FAN_OUT_MIN_CHUNK if min_chunk is None
                            else min_chunk)
     if width < 2:

@@ -30,7 +30,8 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from itertools import groupby, product as iter_product, repeat
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from ._fanout import _fan_out
 from .errors import BudgetExceeded, DimensionMismatch
@@ -284,7 +285,7 @@ SAMPLE_MIN_CHUNK = 256
 
 
 def subset_energies(packed: List[int], k: int, kind: EnergyKind,
-                    masks: Optional[Iterable[int]] = None
+                    masks: Optional[Sequence[int]] = None
                     ) -> Iterator[Tuple[int, int, int]]:
     """Yield (mask, |B|, E(B)), bit i of mask selecting packed[i] (keys
     from pack_points(..., key_multiplier(k, kind))).
@@ -301,7 +302,6 @@ def subset_energies(packed: List[int], k: int, kind: EnergyKind,
     """
     n = len(packed)
     if masks is not None:
-        masks = list(masks)
         yield from zip(masks, map(int.bit_count, masks),
                        _fan_out(_mask_energy(packed, k, kind), masks,
                                 SAMPLE_MIN_CHUNK))

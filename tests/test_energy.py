@@ -497,11 +497,6 @@ def test_cube_symmetries_generate_the_whole_group(n, d):
     assert group == {tuple(g) for g in _cube_group(pts, n)}
 
 
-def test_cube_symmetries_cover_the_swept_cubes():
-    assert {(n, d) for n, d in SWEPT_CUBES if d < 5} == \
-        {(1, 2), (1, 3), (1, 4), (2, 2), (3, 2)}
-
-
 @pytest.mark.parametrize("n, d, orbits", [(1, 2, 5), (1, 3, 21), (2, 2, 101),
                                           (1, 4, 401), (3, 2, 8547)])
 def test_orbit_walk_partitions_by_cube_symmetry(n, d, orbits):
