@@ -298,7 +298,7 @@ def _walk(pts: List[tuple], n: int, packed: List[int], k: int,
     0.18-0.53x the Gray walk's time on {0..3}^2 and 0.33-1.03x on {0,1,2}^2
     (group order 8), and 0.85-1.7x on {0,1}^2, where either walk takes
     under 0.1 ms; on {0..15}^1, with the reflection alone, it takes
-    0.56-1.45x, faster at additive k = 3 only.  Every cube with d >= 2
+    0.56-1.45x, faster or slower by run and energy.  Every cube with d >= 2
     within MAX_EXHAUSTIVE_POINTS is one of {0,1}^2, {0,1}^3, {0,1}^4,
     {0,1,2}^2 and {0..3}^2.
     """

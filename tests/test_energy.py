@@ -516,8 +516,13 @@ def test_orbit_walk_partitions_by_cube_symmetry(n, d, orbits):
         assert set(members) == {_mask_image(rep, g) for g in group}
     if len(pts) > 9:
         return      # the point-set oracle below takes seconds past 9 points
+    classes = set()
+    for rep, _, _, members in got:
+        key = _cube_symmetry_class(_mask_set(pts, rep), n)
+        assert all(_cube_symmetry_class(_mask_set(pts, m), n) == key
+                   for m in members)
+        classes.add(key)
     # one orbit per class: two different orbits never share a class
-    classes = {_cube_symmetry_class(_mask_set(pts, rep), n) for rep, *_ in got}
     assert len(classes) == orbits
 
 
@@ -557,8 +562,8 @@ def test_subset_energies_given_masks_in_given_order():
 
 
 def test_sampled_masks_fork_only_for_full_chunks(monkeypatch):
-    # a fork costs what about 250 sampled energies cost: a 96-mask sample
-    # stays in this process, two full chunks fork one worker
+    # one fork costs about as much as 250 sampled energies: a 96-mask
+    # sample stays in this process, two full chunks fork one worker
     forks = []
     fork = os.fork
 
@@ -581,7 +586,8 @@ def test_sampled_masks_fork_only_for_full_chunks(monkeypatch):
     assert len(forks) == 1
     for mask, size, e in got[:8]:
         sub = _mask_set(pts, mask)
-        assert size == len(sub) and e == energy(sub, 2, EnergyKind.ADDITIVE).value
+        assert size == len(sub)
+        assert e == energy(sub, 2, EnergyKind.ADDITIVE).value
 
 
 # ---------------------------------------------------------------------------
