@@ -335,6 +335,9 @@ def _grid_check(name: str, k: int, xs: List[float], lo: float, hi: float,
     constants and returns ``(lhs, rhs)``, functions of the point's interval.
     The points of a level are decided through the fan-out.
     """
+    if not all(lo <= x <= hi for x in xs):
+        raise ValueError("grid must lie in [%r, %r]" % (lo, hi))
+
     def level(pending):
         lhs, rhs = sides()
 
@@ -343,15 +346,6 @@ def _grid_check(name: str, k: int, xs: List[float], lo: float, hi: float,
             return _separation(lhs(x), rhs(x))
         return _fan_out(judge, pending)
 
-    return _grid_report(name, k, xs, lo, hi, exact, level)
-
-
-def _grid_report(name: str, k: int, xs: List[float], lo: float, hi: float,
-                 exact: Dict[float, bool], level: Callable) -> GridCheckReport:
-    """The report of ``_grid_check``, whose ladder settles the indices of
-    the points outside ``exact`` with ``level`` as in ``_settle``."""
-    if not all(lo <= x <= hi for x in xs):
-        raise ValueError("grid must lie in [%r, %r]" % (lo, hi))
     verdicts = _settle([j for j, x in enumerate(xs) if x not in exact], level)
     report = GridCheckReport(name, k, len(xs))
     for j, x in enumerate(xs):
@@ -443,6 +437,8 @@ def check_goal_inequality(k: int, grid: Optional[List[float]] = None,
     Equality at a in {0, 1/2, 1}: at the midpoint both sides collapse to
     (2^k + 2)/2^q = 1 exactly since 2^q is 2^k + 2 by definition.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if grid is None:
         grid = unit_grid(points)
 
@@ -464,6 +460,8 @@ def check_two_point_inequality(k: int, xs: Optional[List[float]] = None,
     equality happens at x = 0 and x = y = 1 (where both sides are the exact
     integer 2^k + 2).
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if xs is None:
         xs = [0.0] + log_grid(1e-3, 1e3, points - 2) + [1.0]
         xs = sorted(set(xs))
@@ -491,6 +489,8 @@ def check_cfil_instance(k: int, grid: Optional[List[float]] = None,
 
     with equality at a in {0, 1/2, 1}.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if grid is None:
         grid = unit_grid(points)
 
@@ -515,19 +515,18 @@ def check_convex_concave(k: int, zs: Optional[List[float]] = None,
                          points: int = 1000) -> GridCheckReport:
     """1 + z^(q/2)/2^(k-1) <= (1+z)^(q-k) on [0,1], plus the structural
     facts the proof uses: equality at both endpoints (checked as exact
-    rationals), convexity of the left side and concavity of the right side
-    via certified second differences.  The inequality is checked on zs; the
-    shape flags are certified on the uniform grid of `points` points over
-    [0, 1], independent of zs, which needs points >= 3.  Each side is
-    enclosed once per point and precision: the grid keeps the enclosures it
-    makes, and the shape flags read them in this process and fan out only
-    the points the grid did not enclose."""
+    rationals), strict convexity of the left side and strict concavity of
+    the right side.  The inequality is checked on zs, by default the unit
+    grid of `points` points, which needs points >= 3.  The shape flags are
+    exact for all of [0, 1]: each side is one power, and the sign of its
+    second derivative is decided by integer comparisons."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if points < 3:
-        raise ValueError("points must be >= 3 to certify second differences")
+        raise ValueError("points must be >= 3 for the convex/concave grid")
     if zs is None:
         zs = unit_grid(points)
-    half = Fraction(2 ** k + 2, 2 ** k)
-    enclosures: Dict[tuple, object] = {}    # (side, prec, z) -> Interval
+    m = 2 ** k + 2
 
     def sides():
         q = _qk_iv(k)
@@ -535,61 +534,34 @@ def check_convex_concave(k: int, zs: Optional[List[float]] = None,
         return (lambda z: one + ipow(z, q2) / scale,
                 lambda z: ipow(one + z, qk))
 
-    def level(pending):
-        lhs, rhs = sides()
-        prec = iv.prec
-        new = list(dict.fromkeys(zs[j] for j in pending))
-
-        def both(z):
-            x = Interval(z)
-            return lhs(x)._mpi_, rhs(x)._mpi_
-        for z, (a, b) in zip(new, _fan_out(both, new)):
-            enclosures[0, prec, z] = _lift(a)
-            enclosures[1, prec, z] = _lift(b)
-        return [_separation(enclosures[0, prec, z], enclosures[1, prec, z])
-                for z in (zs[j] for j in pending)]
-
+    at_one = 1 + Fraction(1, 2 ** (k - 1)) == Fraction(m, 2 ** k)
     # at z = 0 both sides are 1
-    exact = {0.0: True, 1.0: 1 + Fraction(1, 2 ** (k - 1)) == half}
-    report = _grid_report("convex_concave", k, zs, 0.0, 1.0, exact, level)
-
-    uniform = [j / (points - 1) for j in range(points)]
-    ends = {0.0: Fraction(1), 1.0: half}
-
-    def shape(side, expect_positive):
-        def curve():
-            f = sides()[side]
-            return lambda z: f(Interval(z))
-
-        def known(z):
-            if z in ends:
-                return Interval(ends[z])
-            return enclosures.get((side, iv.prec, z))
-        return _certify_second_differences(uniform, curve, expect_positive,
-                                           known)
-
-    report.shape_flags["lhs_convex"] = shape(0, expect_positive=True)
-    report.shape_flags["rhs_concave"] = shape(1, expect_positive=False)
+    report = _grid_check("convex_concave", k, zs, 0.0, 1.0,
+                         {0.0: True, 1.0: at_one}, sides)
+    # each side is one power; with q = log2 m, on (0, 1]
+    #   lhs'' = (q/2)(q/2 - 1) z^(q/2-2) / 2^(k-1) > 0  iff  q > 2,
+    #   rhs'' = (q-k)(q-k-1) (1+z)^(q-k-2) < 0  iff  k < q < k+1,
+    # and 2^q = m turns both into integer comparisons.  At k = 1 both sides
+    # are 1 + z, whose f'' is 0, so neither flag holds.
+    report.shape_flags["lhs_convex"] = m > 4
+    report.shape_flags["rhs_concave"] = 2 ** k < m < 2 ** (k + 1)
     return report
 
 
-def _classify_second_differences(xs: List[float], curve: Callable,
-                                 known: Callable = lambda x: None
+def _classify_second_differences(xs: List[float], curve: Callable
                                  ) -> Tuple[List[int], List[int], List[int]]:
     """Indices i in 1..len(xs)-2 whose second difference
     f(xs[i+1]) - 2 f(xs[i]) + f(xs[i-1]) is certified negative, certified
     positive, or still undecided at the precision cap, each in index order.
     ``curve()`` builds f, a function of the float x, for one precision level;
-    a level takes f(x) from ``known(x)`` when that is not None, and encloses
-    through the fan-out the other points its pending second differences need.
+    a level encloses through the fan-out the points its pending second
+    differences need.  ``certify_psi_shape`` is its caller.
     """
     def level(pending):
         f = curve()
         needed = sorted({j for i in pending for j in (i - 1, i, i + 1)})
-        vals = {j: known(xs[j]) for j in needed}
-        misses = [j for j in needed if vals[j] is None]
-        vals.update(zip(misses, map(_lift, _fan_out(
-            lambda j: f(xs[j])._mpi_, misses))))
+        vals = dict(zip(needed, map(_lift, _fan_out(
+            lambda j: f(xs[j])._mpi_, needed))))
 
         def judge(i):
             lo, hi = (vals[i + 1] - 2 * vals[i] + vals[i - 1])._mpi_
@@ -601,18 +573,6 @@ def _classify_second_differences(xs: List[float], curve: Callable,
     return ([i for i in interior if signs.get(i) == -1],
             [i for i in interior if signs.get(i) == 1],
             [i for i in interior if i not in signs])
-
-
-def _certify_second_differences(xs: List[float], curve: Callable,
-                                expect_positive: bool,
-                                known: Callable = lambda x: None) -> bool:
-    """Certify the sign of every interior second difference of f on xs,
-    where ``curve()`` builds f for one precision level and ``known`` is as
-    in ``_classify_second_differences``."""
-    negative, positive, undecided = _classify_second_differences(xs, curve,
-                                                                 known)
-    wrong = negative if expect_positive else positive
-    return not wrong and not undecided
 
 
 def check_higher_energy_inequalities(k: int, points: int = 1000) -> Dict[str, GridCheckReport]:

@@ -195,6 +195,8 @@ def test_criterion_10_certified_grids():
             for name in ("two_point", "convex_concave"):
                 for x in (0.0, 1.0):
                     assert x in bundle[name].equalities, (k, name, x)
+            assert bundle["convex_concave"].shape_flags == \
+                {"lhs_convex": True, "rhs_concave": True}, k
     _gate(10, "certified 1000-point inequality grids for k = 2..10 with "
               "boundary equalities detected", 120.0, body)
 

@@ -16,7 +16,7 @@ from cubenergy.intervals import to_interval
 from cubenergy.legendre import (
     ExactAlpha,
     GridCheckReport,
-    _certify_second_differences,
+    _classify_second_differences,
     _grid_check,
     certify_psi_shape,
     certify_sign_pattern,
@@ -285,6 +285,53 @@ def test_convex_concave_needs_an_interior_point(points, monkeypatch):
         check_convex_concave(3, zs=[0.25], points=points)
 
 
+@pytest.mark.parametrize("check", [
+    check_goal_inequality,
+    check_two_point_inequality,
+    check_cfil_instance,
+    check_convex_concave,
+    check_higher_energy_inequalities,
+])
+@pytest.mark.parametrize("k", [0, -1])
+def test_higher_energy_checks_refuse_k_below_one(check, k, monkeypatch):
+    # q/k < 0 below k = 1, so 0^(q/k) is infinite and no boundary identity
+    # holds; the checks refuse at once instead of certifying equalities
+    def no_work(*args, **kwargs):
+        raise AssertionError("grid check ran")
+
+    monkeypatch.setattr(legendre, "_grid_check", no_work)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        check(k)
+
+
+# frozen output at k = 1, where q = 2 and each inequality is an identity:
+# every point off the boundary equalities stays undecided at the precision
+# cap, which is why the grids are short
+K1_REPORT_DIGESTS = {
+    "goal":
+        "f3e79ceb76dff4087b9301538ac46302704ee26b0033c88b8afd3b10a4c6bb63",
+    "two_point":
+        "72f1eff151aa8561e35192fd1d72c3e07748e6093f8611375d8e0195064b465c",
+    "cfil":
+        "bdfcca0c4fcbdad7887a556992b3b35f1e9ae4dc7eaafb72e2fc5f37126bf8db",
+    "convex_concave":
+        "babde9792cc49bda15d9a0f0b11df4f3998f8d22799d7d4db89fe52d1c5ed950",
+}
+
+
+def test_higher_energy_checks_keep_their_k1_reports():
+    reports = {
+        "goal": check_goal_inequality(1, grid=[0.0, 0.25, 0.5, 1.0]),
+        "two_point": check_two_point_inequality(1, xs=[0.0, 1.0, 2.0]),
+        "cfil": check_cfil_instance(1, grid=[0.0, 0.25, 0.5, 1.0]),
+        "convex_concave": check_convex_concave(1, zs=[0.0, 0.5, 1.0],
+                                               points=3),
+    }
+    assert {name: _digest(rep.to_dict()) for name, rep in reports.items()} \
+        == K1_REPORT_DIGESTS
+    assert not any(rep.ok for rep in reports.values())
+
+
 def test_higher_energy_inequality_bundle():
     for k in (2, 4):
         reports = check_higher_energy_inequalities(k, points=60)
@@ -305,13 +352,18 @@ def test_near_equality_point_needs_the_ladder(one_rung_ladder, monkeypatch):
 
 def test_second_differences_reject_a_certified_wrong_sign():
     xs = [j / 8 for j in range(9)]
+    interior = list(range(1, 8))
 
     def square(x):
         return iv.mpf(x) ** 2
 
-    assert _certify_second_differences(xs, lambda: square, expect_positive=True)
-    assert not _certify_second_differences(xs, lambda: square,
-                                           expect_positive=False)
+    def negated(x):
+        return -square(x)
+
+    assert _classify_second_differences(xs, lambda: square) == \
+        ([], interior, [])
+    assert _classify_second_differences(xs, lambda: negated) == \
+        (interior, [], [])
 
 
 @pytest.fixture
@@ -439,63 +491,87 @@ def point_logs(monkeypatch):
 
 def test_convex_concave_encloses_each_side_once_per_point(rungs, one_worker,
                                                           point_logs):
-    # one log per side and point: the shape flags read the enclosures the
-    # grid made at the uniform points, which unit_grid(100) contains
+    # one log per side and point, on the grid's one ladder: the shape flags
+    # enclose nothing
     rep = check_convex_concave(3, points=100)
     assert rep.ok and rep.points == 107 and len(rep.equalities) == 2
-    assert rungs == [64, 64, 64]      # the grid, then the two shape flags
+    assert rungs == [64]
     assert len(point_logs) == 2 * (rep.points - 2) == 210
 
 
-def _convex_concave_unshared(k, zs, points):
-    """check_convex_concave with no shared enclosures: the grid and each
-    shape flag build their own sides and enclose every point afresh."""
-    half = Fraction(2 ** k + 2, 2 ** k)
+def _oracle_sides(k):
+    q = intervals.log2_interval(2 ** k + 2)
+    q2, qk = q / 2, q - k
+    scale, one = to_interval(2 ** (k - 1)), to_interval(1)
+    return (lambda z: one + intervals.ipow(z, q2) / scale,
+            lambda z: intervals.ipow(one + z, qk))
 
-    def sides():
-        q = intervals.log2_interval(2 ** k + 2)
-        q2, qk = q / 2, q - k
-        scale, one = to_interval(2 ** (k - 1)), to_interval(1)
-        return (lambda z: one + intervals.ipow(z, q2) / scale,
-                lambda z: intervals.ipow(one + z, qk))
 
-    report = _grid_check("convex_concave", k, zs, 0.0, 1.0,
-                         {0.0: True, 1.0: 1 + Fraction(1, 2 ** (k - 1)) == half},
-                         sides)
+def _shape_flags_by_second_differences(k, points):
+    """The shape flags certified from the interval second differences of
+    each side on the uniform grid of `points` points over [0, 1]."""
     uniform = [j / (points - 1) for j in range(points)]
-    ends = {0.0: Fraction(1), 1.0: half}
+    ends = {0.0: Fraction(1), 1.0: Fraction(2 ** k + 2, 2 ** k)}
 
     def curve(side):
         def build():
-            f = sides()[side]
+            f = _oracle_sides(k)[side]
             return lambda z: (to_interval(ends[z]) if z in ends
                               else f(to_interval(z)))
         return build
 
-    report.shape_flags["lhs_convex"] = _certify_second_differences(
-        uniform, curve(0), expect_positive=True)
-    report.shape_flags["rhs_concave"] = _certify_second_differences(
-        uniform, curve(1), expect_positive=False)
+    def certified(side, expect_positive):
+        negative, positive, undecided = _classify_second_differences(
+            uniform, curve(side))
+        return not (negative if expect_positive else positive) \
+            and not undecided
+
+    return {"lhs_convex": certified(0, expect_positive=True),
+            "rhs_concave": certified(1, expect_positive=False)}
+
+
+def _convex_concave_unshared(k, zs, points):
+    """check_convex_concave built from parts: its own grid check, and the
+    shape flags from second differences on the uniform grid."""
+    half = Fraction(2 ** k + 2, 2 ** k)
+    report = _grid_check("convex_concave", k, zs, 0.0, 1.0,
+                         {0.0: True, 1.0: 1 + Fraction(1, 2 ** (k - 1)) == half},
+                         lambda: _oracle_sides(k))
+    report.shape_flags.update(_shape_flags_by_second_differences(k, points))
     return report
 
 
 def test_shared_enclosures_match_an_unshared_oracle(rungs, monkeypatch):
-    # on a 12 -> 24 bit ladder the grid and both shape flags climb two
-    # rungs; the 1/32 grid is exact at 12 bits, so a point's interval is the
-    # same on both rungs, and only the precision in the sharing key keeps a
-    # 12-bit enclosure out of the 24-bit rung
+    # on a 12 -> 24 bit ladder the grid climbs two rungs and the shape flags
+    # none; the 1/32 grid is exact at 12 bits, so a point's interval is the
+    # same on both rungs, and the report matches the oracle's, whose flags
+    # come from second differences
     monkeypatch.setattr(intervals, "PREC_START", 12)
     monkeypatch.setattr(intervals, "PREC_CAP", 24)
     got = check_convex_concave(3, points=33)
-    assert rungs == [12, 24] * 3
+    assert rungs == [12, 24]
     want = _convex_concave_unshared(3, unit_grid(33), 33)
     assert dumps_canonical(got.to_dict()) == dumps_canonical(want.to_dict())
     assert got.undecided and got.min_margin > 0
     assert got.shape_flags == {"lhs_convex": True, "rhs_concave": True}
 
 
-# frozen before the shape flags shared the grid's enclosures; the uniform
-# shape grid and the given zs have no interior point in common
+@pytest.mark.parametrize("points", [3, 33, 200])
+def test_shape_flags_match_second_differences(points, monkeypatch):
+    # the closed-form signs of f'' against the interval second differences
+    # on the uniform grid.  At k = 1 both sides are 1 + z, whose second
+    # differences are 0 and stay undecided at any precision, so neither
+    # flag holds either way; a ladder past one rung would only add time
+    # there, and for k >= 2 the first rung must already settle every sign
+    monkeypatch.setattr(intervals, "PREC_CAP", intervals.PREC_START)
+    for k in range(1, 13):
+        got = check_convex_concave(k, zs=[0.5], points=points).shape_flags
+        assert got == _shape_flags_by_second_differences(k, points), k
+        assert got == {"lhs_convex": k > 1, "rhs_concave": k > 1}, k
+
+
+# frozen while the shape flags came from second differences on a uniform
+# grid of their own, which has no interior point in common with these zs
 CONVEX_CONCAVE_ZS = [0.25, 0.3]
 CONVEX_CONCAVE_ZS_DIGEST = \
     "c6af5c38d1aeefd33ee822b285ef3f7663762884ae6b13b26cbdcd62fa7fcf3a"
@@ -568,30 +644,16 @@ def test_grid_reports_golden_bytes_on_any_worker_count(workers):
     assert bool(workers.forks) == (workers.count > 1)
 
 
-def test_shape_flags_fork_only_for_points_the_grid_missed(workers,
-                                                         monkeypatch):
-    # the default zs are the flags' uniform grid, so the grid's enclosures
-    # serve every point and the flags fork nothing; zs between those points
-    # leave all of them to the flags' own fan-out
-    forks_per_flag = []
-    classify = legendre._classify_second_differences
+def test_shape_flags_classify_no_second_differences(workers, monkeypatch):
+    # the flags come from the closed form, on the default zs and off them
+    def no_work(*args, **kwargs):
+        raise AssertionError("second differences classified")
 
-    def counting(*args):
-        before = len(workers.forks)
-        out = classify(*args)
-        forks_per_flag.append(len(workers.forks) - before)
-        return out
-
-    monkeypatch.setattr(legendre, "_classify_second_differences", counting)
-    rep = check_convex_concave(3, points=200)
-    assert forks_per_flag == [0, 0]
-    assert rep.shape_flags == {"lhs_convex": True, "rhs_concave": True}
-    forks_per_flag.clear()
-    zs = [(j + 0.5) / 199 for j in range(199)]
-    flags = check_convex_concave(3, zs=zs, points=200).shape_flags
-    assert all(forks_per_flag) == (workers.count > 1)
-    monkeypatch.setattr(_fanout, "_cpu_count", lambda: 1)
-    assert check_convex_concave(3, zs=zs, points=200).shape_flags == flags
+    monkeypatch.setattr(legendre, "_classify_second_differences", no_work)
+    for zs in (None, [(j + 0.5) / 199 for j in range(199)]):
+        rep = check_convex_concave(3, zs=zs, points=200)
+        assert rep.ok
+        assert rep.shape_flags == {"lhs_convex": True, "rhs_concave": True}
 
 
 @pytest.mark.parametrize("check, points, count", [
