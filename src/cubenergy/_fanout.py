@@ -4,7 +4,8 @@
 items and returns the results in item order, so a report built from them is
 the same for any worker count.  The certified grids (legendre) use it for
 their independent per-point ladders, the sampled sweeps (energy) for their
-independent mask energies.
+independent mask energies, and the extension optimizer (extension) for its
+independent starts.
 """
 from __future__ import annotations
 

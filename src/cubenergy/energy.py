@@ -137,7 +137,9 @@ def power_energy_plan(keys: List[int], k: int) -> Callable[[List[float]], float]
     * wb`, c a slot of stage j - 1 (or a weight), in the loop's order; then
     the squares of the last stage are added to t in slot order.  So every
     slot sees the dict loop's multiplications and additions in the same
-    order.  The source holds only names built from integer indices."""
+    order.  The source holds only names built from integer indices.  The
+    function's ``multiply_adds`` attribute counts its multiply-adds, the
+    squares included: the work of one call."""
     cur = ["w%d" % b for b in range(len(keys))]
     lines = ["def energy_of(ws):", "    [%s] = ws" % ", ".join(cur)]
     sums = list(keys)
@@ -157,7 +159,10 @@ def power_energy_plan(keys: List[int], k: int) -> Callable[[List[float]], float]
     lines.append("    return t")
     namespace: dict = {}
     exec(compile("\n".join(lines), "<power_energy_plan>", "exec"), namespace)
-    return namespace["energy_of"]
+    energy_of = namespace["energy_of"]
+    # every line but def, the unpacking, t = 0.0 and return
+    energy_of.multiply_adds = len(lines) - 4
+    return energy_of
 
 
 def energy(a: PointSet, k: int, kind: EnergyKind) -> EnergyValue:

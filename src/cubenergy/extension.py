@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
+from ._fanout import _fan_out
 from .energy import (EnergyKind, interval_energy_closed_form,
                      packed_power_energy, power_energy_plan, subset_energies)
 from .errors import DimensionMismatch
@@ -21,6 +22,13 @@ from .lattice import PointSet, WeightFn, pack_points
 
 RESTRICTED_EXHAUSTIVE_MAX = 20      # 0/1 enumeration cap for k = 2
 RESTRICTED_SCRATCH_MAX = 14         # 0/1 enumeration cap for every other k
+
+# a forked worker pays for its fork (2.5 to 5 ms) only with enough starts.
+# A start's work is estimated as its ratio plan's multiply-adds times its
+# weights, about 0.02 ms a unit: 14 units for {0,1} at k = 2 (0.2 ms a
+# start), 42 for {0,1,2} (1 to 1.5 ms), 728 for {0,1}^3 (17 to 25 ms).  A
+# worker gets a chunk of starts only with at least this many units.
+START_FORK_WORK = 250
 
 
 @dataclass(frozen=True)
@@ -114,9 +122,10 @@ def restricted_enumeration(problem: DEProblem, *, sample_count: int = 4096,
                            seed: int = 0) -> Tuple[float, Tuple, bool]:
     """Best indicator-weight ratio: (ratio, witness points, exhaustive).
 
-    Exhaustive whenever the alphabet is small enough; otherwise a seeded
-    mask sample that always includes the singletons and the full set, so the
-    result is still a true lower bound and still >= 1.
+    Exhaustive whenever the alphabet is small enough or sample_count
+    reaches the 2^m - 1 nonempty masks; otherwise a seeded mask sample that
+    always includes the singletons and the full set, so the result is still
+    a true lower bound and still >= 1.
     """
     pts = problem.alphabet.sorted_points()
     m = len(pts)
@@ -124,7 +133,8 @@ def restricted_enumeration(problem: DEProblem, *, sample_count: int = 4096,
     packed = pack_points(pts, multiplier=k)
 
     exhaustive = m <= (RESTRICTED_EXHAUSTIVE_MAX if k == 2
-                       else RESTRICTED_SCRATCH_MAX)
+                       else RESTRICTED_SCRATCH_MAX) \
+        or sample_count >= (1 << m) - 1
     masks = None
     if not exhaustive:
         rng = random.Random(seed)
@@ -209,12 +219,14 @@ def _ratio_function(keys: List[int], k: int,
     """ws -> the ratio of the positive float weights ws on the packed keys,
     as de_ratio computes it.  The keys never change, so the float
     convolution is compiled once, by power_energy_plan, into straight-line
-    multiply-adds that give de_ratio's energy bit for bit."""
+    multiply-adds that give de_ratio's energy bit for bit.  The function's
+    ``multiply_adds`` attribute is the plan's."""
     inv2k = 1.0 / (2 * k)
     energy_of = power_energy_plan(keys, k)
 
     def ratio_of(ws: List[float]) -> float:
         return energy_of(ws) ** inv2k / _power_sum(ws, q) ** (1.0 / q)
+    ratio_of.multiply_adds = energy_of.multiply_adds
     return ratio_of
 
 
@@ -223,6 +235,14 @@ def optimize_de(problem: DEProblem, strategy: str = "coordinate",
                 restricted_sample: int = 4096) -> DEEstimate:
     """Best extension-ratio lower bound found by seeded multi-start
     coordinate ascent, merged with exhaustive (or sampled) 0/1 enumeration.
+
+    Start 0 is all ones; every other start draws its m weights from one
+    random.Random(seed), all drawn up front in start order.  The starts are
+    then independent: they fan out over forked workers (_fanout._fan_out),
+    which inherit the compiled ratio plan, in contiguous chunks of at least
+    START_FORK_WORK units of estimated work (the plan's multiply-adds times
+    m per start), and merge in start order, the first of equal bests
+    winning.  So the report is byte-identical for any worker count.
 
     The reported bound is always realized by the stored witness; convergence
     is advisory only.  Only nonnegative weights are searched: for even
@@ -244,19 +264,15 @@ def optimize_de(problem: DEProblem, strategy: str = "coordinate",
 
     ratio_of = _ratio_function(pack_points(pts, k), k, q)
     rng = random.Random(seed)
-    best_val = -1.0
-    best_ws: Optional[List[float]] = None
-    total_sweeps = 0
-    all_converged = True
-    for s in range(starts):
-        if s == 0:
-            ws = [1.0] * m
-        else:
-            ws = [rng.uniform(0.05, 1.0) for _ in range(m)]
+    inits = [[1.0] * m] + [[rng.uniform(0.05, 1.0) for _ in range(m)]
+                           for _ in range(starts - 1)]
+
+    def ascend(ws: List[float]) -> Tuple[float, List[float], int, bool]:
         prev = ratio_of(ws)
         converged = False
+        sweeps = 0
         for _ in range(max_sweeps):
-            total_sweeps += 1
+            sweeps += 1
             for i in range(m):
                 def slice_fn(t, i=i):
                     old = ws[i]
@@ -274,10 +290,19 @@ def optimize_de(problem: DEProblem, strategy: str = "coordinate",
                 converged = True
                 break
             prev = cur
+        return prev, ws, sweeps, converged
+
+    per_start = ratio_of.multiply_adds * m
+    best_val = -1.0
+    best_ws: Optional[List[float]] = None
+    total_sweeps = 0
+    all_converged = True
+    for val, ws, sweeps, converged in _fan_out(
+            ascend, inits, math.ceil(START_FORK_WORK / per_start)):
+        total_sweeps += sweeps
         all_converged = all_converged and converged
-        if prev > best_val:
-            best_val = prev
-            best_ws = list(ws)
+        if val > best_val:
+            best_val, best_ws = val, ws
 
     witness = WeightFn(problem.alphabet.dim,
                        {p: w for p, w in zip(pts, best_ws) if w > 0}, False)

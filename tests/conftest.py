@@ -9,26 +9,34 @@ import pytest
 from cubenergy import _fanout, lattice
 
 
-@pytest.fixture(params=[1, 2], ids=["1-worker", "2-workers"])
-def workers(request, monkeypatch):
-    """Fan-outs on one process, or on two with every list of two items or
-    more forked.  ``forks`` holds the pid of every worker forked."""
-    count = request.param
-    forks = []
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid of every worker forked."""
+    pids = []
     fork = os.fork
 
     def counting_fork():
         pid = fork()
         if pid:
-            forks.append(pid)
+            pids.append(pid)
         return pid
 
     monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
+@pytest.fixture(params=[1, 2], ids=["1-worker", "2-workers"])
+def workers(request, monkeypatch, forks):
+    """Fan-outs on one process, or on two with every list of two items or
+    more forked.  ``forks`` holds the pid of every worker forked."""
+    count = request.param
     monkeypatch.setattr(_fanout, "_cpu_count", lambda: count)
     if count > 1:
         monkeypatch.setattr(_fanout, "FAN_OUT_MIN_CHUNK", 1)
         monkeypatch.setattr(importlib.import_module("cubenergy.energy"),
                             "SAMPLE_MIN_CHUNK", 1)
+        monkeypatch.setattr(importlib.import_module("cubenergy.extension"),
+                            "START_FORK_WORK", 1)
     return SimpleNamespace(count=count, forks=forks)
 
 

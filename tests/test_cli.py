@@ -363,6 +363,23 @@ def test_extension_golden_bytes_on_sixteen_points(capsys):
         "23088f6915aee0356947f7b11492b4aeb5809419555d7f345cb31fed018a1ec6"
 
 
+@pytest.mark.parametrize("alphabet, k, flag, value, starts, digest",
+                         EXTENSION_PROBLEMS)
+def test_extension_golden_bytes_on_any_worker_count(capsys, workers, alphabet,
+                                                    k, flag, value, starts,
+                                                    digest):
+    # the optimizer's starts fan out; they merge in start order
+    test_extension_golden_bytes(capsys, alphabet, k, flag, value, starts,
+                                digest)
+    assert len(workers.forks) == workers.count - 1
+
+
+def test_extension_golden_bytes_on_sixteen_points_on_any_worker_count(
+        capsys, workers):
+    test_extension_golden_bytes_on_sixteen_points(capsys)
+    assert len(workers.forks) == workers.count - 1
+
+
 def test_extension_csv_golden_bytes(capsys):
     argv = _extension_argv(*EXTENSION_PROBLEMS[1][:5]) + ["--format", "csv"]
     code, out, _ = _run(capsys, argv)

@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from cubenergy import extension
+from cubenergy import _fanout, extension
 from cubenergy.extension import (
     DEProblem,
     comparison_check,
@@ -239,6 +239,25 @@ def test_restricted_witness_does_not_depend_on_walk_order(monkeypatch):
     assert [restricted_enumeration(prob) for prob in probs] == want
 
 
+def test_restricted_enumeration_takes_every_mask_when_the_sample_covers_them(
+        monkeypatch):
+    # a sample of 2^m - 1 masks or more can only be every nonempty mask: it
+    # is the exhaustive walk, not a draw that never finds a new mask
+    alphabet = PointSet.cube(5, 1)
+    want = restricted_enumeration(DEProblem(alphabet, 3, 1.5))
+    assert want[2]
+    monkeypatch.setattr(extension, "RESTRICTED_SCRATCH_MAX", 4)
+    for count in (63, 100):
+        assert restricted_enumeration(DEProblem(alphabet, 3, 1.5),
+                                      sample_count=count) == want
+    ratio, _, exhaustive = restricted_enumeration(DEProblem(alphabet, 3, 1.5),
+                                                  sample_count=20)
+    assert not exhaustive and 1.0 <= ratio <= want[0]
+    rep = comparison_check(alphabet, 3, 1.5, sample_count=100, starts=1)
+    assert rep.restricted_exhaustive
+    assert rep.restricted_bound == want[0]
+
+
 # ---------------------------------------------------------------------------
 # optimizer
 
@@ -311,6 +330,45 @@ def test_ratio_function_matches_dict_loop(alphabet, k, q):
         assert value == de_ratio(
             WeightFn(alphabet.dim, dict(zip(pts, ws)), False),
             DEProblem(alphabet, k, q))
+
+
+def _estimates(monkeypatch, call):
+    """call() and the to_dict() of each optimize_de estimate it made."""
+    made = []
+    run = extension.optimize_de
+
+    def recording(*args, **kwargs):
+        est = run(*args, **kwargs)
+        made.append(est.to_dict())
+        return est
+
+    with monkeypatch.context() as patch:
+        patch.setattr(extension, "optimize_de", recording)
+        return call(), made
+
+
+@pytest.mark.parametrize("call", [
+    lambda: critical_exponent_lower_bound(
+        PointSet.from_points([(0,), (1,), (3,)]), 2, tol=1e-3, starts=4),
+    lambda: tensorization_check(SEGMENT, SEGMENT, 2, 2.0, starts=4).to_dict(),
+], ids=["critical-exponent", "tensorization"])
+def test_optimizer_callers_on_any_worker_count(monkeypatch, workers, call):
+    # every bound, witness, sweep count and convergence flag is the serial one
+    got, made = _estimates(monkeypatch, call)
+    assert len(workers.forks) == (workers.count - 1) * len(made)
+    monkeypatch.setattr(_fanout, "_cpu_count", lambda: 1)
+    assert _estimates(monkeypatch, call) == (got, made)
+
+
+def test_optimizer_forks_by_its_work_estimate(monkeypatch, forks):
+    # two starts of {0,1}, or 24, are too little work to fork for; four
+    # starts of {0,1}^3 are enough
+    monkeypatch.setattr(_fanout, "_cpu_count", lambda: 2)
+    optimize_de(DEProblem(SEGMENT, 2, 2.0), starts=2)
+    optimize_de(DEProblem(SEGMENT, 2, CRITICAL_Q2), starts=24)
+    assert forks == []
+    optimize_de(DEProblem(PointSet.cube(1, 3), 2, 2.0), starts=4)
+    assert len(forks) == 1
 
 
 def test_optimize_rejects_unknown_strategy():
