@@ -11,7 +11,9 @@ for E_k, _correlation_moment for the k-th moment of a correlation.  Both
 exact big-integer products use lattice's slot format (see
 lattice._slot_bytes).  power_energy_plan compiles packed_power_energy's
 float dict loop, for fixed keys, into one straight-line function of the
-weights (the extension optimizer's ratios), bit for bit the same.
+weights (the extension optimizer's ratios), bit for bit the same, which can
+also record every value it computes (the state its line searches start
+from).
 brute_force_energy stays the independent oracle.
 subset_energies walks the subsets of a small point list, one point a step,
 or recounts given masks, each selected through per-byte lookup lists, with
@@ -123,45 +125,90 @@ def _convolution_powers(base: dict, k: int) -> List[dict]:
     return pows
 
 
-def power_energy_plan(keys: List[int], k: int) -> Callable[[List[float]], float]:
+# terms per statement of generated source: a chain of additions nests one
+# level a term in the compiler, so long sums are cut into statements
+CHAIN_TERMS = 64
+
+
+def _chain(target: str, start: str, terms: List[str]) -> List[str]:
+    """Source lines that set ``target`` to ``start + terms[0] + terms[1] +
+    ...``, added left to right as the loop ``target = start; target +=
+    term`` adds them, CHAIN_TERMS terms a statement."""
+    return ["    %s = %s + %s" % (target, target if q else start,
+                                  " + ".join(terms[q:q + CHAIN_TERMS]))
+            for q in range(0, len(terms), CHAIN_TERMS)]
+
+
+def _plan_sums(keys: List[int], k: int) -> Tuple[List[str],
+                                                 List[List[Tuple[int, int]]]]:
+    """The multiply-adds of packed_power_energy's float dict loop on
+    distinct keys, recorded for any weights: (names, sums).
+
+    names[v] names value v: the weights w0, w1, ... first, then the slots
+    sj_o of each stage j = 1..k-1, numbered in the order the loop first
+    meets each sum (the dict's insertion order), and last the energy t.
+    Value m + n, m the number of weights, is 0.0 plus the products
+    values[a] * values[b] of the terms (a, b) of sums[n], added in the
+    loop's order: a slot of stage j gets slots of stage j - 1 (weights at
+    j = 1) times weights, and t the squares of the last stage in slot
+    order."""
+    names = ["w%d" % b for b in range(len(keys))]
+    sums: List[List[Tuple[int, int]]] = []
+    stage = list(range(len(keys)))      # the values of the last stage
+    at = list(keys)                     # and their key sums
+    for j in range(1, k):
+        slot: Dict[int, int] = {}
+        terms: List[List[Tuple[int, int]]] = []
+        for c, x in zip(stage, at):
+            for b, y in enumerate(keys):
+                o = slot.setdefault(x + y, len(terms))
+                if o == len(terms):
+                    terms.append([])
+                terms[o].append((c, b))
+        stage = list(range(len(names), len(names) + len(terms)))
+        names += ["s%d_%d" % (j, o) for o in range(len(terms))]
+        sums += terms
+        at = list(slot)
+    names.append("t")
+    sums.append([(v, v) for v in stage])
+    return names, sums
+
+
+def power_energy_plan(keys: List[int], k: int) -> Callable[..., float]:
     """packed_power_energy of dict(zip(keys, ws)) as a function of ws, for
-    distinct keys and positive float weights, bit for bit.
+    distinct keys and nonnegative float weights, bit for bit.
 
     The float dict loop does the same multiply-adds for every set of
-    weights on the same keys, so they are recorded once, as the source of
-    one straight-line function (the way dataclasses writes __init__) that
-    is compiled once.  It unpacks ws into locals w0, w1, ...; stage j of
-    the convolution has a local sj_o per slot o, slots numbered in the
-    order the loop first meets each sum (the dict's insertion order).  A
-    slot's first step is `sj_o = 0.0 + c * wb`, each later one `sj_o += c
-    * wb`, c a slot of stage j - 1 (or a weight), in the loop's order; then
-    the squares of the last stage are added to t in slot order.  So every
-    slot sees the dict loop's multiplications and additions in the same
-    order.  The source holds only names built from integer indices.  The
-    function's ``multiply_adds`` attribute counts its multiply-adds, the
-    squares included: the work of one call."""
-    cur = ["w%d" % b for b in range(len(keys))]
-    lines = ["def energy_of(ws):", "    [%s] = ws" % ", ".join(cur)]
-    sums = list(keys)
-    for j in range(1, k):
-        slot: Dict[int, str] = {}
-        for c, x in zip(cur, sums):
-            for b, y in enumerate(keys):
-                name = slot.get(x + y)
-                if name is None:
-                    name = slot[x + y] = "s%d_%d" % (j, len(slot))
-                    lines.append("    %s = 0.0 + %s * w%d" % (name, c, b))
-                else:
-                    lines.append("    %s += %s * w%d" % (name, c, b))
-        cur, sums = list(slot.values()), list(slot)
-    lines.append("    t = 0.0")
-    lines += ["    t += %s * %s" % (v, v) for v in cur]
-    lines.append("    return t")
+    weights on the same keys, so they are recorded once (_plan_sums) and
+    written as the source of one straight-line function (the way
+    dataclasses writes __init__) that is compiled once.  It unpacks ws into
+    locals w0, w1, ...; stage j of the convolution has a local sj_o per
+    slot o, set to `0.0 + c * wb + ...` over the slot's terms in the loop's
+    order, c a slot of stage j - 1 (or a weight); then t is `0.0 + v * v +
+    ...` over the last stage in slot order.  Additions run left to right,
+    so every slot sees the dict loop's multiplications and additions in the
+    same order.  The source holds only names built from integer indices.
+
+    ``energy_of(ws, values)`` also appends every value of the call to the
+    list ``values``, in the order of ``energy_of.names``: the recorded state
+    that the extension optimizer's line searches start from.  The
+    function's ``names`` and ``sums`` attributes are the recording, and
+    ``multiply_adds`` counts its multiply-adds, the squares included: the
+    work of one call."""
+    names, sums = _plan_sums(keys, k)
+    lines = ["def energy_of(ws, values=None):",
+             "    [%s] = ws" % ", ".join(names[:len(keys)])]
+    for name, terms in zip(names[len(keys):], sums):
+        lines += _chain(name, "0.0", ["%s * %s" % (names[a], names[b])
+                                      for a, b in terms])
+    lines += ["    if values is not None:",
+              "        values.extend((%s,))" % ", ".join(names),
+              "    return t"]
     namespace: dict = {}
     exec(compile("\n".join(lines), "<power_energy_plan>", "exec"), namespace)
     energy_of = namespace["energy_of"]
-    # every line but def, the unpacking, t = 0.0 and return
-    energy_of.multiply_adds = len(lines) - 4
+    energy_of.names, energy_of.sums = names, sums
+    energy_of.multiply_adds = sum(map(len, sums))
     return energy_of
 
 

@@ -324,7 +324,8 @@ def _settle(indices: Iterable[int], level: Callable) -> Dict[int, object]:
 
 
 def _grid_check(name: str, k: int, xs: List[float], lo: float, hi: float,
-                exact: Dict[float, bool], sides: Callable) -> GridCheckReport:
+                exact: Dict[float, bool], sides: Callable,
+                identity: bool = False) -> GridCheckReport:
     """Check lhs(x) <= rhs(x) at every x of a grid inside [lo, hi].
 
     ``exact`` maps each boundary equality point to whether its identity
@@ -333,7 +334,11 @@ def _grid_check(name: str, k: int, xs: List[float], lo: float, hi: float,
     one certified decision of lhs(x) < rhs(x) on interval enclosures, all
     points on one precision ladder: ``sides()`` builds one level's
     constants and returns ``(lhs, rhs)``, functions of the point's interval.
-    The points of a level are decided through the fan-out.
+    The points of a level are decided through the fan-out.  With
+    ``identity`` the two sides are the same real function, so the
+    enclosures of a point's two sides overlap at every precision and no
+    point can be decided: the ladder is skipped, and every point but the
+    exact ones is undecided.
     """
     if not all(lo <= x <= hi for x in xs):
         raise ValueError("grid must lie in [%r, %r]" % (lo, hi))
@@ -346,7 +351,8 @@ def _grid_check(name: str, k: int, xs: List[float], lo: float, hi: float,
             return _separation(lhs(x), rhs(x))
         return _fan_out(judge, pending)
 
-    verdicts = _settle([j for j, x in enumerate(xs) if x not in exact], level)
+    verdicts = {} if identity else \
+        _settle([j for j, x in enumerate(xs) if x not in exact], level)
     report = GridCheckReport(name, k, len(xs))
     for j, x in enumerate(xs):
         holds, gap = verdicts.get(j, (None, None))
@@ -425,9 +431,11 @@ def check_key_inequality(k: int, xs: Optional[List[float]] = None,
                                zip(wiv[1:], ipows(x, expos))), wiv[0]),
                 lambda x: ipow(one + x, p))
 
-    # at x = 0 both sides reduce to 1 exactly
+    # at x = 0 both sides reduce to 1 exactly; at k = 0, p = log2 C(0, 0)
+    # = 0 and both sides are 1 everywhere
     return _grid_check("key", k, xs, 0.0, math.inf,
-                       {0.0: True, 1.0: sum(w) == math.comb(2 * k, k)}, sides)
+                       {0.0: True, 1.0: sum(w) == math.comb(2 * k, k)}, sides,
+                       identity=k == 0)
 
 
 def check_goal_inequality(k: int, grid: Optional[List[float]] = None,
@@ -448,8 +456,10 @@ def check_goal_inequality(k: int, grid: Optional[List[float]] = None,
         return (lambda a: (ipow(a, qk) + ipow(one - a, qk)) ** k
                 + two * ipow(a * (one - a), q2), lambda a: one)
 
+    # at k = 1, q = 2 and the left side is (a + (1 - a))^2 = 1
     return _grid_check("goal", k, grid, 0.0, 1.0,
-                       {0.0: True, 0.5: True, 1.0: True}, sides)
+                       {0.0: True, 0.5: True, 1.0: True}, sides,
+                       identity=k == 1)
 
 
 def check_two_point_inequality(k: int, xs: Optional[List[float]] = None,
@@ -475,9 +485,11 @@ def check_two_point_inequality(k: int, xs: Optional[List[float]] = None,
             return two * xq2 + (xqk + one) ** k
         return lhs, lambda x: ipow(x + one, q)
 
-    # at x = 0 both sides reduce to 1 exactly
+    # at x = 0 both sides reduce to 1 exactly; at k = 1, q = 2 and the left
+    # side is 2x + x^2 + 1 = (x + 1)^2
     return _grid_check("two_point", k, xs, 0.0, math.inf,
-                       {0.0: True, 1.0: 2 + 2 ** k == 2 ** k + 2}, sides)
+                       {0.0: True, 1.0: 2 + 2 ** k == 2 ** k + 2}, sides,
+                       identity=k == 1)
 
 
 def check_cfil_instance(k: int, grid: Optional[List[float]] = None,
@@ -507,8 +519,10 @@ def check_cfil_instance(k: int, grid: Optional[List[float]] = None,
             return s * ipow(one + ipow(mu, inv), less)
         return lhs, lambda a: one
 
+    # at k = 1, p = 2 and the left side is a^2 + (1 - a)^2 + 2 a (1 - a) = 1
     return _grid_check("cfil", k, grid, 0.0, 1.0,
-                       {0.0: True, 0.5: True, 1.0: True}, sides)
+                       {0.0: True, 0.5: True, 1.0: True}, sides,
+                       identity=k == 1)
 
 
 def check_convex_concave(k: int, zs: Optional[List[float]] = None,
@@ -535,9 +549,9 @@ def check_convex_concave(k: int, zs: Optional[List[float]] = None,
                 lambda z: ipow(one + z, qk))
 
     at_one = 1 + Fraction(1, 2 ** (k - 1)) == Fraction(m, 2 ** k)
-    # at z = 0 both sides are 1
+    # at z = 0 both sides are 1; at k = 1, q = 2 and both sides are 1 + z
     report = _grid_check("convex_concave", k, zs, 0.0, 1.0,
-                         {0.0: True, 1.0: at_one}, sides)
+                         {0.0: True, 1.0: at_one}, sides, identity=k == 1)
     # each side is one power; with q = log2 m, on (0, 1]
     #   lhs'' = (q/2)(q/2 - 1) z^(q/2-2) / 2^(k-1) > 0  iff  q > 2,
     #   rhs'' = (q-k)(q-k-1) (1+z)^(q-k-2) < 0  iff  k < q < k+1,

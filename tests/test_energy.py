@@ -260,6 +260,25 @@ def test_power_energy_plan_takes_zero_weights(k):
         assert got == want and math.copysign(1.0, got) == 1.0
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_power_energy_plan_records_every_value(k):
+    # the weights, then every slot of every stage, then the energy itself;
+    # each slot is 0.0 plus its recorded products, added in order
+    keys = pack_points(PointSet.cube(2, 2).sorted_points(), k)
+    energy_of = power_energy_plan(keys, k)
+    ws = _plan_weights(random.Random("plan-values-%d" % k), len(keys))
+    values = []
+    energy = energy_of(ws, values)
+    assert len(values) == len(energy_of.names)
+    assert values[:len(keys)] == ws and values[-1] == energy
+    for v, terms in enumerate(energy_of.sums, len(keys)):
+        total = 0.0
+        for a, b in terms:
+            total += values[a] * values[b]
+        assert total == values[v]
+    assert energy_of.multiply_adds == sum(map(len, energy_of.sums))
+
+
 def test_power_energy_plan_compiles_a_large_plan():
     # {0,1}^5 at k = 3: 32 * 32 + 243 * 32 = 8800 multiply-adds
     keys = pack_points(PointSet.cube(1, 5).sorted_points(), 3)

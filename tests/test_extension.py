@@ -332,6 +332,73 @@ def test_ratio_function_matches_dict_loop(alphabet, k, q):
             DEProblem(alphabet, k, q))
 
 
+SLICE_ALPHABETS = {
+    "segment5": PointSet.cube(4, 1),
+    "cube3": PointSet.cube(1, 3),
+    "square4": PointSet.cube(3, 2),
+    "cube4": PointSet.cube(1, 4),
+}
+
+
+def _slice_weights(rng, m, i):
+    # random weights, every other weight zero, and every weight but one
+    # other than i zero
+    other = (i + 1) % m
+    yield [rng.uniform(0.05, 1.5) for _ in range(m)]
+    yield [0.0 if b % 2 else rng.uniform(0.05, 1.5) for b in range(m)]
+    yield [rng.uniform(0.05, 1.5) if b == other else 0.0 for b in range(m)]
+
+
+@pytest.mark.parametrize("name", sorted(SLICE_ALPHABETS))
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_slices_match_the_ratio_bit_for_bit(name, k):
+    # every weight's slice, on its first line search (the plan) and on the
+    # later ones (compiled), equals ratio_of with ws[i] = t in every bit
+    pts = SLICE_ALPHABETS[name].sorted_points()
+    keys = pack_points(pts, k)
+    ratio_of = extension._ratio_function(keys, k, 0.8 * k)
+    rng = random.Random("slices-%s-%d" % (name, k))
+    for i, line in enumerate(extension._ratio_slices(ratio_of, k, 0.8 * k)):
+        for ws in _slice_weights(rng, len(keys), i):
+            f = line(ws)
+            ts = [0.0, 1.5, rng.uniform(0.0, 1.5), rng.uniform(0.0, 1.5)]
+            if not any(ws[:i] + ws[i + 1:]):
+                ts.remove(0.0)      # the zero weight has no ratio
+            for t in ts:
+                trial = ws[:i] + [t] + ws[i + 1:]
+                assert f(t).hex() == ratio_of(trial).hex(), (i, ws, t)
+        assert line.f is not None
+
+
+def test_slice_multiply_adds_stay_within_the_plan():
+    # each slice runs at most the plan's multiply-adds, and on these
+    # alphabets the slices of all weights average at most 3/4 of them
+    for alphabet in SLICE_ALPHABETS.values():
+        for k in (1, 2, 3):
+            ratio_of = extension._ratio_function(
+                pack_points(alphabet.sorted_points(), k), k, 1.5)
+            work = [line.multiply_adds
+                    for line in extension._ratio_slices(ratio_of, k, 1.5)]
+            assert 0 < min(work) and max(work) <= ratio_of.multiply_adds
+            assert sum(work) <= 0.75 * len(work) * ratio_of.multiply_adds
+
+
+def test_slice_compiles_on_its_second_line_search():
+    # a weight searched once runs the plan itself; the second search
+    # compiles the slice, whose source holds only names built from indices
+    ratio_of = extension._ratio_function(
+        pack_points(PointSet.cube(1, 3).sorted_points(), 2), 2, 2.0)
+    line = extension._ratio_slices(ratio_of, 2, 2.0)[3]
+    ws = [0.5] * 8
+    line(ws)
+    assert line.f is None
+    f = line(ws)
+    code = f.__code__
+    assert {name.rstrip("0123456789_") for name in
+            code.co_names + code.co_varnames} <= {"w", "s", "c", "f", "p",
+                                                  "q", "t", "u"}
+
+
 def _estimates(monkeypatch, call):
     """call() and the to_dict() of each optimize_de estimate it made."""
     made = []

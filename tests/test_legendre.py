@@ -332,6 +332,42 @@ def test_higher_energy_checks_keep_their_k1_reports():
     assert not any(rep.ok for rep in reports.values())
 
 
+# frozen output of the default 200-point grids where each check is an
+# identity (k = 1, where q = 2, and k = 0 for the key inequality): every
+# point off the boundary equalities is undecided, without a ladder.  Climbing
+# the ladder there took 26 to 71 s a check and ended at the precision cap,
+# where mpmath's exp rounds some enclosures the wrong way: goal and
+# convex_concave certified failures at 1e-9 and 1 - 1e-9 and cfil a margin
+# of 0.0 at 1e-9; those five points are undecided here, and the rest of
+# each report is the ladder's
+K1_GRID_DIGESTS = {
+    "two_point":
+        "2f55be1ed4e8004d90e3e94ce01a9c7befc655fc94a09520c050dbc38f94b836",
+    "goal":
+        "976b6ac7779d3f3f057751a9bcedaf42f82396a283e6939141b96dd47079ed75",
+    "cfil":
+        "b6d06e72a6329fef85c00038d79209e97aeb7dcfbd02a1fedcba290213eaaa65",
+    "convex_concave":
+        "d05947c9f29a92470d64bf5e5dec95155cf7aeacafb7a46da22a6e4522c13152",
+    "key":
+        "93e5da702c76d1919a7235c0260208e096168bb0c2a269036953b7cc80b8e229",
+}
+
+
+def test_identity_grids_are_undecided_without_the_ladder(monkeypatch):
+    def no_ladder(*args):
+        raise AssertionError("the ladder ran")
+
+    monkeypatch.setattr(legendre, "_settle", no_ladder)
+    reports = check_higher_energy_inequalities(1, points=200)
+    reports["key"] = check_key_inequality(0, points=200)
+    assert {name: _digest(rep.to_dict()) for name, rep in reports.items()} \
+        == K1_GRID_DIGESTS
+    for rep in reports.values():
+        assert not rep.failures and rep.min_margin is None
+        assert len(rep.undecided) + len(rep.equalities) == rep.points
+
+
 def test_higher_energy_inequality_bundle():
     for k in (2, 4):
         reports = check_higher_energy_inequalities(k, points=60)
