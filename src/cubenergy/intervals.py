@@ -13,23 +13,37 @@ Intervals are ``Interval``s, built by ``Interval``/``to_interval``,
 ``log2_interval`` and ``ipows``/``ipow``: mpmath intervals whose arithmetic
 calls libmpi directly, at the one precision ``iv.prec`` that ``workprec``
 sets, and gives mpmath's enclosures bit for bit.
+
+A function evaluated at many points on one rung is compiled once for that
+rung: ``_Tape`` traces it on a symbolic point (a ``_Traced``), records each
+libmpi call the ``Interval`` path would make once, however often it is
+asked for, and writes the calls as one straight-line kernel over endpoint
+pairs, which gives the ``Interval`` path's enclosures bit for bit.
+``_settle`` climbs the ladder once for many points, each kept at the first
+rung that decides it: the grids' kernels (``_grid_level``) and psi's second
+differences (``_classify_second_differences``) run on it.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Optional, Tuple
+from typing import (Callable, Dict, Hashable, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 from mpmath import iv
 from mpmath.libmp import (fnan, finf, fninf, from_float, from_int, fzero,
                           libmpi, mpf_gt, mpf_lt, mpf_sub, round_ceiling,
                           round_floor, to_float, to_int)
-from mpmath.libmp.libmpi import (mpi_add, mpi_div, mpi_mul, mpi_pow_int,
-                                 mpi_sub)
+from mpmath.libmp.libmpi import (mpi_add, mpi_div, mpi_mul, mpi_neg,
+                                 mpi_pow_int, mpi_sub)
 
+from ._fanout import _fan_out
 from .errors import PrecisionExhausted
 
 PREC_START = 64
-PREC_CAP = 1 << 14
+# mpmath 1.3.0's exp does not round outward at 12 000 or 16 384 bits for
+# arguments near 0 (an exact series oracle in the tests finds it); every rung
+# up to 8 192 bits passes that oracle
+PREC_CAP = 1 << 13
 
 _IVMPF = iv.mpf            # mpmath's interval class in the ``iv`` context
 _PREC = iv._prec           # the one-cell list behind ``iv.prec``
@@ -47,6 +61,12 @@ def _endpoints(t, prec: int):
             return fninf, finf
         return lo, from_float(t, prec, round_ceiling)
     return None
+
+
+def _point(x):
+    """The endpoints of ``Interval(x)`` at the current precision."""
+    v = _endpoints(x, _PREC[0])
+    return v if v is not None else Interval(x)._mpi_
 
 
 def _lift(mpi) -> "Interval":
@@ -192,7 +212,10 @@ def ipows(base, expos):
     product at prec+20 bits, exp at prec), so the enclosure is the one
     ``base ** e`` gives unless e is a point integer or 1/2, where ``**``
     takes a tighter path.  A zero base needs every exponent's lower end > 0.
+    A traced base records the same calls on its tape.
     """
+    if isinstance(base, _Traced):
+        return base._tape.pows(base, expos)
     if base._mpi_ == (fzero, fzero):
         if not all(mpf_gt(e._mpi_[0], fzero) for e in expos):
             raise ValueError("0 ** e needs e > 0")
@@ -218,14 +241,15 @@ def decide_le(lhs_fn: Callable[[], object],
     proven; both reported bounds are themselves certified lower bounds on the
     gap.  Exact ties must be peeled off by the caller first.
     """
-    return _escalate(lambda: _separation(lhs_fn(), rhs_fn()))
+    return _escalate(lambda: _separation(lhs_fn()._mpi_, rhs_fn()._mpi_))
 
 
 def _separation(a, b) -> Optional[Tuple[bool, float]]:
-    """``(True, margin)`` once the enclosures prove ``a < b``, ``(False,
-    excess)`` once they prove ``a > b``, None while they overlap."""
-    a_lo, a_hi = a._mpi_
-    b_lo, b_hi = b._mpi_
+    """``(True, margin)`` once the endpoint pairs ``a`` and ``b`` prove
+    ``a < b``, ``(False, excess)`` once they prove ``a > b``, None while
+    they overlap."""
+    a_lo, a_hi = a
+    b_lo, b_hi = b
     if mpf_lt(a_hi, b_lo):
         return True, to_float(mpf_sub(b_lo, a_hi, _PREC[0], round_floor))
     if mpf_lt(b_hi, a_lo):
@@ -257,3 +281,245 @@ def floor_power_log2(c: int, m: int) -> int:
         raise ValueError("need c >= 2 and m >= 2")
     return certified_floor(lambda: iv.exp(
         iv.log(Interval(c)) * iv.log(Interval(m)) / iv.log(Interval(2))))
+
+
+# ---------------------------------------------------------------------------
+# one rung's kernel: a function of the point traced once, compiled once
+
+
+def _recording(name):
+    """``s op t`` and ``t op s`` for a traced s, recorded as ``name``."""
+    def op(s, t):
+        return s._tape.call(name, s, t)
+
+    def rop(s, t):
+        return s._tape.call(name, t, s)
+    return op, rop
+
+
+def _zero_guard(base):
+    """What ``ipows`` does at a zero base with an exponent whose lower end
+    is not > 0."""
+    if base == (fzero, fzero):
+        raise ValueError("0 ** e needs e > 0")
+
+
+class _Traced(Interval):
+    """A symbolic interval: one node of a ``_Tape``.
+
+    ``+ - * /`` with any operand ``Interval`` takes, in either order, ``**``
+    with an int exponent that fits the precision, unary ``-`` and ``ipows``
+    record the libmpi call the ``Interval`` path makes and give the node
+    of its result.  ``Interval(t)``, ``to_interval(t)`` and ``iv.mpf(t)``
+    give t itself.  A node has no endpoints: reading them (to compare,
+    hash or convert it) raises TypeError, so a traced function must not
+    branch on its point.
+    """
+
+    __slots__ = ("_tape", "_node")
+
+    __add__, __radd__ = _recording("mpi_add")
+    __sub__, __rsub__ = _recording("mpi_sub")
+    __mul__, __rmul__ = _recording("mpi_mul")
+    __truediv__, __rtruediv__ = _recording("mpi_div")
+
+    def __pow__(self, n):
+        tape = self._tape
+        if type(n) is int and n.bit_length() <= tape.prec:
+            return tape.node("mpi_pow_int(%s, %d, %d)"
+                             % (tape.name(self), n, tape.prec))
+        raise TypeError("a traced interval takes int powers; ipows the rest")
+
+    def __neg__(self):
+        return self._tape.node("mpi_neg(%s, %d)"
+                               % (self._tape.name(self), self._tape.prec))
+
+    @property
+    def _mpi_(self):
+        raise TypeError("a traced interval has no endpoints")
+
+    def __repr__(self):
+        return "<traced v%d>" % self._node
+
+
+class _Tape:
+    """The libmpi calls of functions traced on one symbolic point at the
+    current precision, each recorded once (hash-consed by its source:
+    operation, operands and precision), and kernels compiled from them.
+
+    A constant operand is named by its endpoint pair, so equal constants
+    are one name.  ``record(fn)`` traces ``fn`` on the point; ``compile``
+    writes the calls of some traces as one straight-line function of the
+    point, over endpoint pairs, in the order they were first recorded.
+    """
+
+    def __init__(self):
+        self.prec = _PREC[0]
+        self.calls = {}             # source of a call -> its node
+        self.consts = {}            # endpoint pair -> its name
+        # the libmpi routines read now, so that the kernel calls what the
+        # Interval path would call at this moment
+        self.namespace = {
+            "point": _point, "sep": _separation, "ZERO": (fzero, fzero),
+            "zero_guard": _zero_guard, "mpi_add": mpi_add,
+            "mpi_sub": mpi_sub, "mpi_mul": mpi_mul, "mpi_div": mpi_div,
+            "mpi_neg": mpi_neg, "mpi_pow_int": mpi_pow_int,
+            "mpi_log": libmpi.mpi_log, "mpi_exp": libmpi.mpi_exp}
+        self.used = set()
+        self.point = self.node("point(x)")
+
+    def name(self, v) -> str:
+        """The name of a node, or of the constant ``Interval(v)``."""
+        if isinstance(v, _Traced):
+            if v._tape is not self:
+                raise ValueError("a node of another tape")
+            return "v%d" % v._node
+        mpi = Interval(v)._mpi_
+        name = self.consts.get(mpi)
+        if name is None:
+            name = self.consts[mpi] = "c%d" % len(self.consts)
+            self.namespace[name] = mpi
+        return name
+
+    def node(self, source: str) -> _Traced:
+        """The node of the call ``source``, recorded once."""
+        node = self.calls.setdefault(source, len(self.calls))
+        self.used.add(node)
+        x = object.__new__(_Traced)
+        x._tape, x._node = self, node
+        return x
+
+    def call(self, name: str, s, t) -> _Traced:
+        return self.node("%s(%s, %s, %d)"
+                         % (name, self.name(s), self.name(t), self.prec))
+
+    def pows(self, base: _Traced, expos):
+        """``ipows(base, expos)``'s calls: the zero-base guard, one log at
+        prec+20 bits and per exponent a product at prec+20 and an exp at
+        prec, none of them at a zero base, where each power is the base."""
+        b = self.name(base)
+        if not all(mpf_gt(e._mpi_[0], fzero) for e in expos):
+            self.node("zero_guard(%s)" % b)
+        log = self.name(self.node("None if %s == ZERO else mpi_log(%s, %d)"
+                                  % (b, b, self.prec + 20)))
+        return [self.node("%s if %s is None else mpi_exp(mpi_mul(%s, %s, %d),"
+                          " %d)" % (b, log, log, self.name(e), self.prec + 20,
+                                    self.prec))
+                for e in expos]
+
+    def record(self, fn):
+        """``fn`` traced on the point: the source of its result and the
+        nodes it used.  A pair of intervals results in ``_separation``'s
+        verdict on their endpoints, one interval in its endpoints."""
+        self.used = {self.point._node}
+        out = fn(self.point)
+        if isinstance(out, tuple):
+            source = "sep(%s, %s)" % tuple(map(self.name, out))
+        else:
+            source = self.name(out)
+        return source, self.used
+
+    def compile(self, traces) -> Callable:
+        """``kernel(x)``: the results of ``traces`` (from ``record``) at the
+        point ``x``, as a tuple; each call they used is made once."""
+        used = set().union(*(nodes for _, nodes in traces))
+        lines = ["def kernel(x):"]
+        lines += ["    v%d = %s" % (node, source)
+                  for source, node in self.calls.items() if node in used]
+        lines.append("    return (%s,)" % ", ".join(s for s, _ in traces))
+        exec(compile("\n".join(lines), "<interval kernel>", "exec"),
+             self.namespace)
+        return self.namespace.pop("kernel")
+
+
+# ---------------------------------------------------------------------------
+# one ladder for many points
+
+
+def _settle(indices: Iterable[Hashable], level: Callable
+            ) -> Dict[Hashable, object]:
+    """Climb the precision ladder once for a whole set of indices.
+
+    At each level ``level(pending)`` builds that level's constants and
+    returns the verdicts of the pending indices, in their order: None for an
+    index still undecided.  Each index keeps the verdict of the first level
+    that decides it; an index still undecided at the cap has no verdict.
+    """
+    verdicts: Dict[Hashable, object] = {}
+    pending = list(indices)
+
+    def step():
+        for i, verdict in zip(pending, level(pending)):
+            if verdict is not None:
+                verdicts[i] = verdict
+        pending[:] = [i for i in pending if i not in verdicts]
+        return None if pending else True
+
+    try:
+        _escalate(step)
+    except PrecisionExhausted:
+        pass
+    return verdicts
+
+
+def _grid_level(xs: Sequence, sides: Sequence[Callable]) -> Callable:
+    """``level(pending)`` for ``_settle`` over pairs (c, j): ``_separation``'s
+    verdict on lhs(xs[j]) against rhs(xs[j]), ``(lhs, rhs) = sides[c]()``
+    built once per level, None while they overlap.  A level traces the
+    sides with pending points once on a symbolic point, compiles one kernel
+    for each set of them pending at one point, which makes each libmpi call
+    they share once per point, and runs the points through the kernels in
+    one fan-out."""
+    def level(pending):
+        tape = _Tape()
+        traces = {}
+        for c in sorted({c for c, _ in pending}):
+            lhs, rhs = sides[c]()
+            traces[c] = tape.record(lambda x: (lhs(x), rhs(x)))
+        wanted: Dict[int, tuple] = {}
+        for c, j in pending:
+            wanted[j] = wanted.get(j, ()) + (c,)
+        kernels = {cs: tape.compile([traces[c] for c in cs])
+                   for cs in dict.fromkeys(wanted.values())}
+        points = sorted(wanted)
+        verdicts = dict(zip(points, _fan_out(
+            lambda j: kernels[wanted[j]](xs[j]), points)))
+        return [verdicts[j][wanted[j].index(c)] for c, j in pending]
+
+    return level
+
+
+def _classify_second_differences(xs: List[float], curve: Callable,
+                                 exact: Optional[Dict[float, object]] = None
+                                 ) -> Tuple[List[int], List[int], List[int]]:
+    """Indices i in 1..len(xs)-2 whose second difference
+    f(xs[i+1]) - 2 f(xs[i]) + f(xs[i-1]) is certified negative, certified
+    positive, or still undecided at the precision cap, each in index order.
+    ``curve()`` builds f, a function of the point's interval, for one
+    precision level; ``exact`` maps a point to f's exact value there (an
+    int or Fraction), enclosed at each level instead of f.  A level traces
+    f once, compiles it (``_Tape``) and encloses through the
+    fan-out the other points its pending second differences need.
+    ``legendre.certify_psi_shape`` is its caller.
+    """
+    exact = exact or {}
+
+    def level(pending):
+        tape = _Tape()
+        f = tape.compile([tape.record(curve())])
+        needed = sorted({j for i in pending for j in (i - 1, i, i + 1)})
+        vals = {j: Interval(exact[xs[j]]) for j in needed if xs[j] in exact}
+        traced = [j for j in needed if j not in vals]
+        vals.update(zip(traced, (_lift(v) for v, in _fan_out(
+            lambda j: f(xs[j]), traced))))
+
+        def judge(i):
+            lo, hi = (vals[i + 1] - 2 * vals[i] + vals[i - 1])._mpi_
+            return -1 if mpf_lt(hi, fzero) else 1 if mpf_lt(fzero, lo) else None
+        return list(map(judge, pending))
+
+    interior = range(1, len(xs) - 1)
+    signs = _settle(interior, level)
+    return ([i for i in interior if signs.get(i) == -1],
+            [i for i in interior if signs.get(i) == 1],
+            [i for i in interior if i not in signs])

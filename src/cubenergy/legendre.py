@@ -6,6 +6,13 @@ alpha = k/log2 C(2k,k): integer linear forms in one fixed irrational.  Signs
 are decided on the adaptive-precision interval ladder first, and the exact
 integer comparison 2^(k*q) vs M^p decides what the ladder cannot separate;
 floating point never decides a sign.
+
+Each grid check, and the psi shape check, climbs one precision ladder for
+all its points (``intervals._settle``).  At each level its functions of
+the point are traced once on a symbolic point and compiled into one
+straight-line kernel (``intervals._Tape``), which gives the enclosures of
+the ``Interval`` path bit for bit; checks on one grid share a kernel, and
+with it every libmpi call they have in common.
 """
 from __future__ import annotations
 
@@ -13,15 +20,13 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from mpmath import iv
-from mpmath.libmp import fzero, mpf_lt
 
-from ._fanout import _fan_out
 from .errors import PrecisionExhausted
-from .intervals import (Interval, _escalate, _lift, _separation, decide_le,
-                        ipow, ipows, log2_interval)
+from .intervals import (Interval, _classify_second_differences, _grid_level,
+                        _settle, decide_le, ipow, ipows, log2_interval)
 
 # exact-power comparison budget for compare_alpha, in bits
 EXACT_BITS_CAP = 1 << 21
@@ -298,76 +303,58 @@ class GridCheckReport:
         }
 
 
-def _settle(indices: Iterable[int], level: Callable) -> Dict[int, object]:
-    """Climb the precision ladder once for a whole set of indices.
-
-    At each level ``level(pending)`` builds that level's constants and
-    returns the verdicts of the pending indices, in their order: None for an
-    index still undecided.  Each index keeps the verdict of the first level
-    that decides it; an index still undecided at the cap has no verdict.
-    """
-    verdicts: Dict[int, object] = {}
-    pending = list(indices)
-
-    def step():
-        for i, verdict in zip(pending, level(pending)):
-            if verdict is not None:
-                verdicts[i] = verdict
-        pending[:] = [i for i in pending if i not in verdicts]
-        return None if pending else True
-
-    try:
-        _escalate(step)
-    except PrecisionExhausted:
-        pass
-    return verdicts
-
-
 def _grid_check(name: str, k: int, xs: List[float], lo: float, hi: float,
                 exact: Dict[float, bool], sides: Callable,
                 identity: bool = False) -> GridCheckReport:
-    """Check lhs(x) <= rhs(x) at every x of a grid inside [lo, hi].
+    """Check lhs(x) <= rhs(x) at every x of a grid inside [lo, hi]: the
+    one-inequality case of ``_grid_checks``."""
+    return _grid_checks(xs, lo, hi, [(name, k, exact, sides, identity)])[0]
+
+
+def _grid_checks(xs: List[float], lo: float, hi: float,
+                 inequalities: List[tuple]) -> List[GridCheckReport]:
+    """Check inequalities lhs(x) <= rhs(x) at every x of one grid inside
+    [lo, hi], each given as ``(name, k, exact, sides, identity)``.
 
     ``exact`` maps each boundary equality point to whether its identity
     holds in exact arithmetic; such a point is recorded as an equality, or
     as a failure when the identity does not hold.  Every other point gets
-    one certified decision of lhs(x) < rhs(x) on interval enclosures, all
-    points on one precision ladder: ``sides()`` builds one level's
-    constants and returns ``(lhs, rhs)``, functions of the point's interval.
-    The points of a level are decided through the fan-out.  With
+    one certified decision of lhs(x) < rhs(x) on interval enclosures, the
+    points of all the inequalities on one precision ladder: ``sides()``
+    builds one level's constants and returns ``(lhs, rhs)``, functions of
+    the point's interval.  Each level compiles the inequalities with
+    undecided points into one kernel (``intervals._grid_level``), and a
+    point takes the verdicts of the inequalities still undecided there.  With
     ``identity`` the two sides are the same real function, so the
-    enclosures of a point's two sides overlap at every precision and no
-    point can be decided: the ladder is skipped, and every point but the
-    exact ones is undecided.
+    enclosures overlap at every precision and no point can be decided: the
+    ladder is skipped, and every point but the exact ones is undecided.
     """
     if not all(lo <= x <= hi for x in xs):
         raise ValueError("grid must lie in [%r, %r]" % (lo, hi))
 
-    def level(pending):
-        lhs, rhs = sides()
-
-        def judge(j):
-            x = Interval(xs[j])
-            return _separation(lhs(x), rhs(x))
-        return _fan_out(judge, pending)
-
-    verdicts = {} if identity else \
-        _settle([j for j, x in enumerate(xs) if x not in exact], level)
-    report = GridCheckReport(name, k, len(xs))
-    for j, x in enumerate(xs):
-        holds, gap = verdicts.get(j, (None, None))
-        if x in exact:
-            if exact[x]:
-                report.equalities.append(x)
-            else:
-                report.failures.append({"x": x, "excess": float("nan")})
-        elif holds is None:
-            report.undecided.append(x)
-        elif not holds:
-            report.failures.append({"x": x, "excess": gap})
-        elif report.min_margin is None or gap < report.min_margin:
-            report.min_margin = gap
-    return report
+    pending = [(c, j)
+               for c, (_, _, exact, _, identity) in enumerate(inequalities)
+               if not identity for j, x in enumerate(xs) if x not in exact]
+    level = _grid_level(xs, [sides for _, _, _, sides, _ in inequalities])
+    verdicts = _settle(pending, level) if pending else {}
+    reports = []
+    for c, (name, k, exact, _, _) in enumerate(inequalities):
+        report = GridCheckReport(name, k, len(xs))
+        for j, x in enumerate(xs):
+            holds, gap = verdicts.get((c, j), (None, None))
+            if x in exact:
+                if exact[x]:
+                    report.equalities.append(x)
+                else:
+                    report.failures.append({"x": x, "excess": float("nan")})
+            elif holds is None:
+                report.undecided.append(x)
+            elif not holds:
+                report.failures.append({"x": x, "excess": gap})
+            elif report.min_margin is None or gap < report.min_margin:
+                report.min_margin = gap
+        reports.append(report)
+    return reports
 
 
 def log_grid(lo: float, hi: float, count: int) -> List[float]:
@@ -445,10 +432,15 @@ def check_goal_inequality(k: int, grid: Optional[List[float]] = None,
     Equality at a in {0, 1/2, 1}: at the midpoint both sides collapse to
     (2^k + 2)/2^q = 1 exactly since 2^q is 2^k + 2 by definition.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    goal = _goal_inequality(k)
     if grid is None:
         grid = unit_grid(points)
+    return _grid_checks(grid, 0.0, 1.0, [goal])[0]
+
+
+def _goal_inequality(k: int) -> tuple:
+    if k < 1:
+        raise ValueError("k must be >= 1")
 
     def sides():
         q = _qk_iv(k)
@@ -457,9 +449,7 @@ def check_goal_inequality(k: int, grid: Optional[List[float]] = None,
                 + two * ipow(a * (one - a), q2), lambda a: one)
 
     # at k = 1, q = 2 and the left side is (a + (1 - a))^2 = 1
-    return _grid_check("goal", k, grid, 0.0, 1.0,
-                       {0.0: True, 0.5: True, 1.0: True}, sides,
-                       identity=k == 1)
+    return "goal", k, {0.0: True, 0.5: True, 1.0: True}, sides, k == 1
 
 
 def check_two_point_inequality(k: int, xs: Optional[List[float]] = None,
@@ -501,10 +491,15 @@ def check_cfil_instance(k: int, grid: Optional[List[float]] = None,
 
     with equality at a in {0, 1/2, 1}.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    cfil = _cfil_inequality(k)
     if grid is None:
         grid = unit_grid(points)
+    return _grid_checks(grid, 0.0, 1.0, [cfil])[0]
+
+
+def _cfil_inequality(k: int) -> tuple:
+    if k < 1:
+        raise ValueError("k must be >= 1")
 
     def sides():
         p = _qk_iv(k) / k
@@ -520,9 +515,7 @@ def check_cfil_instance(k: int, grid: Optional[List[float]] = None,
         return lhs, lambda a: one
 
     # at k = 1, p = 2 and the left side is a^2 + (1 - a)^2 + 2 a (1 - a) = 1
-    return _grid_check("cfil", k, grid, 0.0, 1.0,
-                       {0.0: True, 0.5: True, 1.0: True}, sides,
-                       identity=k == 1)
+    return "cfil", k, {0.0: True, 0.5: True, 1.0: True}, sides, k == 1
 
 
 def check_convex_concave(k: int, zs: Optional[List[float]] = None,
@@ -534,13 +527,19 @@ def check_convex_concave(k: int, zs: Optional[List[float]] = None,
     grid of `points` points, which needs points >= 3.  The shape flags are
     exact for all of [0, 1]: each side is one power, and the sign of its
     second derivative is decided by integer comparisons."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    convex_concave = _convex_concave_inequality(k)
     if points < 3:
         raise ValueError("points must be >= 3 for the convex/concave grid")
     if zs is None:
         zs = unit_grid(points)
-    m = 2 ** k + 2
+    report = _grid_checks(zs, 0.0, 1.0, [convex_concave])[0]
+    report.shape_flags.update(_convex_concave_shape(k))
+    return report
+
+
+def _convex_concave_inequality(k: int) -> tuple:
+    if k < 1:
+        raise ValueError("k must be >= 1")
 
     def sides():
         q = _qk_iv(k)
@@ -548,55 +547,37 @@ def check_convex_concave(k: int, zs: Optional[List[float]] = None,
         return (lambda z: one + ipow(z, q2) / scale,
                 lambda z: ipow(one + z, qk))
 
-    at_one = 1 + Fraction(1, 2 ** (k - 1)) == Fraction(m, 2 ** k)
+    at_one = 1 + Fraction(1, 2 ** (k - 1)) == Fraction(2 ** k + 2, 2 ** k)
     # at z = 0 both sides are 1; at k = 1, q = 2 and both sides are 1 + z
-    report = _grid_check("convex_concave", k, zs, 0.0, 1.0,
-                         {0.0: True, 1.0: at_one}, sides, identity=k == 1)
-    # each side is one power; with q = log2 m, on (0, 1]
-    #   lhs'' = (q/2)(q/2 - 1) z^(q/2-2) / 2^(k-1) > 0  iff  q > 2,
-    #   rhs'' = (q-k)(q-k-1) (1+z)^(q-k-2) < 0  iff  k < q < k+1,
-    # and 2^q = m turns both into integer comparisons.  At k = 1 both sides
-    # are 1 + z, whose f'' is 0, so neither flag holds.
-    report.shape_flags["lhs_convex"] = m > 4
-    report.shape_flags["rhs_concave"] = 2 ** k < m < 2 ** (k + 1)
-    return report
+    return "convex_concave", k, {0.0: True, 1.0: at_one}, sides, k == 1
 
 
-def _classify_second_differences(xs: List[float], curve: Callable
-                                 ) -> Tuple[List[int], List[int], List[int]]:
-    """Indices i in 1..len(xs)-2 whose second difference
-    f(xs[i+1]) - 2 f(xs[i]) + f(xs[i-1]) is certified negative, certified
-    positive, or still undecided at the precision cap, each in index order.
-    ``curve()`` builds f, a function of the float x, for one precision level;
-    a level encloses through the fan-out the points its pending second
-    differences need.  ``certify_psi_shape`` is its caller.
-    """
-    def level(pending):
-        f = curve()
-        needed = sorted({j for i in pending for j in (i - 1, i, i + 1)})
-        vals = dict(zip(needed, map(_lift, _fan_out(
-            lambda j: f(xs[j])._mpi_, needed))))
-
-        def judge(i):
-            lo, hi = (vals[i + 1] - 2 * vals[i] + vals[i - 1])._mpi_
-            return -1 if mpf_lt(hi, fzero) else 1 if mpf_lt(fzero, lo) else None
-        return list(map(judge, pending))
-
-    interior = range(1, len(xs) - 1)
-    signs = _settle(interior, level)
-    return ([i for i in interior if signs.get(i) == -1],
-            [i for i in interior if signs.get(i) == 1],
-            [i for i in interior if i not in signs])
+def _convex_concave_shape(k: int) -> Dict[str, bool]:
+    """check_convex_concave's shape flags.  Each side is one power; with
+    q = log2 m, m = 2^k + 2, on (0, 1]
+      lhs'' = (q/2)(q/2 - 1) z^(q/2-2) / 2^(k-1) > 0  iff  q > 2,
+      rhs'' = (q-k)(q-k-1) (1+z)^(q-k-2) < 0  iff  k < q < k+1,
+    and 2^q = m turns both into integer comparisons.  At k = 1 both sides
+    are 1 + z, whose f'' is 0, so neither flag holds."""
+    m = 2 ** k + 2
+    return {"lhs_convex": m > 4, "rhs_concave": 2 ** k < m < 2 ** (k + 1)}
 
 
 def check_higher_energy_inequalities(k: int, points: int = 1000) -> Dict[str, GridCheckReport]:
-    """All four scalar inequalities behind the higher-energy bound."""
-    return {
-        "two_point": check_two_point_inequality(k, points=points),
-        "goal": check_goal_inequality(k, points=points),
-        "cfil": check_cfil_instance(k, points=points),
-        "convex_concave": check_convex_concave(k, points=points),
-    }
+    """All four scalar inequalities behind the higher-energy bound.
+
+    goal, cfil and convex_concave share the unit grid of ``points`` points,
+    so they climb one ladder together: a level compiles the three into one
+    kernel, which computes 1 - a, log a, log(1 - a) and the powers they
+    share once per point.  Each report is the one its own check gives."""
+    two_point = check_two_point_inequality(k, points=points)
+    # two_point has refused k < 1 and points < 4 already
+    goal, cfil, convex_concave = _grid_checks(unit_grid(points), 0.0, 1.0, [
+        _goal_inequality(k), _cfil_inequality(k),
+        _convex_concave_inequality(k)])
+    convex_concave.shape_flags.update(_convex_concave_shape(k))
+    return {"two_point": two_point, "goal": goal, "cfil": cfil,
+            "convex_concave": convex_concave}
 
 
 # ---------------------------------------------------------------------------
@@ -696,14 +677,15 @@ def certify_psi_shape(k: int, samples: int = 512) -> PsiShapeReport:
         expos = [e - one for e in expos] + expos
 
         def psi_at(x):
-            if x == 0.0:
-                return zero
-            pw = ipows(Interval(x), expos)
+            pw = ipows(x, expos)
             return sum((wi * (c1 * pw[i] - c0 * pw[k + i])
                         for i, (wi, c1, c0) in enumerate(terms)), zero)
         return psi_at
 
-    negative, positive, undecided = _classify_second_differences(xs, curve)
+    # psi_k(0) = 0: every power of x vanishes there (at k = 1 one exponent
+    # is p - 1 = 0, which the zero base of ipows refuses)
+    negative, positive, undecided = _classify_second_differences(
+        xs, curve, {0.0: 0})
     return PsiShapeReport(k, samples, len(negative),
                           [(i, xs[i]) for i in positive], undecided)
 

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 from mpmath import iv, mp
+from mpmath.libmp import libmpi
 
 from cubenergy import _fanout, intervals
 from cubenergy._fanout import _fan_out
@@ -105,7 +106,7 @@ def test_escalate_climbs_the_whole_ladder_then_raises():
 
     with pytest.raises(PrecisionExhausted):
         _escalate(step)
-    assert seen == [64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384]
+    assert seen == [64, 128, 256, 512, 1024, 2048, 4096, 8192]
     assert (seen[0], seen[-1]) == (PREC_START, PREC_CAP)
 
 
@@ -505,3 +506,124 @@ def test_fan_out_beside_another_thread_runs_serially(cpus):
         thread.join(30)
     assert not thread.is_alive()
     assert got == [(x, os.getpid()) for x in range(6)]
+
+
+# ---------------------------------------------------------------------------
+# every rung of the ladder against exact series
+
+
+def _rungs():
+    """The precisions of the ladder, PREC_START to PREC_CAP."""
+    prec, rungs = PREC_START, []
+    while prec <= PREC_CAP:
+        rungs.append(prec)
+        prec *= 2
+    return rungs
+
+
+def _value(v):
+    """The exact value of an mpf endpoint."""
+    sign, man, exp, _ = v
+    x = man * Fraction(2) ** exp
+    return -x if sign else x
+
+
+def _exp_enclosure(x, bits):
+    """Rational bounds on exp(x) for a rational |x| <= 1/2: the Taylor
+    series with each |x|^n/n! rounded down and up at 2^-bits from the
+    bounds on the term before; once a term is at most 2^-bits, the tail
+    after it is below a third of it."""
+    p, q = abs(x.numerator), x.denominator
+    lo = hi = t_lo = t_hi = 1 << bits
+    n = 0
+    while t_hi > 1:
+        n += 1
+        t_lo = t_lo * p // (q * n)
+        t_hi = -(-t_hi * p // (q * n))
+        if x < 0 and n % 2:
+            lo, hi = lo - t_hi, hi - t_lo
+        else:
+            lo, hi = lo + t_lo, hi + t_hi
+    return Fraction(lo - t_hi, 1 << bits), Fraction(hi + t_hi, 1 << bits)
+
+
+def _log_enclosure(a, bits):
+    """Rational bounds on log(a) for a rational 1/2 <= a <= 2: 2 atanh(y)
+    with y = (a - 1)/(a + 1), |y| <= 1/3, from the series sum of
+    y^(2n+1)/(2n+1), each power rounded down and up at 2^-bits from the
+    bounds on the one before; once a term is at most 2^-bits, the tail
+    after it is below an eighth of it."""
+    y = (a - 1) / (a + 1)
+    u, v = abs(y.numerator), y.denominator
+    y_lo = (2 * u << bits) // v            # 2 |y|^(2n+1), scaled
+    y_hi = -(-(2 * u << bits) // v)
+    lo = hi = 0
+    n = t_hi = 2
+    while t_hi > 1:
+        t_lo, t_hi = y_lo // (2 * n - 3), -(-y_hi // (2 * n - 3))
+        lo, hi = lo + t_lo, hi + t_hi
+        y_lo, y_hi = y_lo * u * u // (v * v), -(-y_hi * u * u // (v * v))
+        n += 1
+    lo, hi = Fraction(lo, 1 << bits), Fraction(hi + t_hi, 1 << bits)
+    return (lo, hi) if y >= 0 else (-hi, -lo)
+
+
+def _contains(mpi, bounds):
+    lo, hi = map(_value, mpi)
+    return lo <= bounds[0] and bounds[1] <= hi
+
+
+def test_exact_series_enclose_known_values():
+    for bits in (64, 300):
+        lo, hi = _exp_enclosure(Fraction(0), bits)
+        assert lo <= 1 <= hi
+        lo, hi = _exp_enclosure(Fraction(-1, 2), bits)
+        assert lo < hi and hi - lo < Fraction(1, 1 << (bits - 8))
+        assert math.exp(-0.5) == pytest.approx(float(lo), rel=1e-15)
+        lo, hi = _log_enclosure(Fraction(1), bits)
+        assert lo <= 0 <= hi
+        for a in (Fraction(1, 2), Fraction(3, 2), Fraction(2)):
+            lo, hi = _log_enclosure(a, bits)
+            assert lo < hi and hi - lo < Fraction(1, 1 << (bits - 8))
+            assert math.log(a) == pytest.approx(float(lo), rel=1e-15)
+    # log 2 + log(1/2) = 0 and exp(log 2) = 2, within the bounds
+    lo, hi = _log_enclosure(Fraction(2), 200)
+    assert _exp_enclosure(lo, 200)[0] <= 2 <= _exp_enclosure(hi, 200)[1]
+
+
+# where mpmath 1.3.0's exp failed to round outward at 12 000 and 16 384
+# bits, and points near 1 where ipows takes the log of a grid point
+EXP_ARGUMENTS = [-2.000000002e-9, 1e-9]
+LOG_ARGUMENTS = [1 - 1e-9, 1 + 1e-9, 1 - 2 ** -40]
+# bases and exponents whose ipows enclosure takes exp near those arguments;
+# each power is irrational, so no enclosure can end exactly on it
+POWERS = [(1 - 1e-9, 2.000000002), (1 - 1e-9, 1.999999999),
+          (1 + 1e-9, 0.999999999)]
+
+
+def test_every_rung_encloses_exp_and_log_by_exact_series():
+    # ipows takes its logs at prec + 20 bits and its exps at prec
+    for prec in _rungs():
+        bits = prec + 64
+        for x in EXP_ARGUMENTS:
+            point = Interval(x)._mpi_
+            assert _contains(libmpi.mpi_exp(point, prec),
+                             _exp_enclosure(Fraction(x), bits)), (prec, x)
+        for a in LOG_ARGUMENTS:
+            point = Interval(a)._mpi_
+            assert _contains(libmpi.mpi_log(point, prec + 20),
+                             _log_enclosure(Fraction(a), bits + 20)), (prec, a)
+
+
+def test_every_rung_of_ipows_encloses_exact_powers():
+    # b^e = exp(e log b), from the series bounds on log b and exp's
+    # monotonicity, for an exponent e > 0
+    for prec in _rungs():
+        bits = prec + 64
+        with workprec(prec):
+            for b, e in POWERS:
+                log_lo, log_hi = _log_enclosure(Fraction(b), bits + 20)
+                exact = (_exp_enclosure(log_lo * Fraction(e), bits)[0],
+                         _exp_enclosure(log_hi * Fraction(e), bits)[1])
+                power, = ipows(Interval(b), [Interval(e)])
+                assert _contains(power._mpi_, exact), (prec, b, e)

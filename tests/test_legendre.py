@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 from mpmath import iv
-from mpmath.libmp import libmpi
+from mpmath.libmp import fzero, libmpi
 
 from cubenergy import _fanout, intervals, legendre
 from cubenergy.cli import dumps_canonical
@@ -450,25 +450,31 @@ def test_key_grid_takes_two_logarithms_per_point(rungs, one_worker,
 
 
 def test_grid_check_matches_a_per_point_ladder(rungs):
-    # lhs = x + 2^-a against rhs = x + 2^-b: the enclosures separate once
-    # the precision holds the larger offset, so the points settle on the
-    # rungs 64 ... 1024, and equal offsets stay undecided to the cap.  A
-    # failure from a later rung comes first in the grid, and the smallest
-    # margin comes last.
-    offsets = {1.0: (70, 71), 2.0: (1100, 1000), 3.0: (600, 500),
-               4.0: (20, 10), 5.0: (200, 150), 6.0: (40, 40), 8.0: (30, 40),
-               9.0: (25, 12)}
-    xs = [0.0, 1.0, 3.0, 7.0, 4.0, 5.0, 6.0, 8.0, 9.0, 2.0]
+    # lhs = x against rhs = x + (x - 6)^31: at x = 6 +- 2^-j the gap is
+    # +-2^-31j, and the enclosures separate once the precision holds it, so
+    # the points settle on the rungs 64 ... 2048; at x = 6 the two sides
+    # are equal and stay undecided to the cap.  A failure from a later rung
+    # comes first in the grid, and the smallest margin comes last.
+    xs = [0.0, 6 - 2 ** -20, 6 - 2 ** -1, 7.0, 6 + 2 ** -2, 6 + 2 ** -6,
+          6.0, 6 + 2 ** -10, 9.0, 6 + 2 ** -33]
     exact = {0.0: True, 7.0: False}
 
-    def side(n):
-        return lambda x: x + iv.mpf(2) ** -offsets[float(x)][n]
+    def sides():
+        return (lambda x: x), (lambda x: x + (x - 6) ** 31)
 
-    rep = _grid_check("synthetic", 2, xs, 0.0, 9.0, exact,
-                      lambda: (side(0), side(1)))
-    assert rungs == [64 << n for n in range(9)]
+    rep = _grid_check("synthetic", 2, xs, 0.0, 9.0, exact, sides)
+    assert rungs == _ladder()
+    want = _per_point_report("synthetic", 2, xs, exact, sides)
+    assert [f["x"] for f in rep.failures] == [6 - 2 ** -20, 5.5, 7.0]
+    assert rep.undecided == [6.0] and rep.equalities == [0.0]
+    assert 0 < rep.min_margin < 1e-300
+    assert dumps_canonical(rep.to_dict()) == dumps_canonical(want.to_dict())
 
-    want = GridCheckReport("synthetic", 2, len(xs))
+
+def _per_point_report(name, k, xs, exact, sides):
+    """The report of one ladder per point: decide_le on the Interval path,
+    with sides() built again at each rung."""
+    want = GridCheckReport(name, k, len(xs))
     for x in xs:
         if x in exact:
             if exact[x]:
@@ -477,8 +483,9 @@ def test_grid_check_matches_a_per_point_ladder(rungs):
                 want.failures.append({"x": x, "excess": float("nan")})
             continue
         try:
-            holds, gap = intervals.decide_le(lambda: side(0)(iv.mpf(x)),
-                                             lambda: side(1)(iv.mpf(x)))
+            holds, gap = intervals.decide_le(
+                lambda: sides()[0](to_interval(x)),
+                lambda: sides()[1](to_interval(x)))
         except PrecisionExhausted:
             want.undecided.append(x)
             continue
@@ -486,10 +493,13 @@ def test_grid_check_matches_a_per_point_ladder(rungs):
             want.failures.append({"x": x, "excess": gap})
         elif want.min_margin is None or gap < want.min_margin:
             want.min_margin = gap
-    assert [f["x"] for f in rep.failures] == [1.0, 7.0, 8.0]
-    assert rep.undecided == [6.0] and rep.equalities == [0.0]
-    assert 0 < rep.min_margin < 1e-300
-    assert dumps_canonical(rep.to_dict()) == dumps_canonical(want.to_dict())
+    return want
+
+
+def _ladder():
+    """The rungs of the precision ladder, in order."""
+    return [intervals.PREC_START << n for n in
+            range((intervals.PREC_CAP // intervals.PREC_START).bit_length())]
 
 
 def test_key_grid_builds_no_mpmath_interval_per_point(one_worker, monkeypatch):
@@ -549,16 +559,9 @@ def _shape_flags_by_second_differences(k, points):
     uniform = [j / (points - 1) for j in range(points)]
     ends = {0.0: Fraction(1), 1.0: Fraction(2 ** k + 2, 2 ** k)}
 
-    def curve(side):
-        def build():
-            f = _oracle_sides(k)[side]
-            return lambda z: (to_interval(ends[z]) if z in ends
-                              else f(to_interval(z)))
-        return build
-
     def certified(side, expect_positive):
         negative, positive, undecided = _classify_second_differences(
-            uniform, curve(side))
+            uniform, lambda: _oracle_sides(k)[side], ends)
         return not (negative if expect_positive else positive) \
             and not undecided
 
@@ -775,3 +778,195 @@ def test_psi_shape_reports_undecided_at_the_cap(one_rung_ladder, monkeypatch):
         len(rep.undecided_indices) == 62
     monkeypatch.undo()
     assert not certify_psi_shape(7, samples=64).undecided_indices
+
+
+# ---------------------------------------------------------------------------
+# the compiled kernels against the Interval path
+
+
+def _traced_functions(monkeypatch, k):
+    """(name, build) for each grid check and psi: what each hands to the
+    ladder, build() giving one level's sides (lhs, rhs), or psi's curve."""
+    captured = []
+
+    def capture(xs, lo, hi, inequalities):
+        captured.extend((name, sides)
+                        for name, _, _, sides, _ in inequalities)
+        return [GridCheckReport(name, k, len(xs))
+                for name, k, _, _, _ in inequalities]
+
+    def capture_curve(xs, curve, exact=None):
+        captured.append(("psi", curve))
+        return [], [], []
+
+    monkeypatch.setattr(legendre, "_grid_checks", capture)
+    monkeypatch.setattr(legendre, "_classify_second_differences",
+                        capture_curve)
+    for check in GRID_CHECKS.values():
+        check(k, points=20)
+    certify_psi_shape(k, samples=8)
+    return captured
+
+
+def _seeded_points(name, rng):
+    """Points of the check's domain, its boundary points among them."""
+    if name == "legendre":
+        return [1.0] + [1.0 + 10 ** rng.uniform(-9, 6) for _ in range(6)]
+    if name in ("key", "two_point"):
+        return [0.0, 1.0] + [10 ** rng.uniform(-6, 6) for _ in range(6)]
+    return [0.0, 0.5, 1.0, 1e-9, 1 - 1e-9] + [rng.random() for _ in range(6)]
+
+
+def _interval_path(fn, x):
+    """fn at the point's Interval: its endpoints, or ValueError."""
+    try:
+        return fn(to_interval(x))._mpi_
+    except ValueError:
+        return ValueError
+
+
+@pytest.mark.parametrize("k", [2, 3, 6])
+def test_kernels_match_the_interval_path_bit_for_bit(k, monkeypatch):
+    # every call of a kernel is the call the Interval path makes, at the
+    # same precision, so the endpoint pairs and the verdicts are the same
+    # bit for bit: at 64 bits, and at 12 and 24 bits, where enclosures are
+    # wide enough for the verdicts to differ between the rungs
+    rng = random.Random(k)
+    traced = _traced_functions(monkeypatch, k)
+    assert [name for name, _ in traced] == list(GRID_CHECKS) + ["psi"]
+    verdicts = set()
+    for name, build in traced:
+        points = _seeded_points(name, rng)
+        for prec in (64, 12, 24):
+            with intervals.workprec(prec):
+                fns = build() if name != "psi" else (build(),)
+                tape = intervals._Tape()
+                traces = [tape.record(fn) for fn in fns]
+                if name != "psi":
+                    lhs, rhs = fns
+                    traces.append(tape.record(lambda x: (lhs(x), rhs(x))))
+                kernel = tape.compile(traces)
+                for x in points:
+                    want = [_interval_path(fn, x) for fn in fns]
+                    assert ValueError not in want, (name, prec, x)
+                    if name != "psi":
+                        want.append(intervals._separation(*want))
+                        verdicts.add(want[-1] and want[-1][0])
+                    assert kernel(x) == tuple(want), (name, prec, x)
+    assert verdicts == {True, None}
+
+
+@pytest.mark.parametrize("name", list(GRID_CHECKS))
+def test_grid_checks_climb_like_a_per_point_interval_ladder(name, rungs,
+                                                           monkeypatch):
+    # on a 12 -> 24 bit ladder the kernels' report is the one a per-point
+    # decide_le on the Interval path gives, point by point and rung by rung
+    monkeypatch.setattr(intervals, "PREC_START", 12)
+    monkeypatch.setattr(intervals, "PREC_CAP", 24)
+    seen = []
+    grid_checks = legendre._grid_checks
+
+    def capture(xs, lo, hi, inequalities):
+        seen.append((xs, inequalities))
+        return grid_checks(xs, lo, hi, inequalities)
+
+    monkeypatch.setattr(legendre, "_grid_checks", capture)
+    got = GRID_CHECKS[name](3, points=33)
+    assert rungs == [12, 24]
+    (xs, [(_, k, exact, sides, identity)]), = seen
+    assert not identity
+    want = _per_point_report(name, k, xs, exact, sides)
+    want.shape_flags = got.shape_flags
+    assert dumps_canonical(got.to_dict()) == dumps_canonical(want.to_dict())
+
+
+def test_kernel_raises_at_a_zero_base_exactly_where_ipows_does():
+    with intervals.workprec(64):
+        one = to_interval(1)
+        good = [to_interval(0.5), to_interval(2)]
+        fns = [
+            lambda x: intervals.ipows(x, good)[1],
+            lambda x: intervals.ipows(x, good + [to_interval(0)])[0],
+            lambda x: intervals.ipow(x, to_interval(-0.5)),
+            lambda x: intervals.ipow(x, to_interval([-1, 1])),
+            # a zero base that is not the point: 1 - x at x = 1, x - x
+            lambda x: intervals.ipow(one - x, to_interval(0)),
+            lambda x: intervals.ipow(x - x, to_interval(0)) + x,
+        ]
+        raised = []
+        for fn in fns:
+            tape = intervals._Tape()
+            kernel = tape.compile([tape.record(fn)])
+            for x in (0.0, 0.25, 1.0):
+                want = _interval_path(fn, x)
+                if want is ValueError:
+                    raised.append((fns.index(fn), x))
+                    with pytest.raises(ValueError, match="needs e > 0"):
+                        kernel(x)
+                else:
+                    assert kernel(x) == (want,)
+        assert raised == [(1, 0.0), (2, 0.0), (3, 0.0), (4, 1.0), (5, 0.0),
+                          (5, 0.25), (5, 1.0)]
+        # the guard belongs to the trace whose ipows call has the exponent
+        # that needs it: a kernel of the other trace alone shares the log
+        # and the power of x, and does not raise
+        tape = intervals._Tape()
+        guarded = tape.record(fns[1])
+        unguarded = tape.record(fns[0])
+        assert unguarded[1] < guarded[1]
+        assert tape.compile([unguarded])(0.0) == ((fzero, fzero),)
+        with pytest.raises(ValueError):
+            tape.compile([unguarded, guarded])(0.0)
+
+
+def test_a_traced_point_refuses_what_has_no_kernel():
+    with intervals.workprec(64):
+        tape = intervals._Tape()
+        for fn in (float, hash, lambda x: x < 1, lambda x: x ** 0.5,
+                   lambda x: x ** Fraction(1, 2)):
+            with pytest.raises(TypeError):
+                tape.record(fn)
+
+
+@pytest.mark.parametrize("ladder", [(64, 8192), (12, 24)],
+                         ids=["full-ladder", "12-24-bits"])
+def test_unit_grid_checks_share_one_fan_out_per_level(ladder, workers, rungs,
+                                                      monkeypatch):
+    # goal, cfil and convex_concave run as one kernel over their shared
+    # unit grid, each with its own exact points and pending points; the
+    # reports are the ones the checks give one by one, byte for byte
+    monkeypatch.setattr(intervals, "PREC_START", ladder[0])
+    monkeypatch.setattr(intervals, "PREC_CAP", ladder[1])
+    fan_outs = []
+    fan_out = intervals._fan_out
+
+    def counting(fn, items, *args):
+        fan_outs.append(len(items))
+        return fan_out(fn, items, *args)
+
+    monkeypatch.setattr(intervals, "_fan_out", counting)
+    points = 200 if ladder[0] == 64 else 33
+    for k in (2, 3, 6):
+        del fan_outs[:], rungs[:]
+        check_two_point_inequality(k, points=points)
+        two_point_levels = len(rungs)
+        del fan_outs[:], rungs[:]
+        fused = check_higher_energy_inequalities(k, points=points)
+        assert len(fan_outs) == len(rungs) > two_point_levels
+        trio_levels = len(rungs) - two_point_levels
+        assert trio_levels == (1 if ladder[0] == 64 else 2)
+        del rungs[:]
+        alone = {
+            "two_point": check_two_point_inequality(k, points=points),
+            "goal": check_goal_inequality(k, points=points),
+            "cfil": check_cfil_instance(k, points=points),
+            "convex_concave": check_convex_concave(k, points=points),
+        }
+        assert list(fused) == list(alone)
+        for name in alone:
+            assert dumps_canonical(fused[name].to_dict()) == \
+                dumps_canonical(alone[name].to_dict()), (k, name)
+            if points == 200 and (name, k) in GRID_REPORT_DIGESTS:
+                assert _digest(fused[name].to_dict()) == \
+                    GRID_REPORT_DIGESTS[name, k]
+    assert bool(workers.forks) == (workers.count > 1)
