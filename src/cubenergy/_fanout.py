@@ -14,11 +14,13 @@ from typing import Callable, List, Optional, Sequence
 
 # a forked worker pays for its fork only with enough items.  The default
 # chunk is the grids': on their compiled kernels a grid point takes 0.05
-# to 0.25 ms and a psi sample 0.2 to 0.35 ms (2 vCPUs, Python 3.11), so a
-# 1000-point grid forks and takes 0.55 to 0.9 of its serial time, while a
-# 200-point grid of the cheapest checks (key, convex_concave at k = 2,
-# 0.05 ms a point) takes 1.3 to 1.65 times its serial time when it forks
-FAN_OUT_MIN_CHUNK = 48
+# to 0.25 ms and a psi sample 0.2 to 0.35 ms (2 vCPUs, Python 3.11).  A
+# 1000-point key grid at k = 2 took 0.55 to 1.0 of its serial time when it
+# forked, and a 200-point one 1.3 times (17.6 against 13.4 ms, best of 15).
+# A certified-grids pass fans out 511 to 1005 items at a time and a
+# 200-point grid at most 205 (every check, k = 2, 3, 6, 10), so any chunk
+# in 103..255 forks the first and keeps the second serial
+FAN_OUT_MIN_CHUNK = 128
 
 _fanning_out = False        # True inside a fan-out, in its workers too
 

@@ -29,10 +29,8 @@ RESTRICTED_SCRATCH_MAX = 14         # 0/1 enumeration cap for every other k
 # A start's work is estimated as the multiply-adds of one call of each of
 # its weights' line-search slices, about 0.02 to 0.03 ms a unit: 11 units
 # for {0,1} at k = 2 (0.2 ms a start), 30 for {0,1,2} (0.5 to 1.2 ms), 305
-# for {0..4} at k = 3 (5 to 8 ms), 380 for {0,1}^3 (2 to 10 ms).  Each
-# process compiles the slices it uses itself, in parallel with the others,
-# so compiling does not decide whether a fork pays.  A worker gets a chunk
-# of starts only with at least this many units.
+# for {0..4} at k = 3 (5 to 8 ms), 380 for {0,1}^3 (2 to 10 ms).  A worker
+# gets a chunk of starts only with at least this many units.
 START_FORK_WORK = 250
 
 
@@ -225,91 +223,88 @@ def _ratio_function(keys: List[int], k: int,
     keys, as de_ratio computes it.  The keys never change, so the float
     convolution is compiled once, by power_energy_plan, into straight-line
     multiply-adds that give de_ratio's energy bit for bit.  The function's
-    ``energy_of`` attribute is the plan, and ``multiply_adds`` the plan's."""
+    ``energy_of`` attribute is the plan."""
     inv2k = 1.0 / (2 * k)
     energy_of = power_energy_plan(keys, k)
 
     def ratio_of(ws: List[float]) -> float:
         return energy_of(ws) ** inv2k / _power_sum(ws, q) ** (1.0 / q)
     ratio_of.energy_of = energy_of
-    ratio_of.multiply_adds = energy_of.multiply_adds
     return ratio_of
 
 
-def _ratio_slices(ratio_of, k: int, q: float) -> List["_Slice"]:
-    """One _Slice per weight of ratio_of, for the line searches.
-
-    The plan is read once for all of them: which weights each value and
-    each term read, and where each sum first reads each weight, which
-    gives every slice's multiply-adds before any is compiled."""
-    energy_of = ratio_of.energy_of
+def _ratio_slices(energy_of, k: int, q: float) -> List["_Slice"]:
+    """One compiled _Slice per weight of the ratio plan energy_of, for the
+    line searches.  The plan is read once for all of them: which weights
+    each value and each term read."""
     m = len(energy_of.names) - len(energy_of.sums)
     reads = [1 << b for b in range(m)]  # bit b: the value reads weight b
-    masks = []          # the same for each term, per sum
-    firsts = []         # weight b -> the first term that reads it, per sum
-    work = [0] * m      # multiply-adds of each weight's slice
+    masks = []                          # the same for each term, per sum
     for terms in energy_of.sums:
-        deps = [reads[a] | reads[b] for a, b in terms]
-        first: Dict[int, int] = {}
-        seen = 0
-        for n, d in enumerate(deps):
-            new = d & ~seen
-            while new:
-                first[(new & -new).bit_length() - 1] = n
-                new &= new - 1
-            seen |= d
-        for b, n in first.items():
-            work[b] += len(terms) - n
-        masks.append(deps)
-        firsts.append(first)
-        reads.append(seen)
-    return [_Slice(ratio_of, reads, masks, firsts, i, work[i], k, q)
-            for i in range(m)]
+        masks.append([reads[a] | reads[b] for a, b in terms])
+        reads.append(reduce(operator.or_, masks[-1], 0))
+    return [_Slice(energy_of, reads, masks, i, k, q) for i in range(m)]
 
 
 class _Slice:
     """The ratio as a function of weight i alone: ``self(ws)`` returns f
-    with ``f(t) == ratio_of(ws with ws[i] = t)`` bit for bit, for one line
-    search.
+    with ``f(t) == ratio_of(ws with ws[i] = t)`` bit for bit.
 
-    The first line search runs ratio_of itself: compiling a slice costs
-    about what it saves in one search, so a weight searched once, as in a
-    run that converges in one sweep, is never compiled.  From the second
-    on, f is weight i's slice of the plan, a partial evaluation (N. D.
-    Jones, C. K. Gomard and P. Sestoft, Partial Evaluation and Automatic
-    Program Generation, 1993).  A value of the plan is dirty when one of
-    its terms reads weight i or a dirty value.  The slice is compiled once
-    and keeps only the dirty values, t included: each starts from its
-    partial sum before its first dirty term and adds every later term in
-    the recorded order, a clean one as a constant; the sum of the q-th
-    powers starts from the weights before i.  So it adds the plan's floats
-    in the plan's order.  Each call runs the plan once, recording every
-    value, and sets the slice's constants in its namespace from them: the
-    clean values it reads, under their plan names, the clean products c0,
-    c1, ..., the partial sums f0, f1, ..., the powers p0, p1, ..., and q0,
-    q1, q2 for q, 1/(2k) and 1/q.  ``multiply_adds`` counts the
-    multiply-adds of one call of the slice, against the plan's."""
+    f is weight i's slice of the plan, compiled once, a partial evaluation
+    (N. D. Jones, C. K. Gomard and P. Sestoft, Partial Evaluation and
+    Automatic Program Generation, 1993).  A value of the plan is dirty when
+    one of its terms reads weight i or a dirty value.  f keeps only the
+    dirty values, t included: each starts from its partial sum before its
+    first dirty term and adds every later term in the plan's order, a clean
+    one as a constant; the sum of the q-th powers starts from the weights
+    before i.  Each call runs the plan once, recording every value, and
+    sets f's constants from them: clean values under their plan names,
+    clean products c0, c1, ..., partial sums f0, f1, ... and powers p0, p1,
+    ....  ``multiply_adds`` counts the terms f adds, dirty and clean."""
 
-    def __init__(self, ratio_of, reads: List[int], masks: List[List[int]],
-                 firsts: List[Dict[int, int]], i: int, multiply_adds: int,
-                 k: int, q: float):
-        self.ratio_of, self.energy_of = ratio_of, ratio_of.energy_of
-        self.reads, self.masks, self.firsts = reads, masks, firsts
-        self.i, self.multiply_adds, self.k, self.q = i, multiply_adds, k, q
-        self.searches = 0
-        self.f = None
+    def __init__(self, energy_of, reads: List[int], masks: List[List[int]],
+                 i: int, k: int, q: float):
+        names, m, bit = energy_of.names, len(reads) - len(masks), 1 << i
+        self.energy_of, self.i, self.q = energy_of, i, q
+        dirty: List[Tuple[int, int]] = []       # the factors of dirty terms
+        self.singles: List[Tuple[int, int]] = []    # of c0, c1, ...
+        self.partials: List[List[Tuple[int, int]]] = []  # terms of f0, ...
+        lines = ["def f(%s):" % names[i]]
+        for v, terms, deps in zip(range(m, len(names)), energy_of.sums, masks):
+            first = next((n for n, d in enumerate(deps) if d & bit), None)
+            if first is None:
+                continue
+            items = []
+            for term, d in zip(terms[first:], deps[first:]):
+                if d & bit:
+                    items.append("%s * %s" % (names[term[0]], names[term[1]]))
+                    dirty.append(term)
+                else:
+                    items.append("c%d" % len(self.singles))
+                    self.singles.append(term)
+            start = "0.0"
+            if first:
+                start = "f%d" % len(self.partials)
+                self.partials.append(terms[:first])
+            lines += _chain(names[v], start, items)
+        powers = ["p%d" % n for n in range(m - i)]
+        lines += _chain("u", powers[0] if i else "0.0",
+                        ["%s ** q0" % names[i]] + powers[1:])
+        lines.append("    return t ** q1 / u ** q2")
+        self.namespace = {"q0": q, "q1": 1.0 / (2 * k), "q2": 1.0 / q}
+        exec(compile("\n".join(lines), "<ratio slice %d>" % i, "exec"),
+             self.namespace)
+        self.f = self.namespace.pop("f")
+        self.multiply_adds = len(dirty) + len(self.singles)
+        self.named = [u for u in dict.fromkeys(u for pair in dirty
+                                               for u in pair)
+                      if not reads[u] & bit]
+        self.constants = ([names[u] for u in self.named] +
+                          ["c%d" % n for n in range(len(self.singles))] +
+                          ["f%d" % n for n in range(len(self.partials))] +
+                          (powers if i else powers[1:]))
 
     def __call__(self, ws: List[float]) -> Callable[[float], float]:
-        self.searches += 1
-        if self.searches == 1:
-            trial = list(ws)
-
-            def f(t: float) -> float:
-                trial[self.i] = t
-                return self.ratio_of(trial)
-            return f
-        if self.f is None:
-            self._compile()
         values: List[float] = []
         self.energy_of(ws, values)
         add, i, q = operator.add, self.i, self.q
@@ -323,77 +318,28 @@ class _Slice:
         self.namespace.update(zip(self.constants, found))
         return self.f
 
-    def _compile(self) -> None:
-        names, sums, masks = self.energy_of.names, self.energy_of.sums, \
-            self.masks
-        i, m, bit = self.i, len(names) - len(masks), 1 << self.i
-        dirty: List[Tuple[int, int]] = []       # the factors of dirty terms
-        self.singles: List[Tuple[int, int]] = []    # of c0, c1, ...
-        self.partials: List[List[Tuple[int, int]]] = []  # terms of f0, ...
-        lines = ["def f(%s):" % names[i]]
-        for v, terms, deps, first_of in zip(range(m, len(names)), sums,
-                                            masks, self.firsts):
-            if i not in first_of:
-                continue
-            first = first_of[i]
-            items = []
-            for n in range(first, len(terms)):
-                if deps[n] & bit:
-                    items.append("%s * %s" % (names[terms[n][0]],
-                                              names[terms[n][1]]))
-                    dirty.append(terms[n])
-                else:
-                    items.append("c%d" % len(self.singles))
-                    self.singles.append(terms[n])
-            start = "0.0"
-            if first:
-                start = "f%d" % len(self.partials)
-                self.partials.append(terms[:first])
-            lines += _chain(names[v], start, items)
-        powers = ["p%d" % n for n in range(m - i)]
-        lines += _chain("u", powers[0] if i else "0.0",
-                        ["%s ** q0" % names[i]] + powers[1:])
-        lines.append("    return t ** q1 / u ** q2")
-        self.namespace = {"q0": self.q, "q1": 1.0 / (2 * self.k),
-                          "q2": 1.0 / self.q}
-        exec(compile("\n".join(lines), "<ratio slice %d>" % i, "exec"),
-             self.namespace)
-        self.f = self.namespace.pop("f")
-        self.named = [u for u in dict.fromkeys(u for pair in dirty
-                                               for u in pair)
-                      if not self.reads[u] & bit]
-        self.constants = ([names[u] for u in self.named] +
-                          ["c%d" % n for n in range(len(self.singles))] +
-                          ["f%d" % n for n in range(len(self.partials))] +
-                          (powers if i else powers[1:]))
 
-
-def optimize_de(problem: DEProblem, strategy: str = "coordinate",
-                seed: int = 0, *, starts: int = 24, max_sweeps: int = 80,
+def optimize_de(problem: DEProblem, *, seed: int = 0, starts: int = 24,
+                max_sweeps: int = 80,
                 restricted_sample: int = 4096) -> DEEstimate:
     """Best extension-ratio lower bound found by seeded multi-start
     coordinate ascent, merged with exhaustive (or sampled) 0/1 enumeration.
 
-    Start 0 is all ones; every other start draws its m weights from one
-    random.Random(seed), all drawn up front in start order.  Each sweep of
-    a start line-searches every weight in turn by golden section on the
-    weight's _Slice of the ratio plan, which gives the ratio of the plan
-    bit for bit while running only the multiply-adds that read the weight;
-    the plan itself gives the ratio at the start and end of each sweep.
-    The starts are independent: they fan out over forked workers
-    (_fanout._fan_out), which inherit the compiled ratio plan, in
-    contiguous chunks of at least START_FORK_WORK units of estimated work
-    (per start, the multiply-adds of one call of every weight's slice), and
-    merge in start order, the first of equal bests winning.  So the report
-    is byte-identical for any worker count.
+    Start 0 is all ones; the other starts' weights are all drawn up front,
+    in start order, from one random.Random(seed).  Each sweep of a start
+    line-searches every weight in turn by golden section on the weight's
+    _Slice; the ratio plan gives the ratio at the start and end of each
+    sweep.  The starts fan out over forked workers (_fanout._fan_out), which
+    inherit the compiled plan and slices, in contiguous chunks of at least
+    START_FORK_WORK units of work (per start, the multiply-adds of one call
+    of every slice), and merge in start order, the first of equal bests
+    winning, so the report is byte-identical for any worker count.
 
     The reported bound is always realized by the stored witness; convergence
     is advisory only.  Only nonnegative weights are searched: for even
     moments the energy is coordinate-wise monotone in |f|, so a sign flip
     cannot help, but witnesses are valid lower bounds either way.
     """
-    if strategy != "coordinate":
-        raise ValueError("unknown strategy %r" % (strategy,))
     if starts < 1:
         raise ValueError("starts must be >= 1")
     pts = problem.alphabet.sorted_points()
@@ -406,7 +352,7 @@ def optimize_de(problem: DEProblem, strategy: str = "coordinate",
                                   {p: 1 for p in r_points}, True)
 
     ratio_of = _ratio_function(pack_points(pts, k), k, q)
-    slices = _ratio_slices(ratio_of, k, q)
+    slices = _ratio_slices(ratio_of.energy_of, k, q)
     rng = random.Random(seed)
     inits = [[1.0] * m] + [[rng.uniform(0.05, 1.0) for _ in range(m)]
                            for _ in range(starts - 1)]

@@ -1,5 +1,6 @@
 """Weighted energies, discrete extension bounds, and decompositions."""
 
+import builtins
 import math
 import random
 from fractions import Fraction
@@ -352,13 +353,14 @@ def _slice_weights(rng, m, i):
 @pytest.mark.parametrize("name", sorted(SLICE_ALPHABETS))
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_slices_match_the_ratio_bit_for_bit(name, k):
-    # every weight's slice, on its first line search (the plan) and on the
-    # later ones (compiled), equals ratio_of with ws[i] = t in every bit
+    # every weight's slice, on every line search, equals ratio_of with
+    # ws[i] = t in every bit
     pts = SLICE_ALPHABETS[name].sorted_points()
     keys = pack_points(pts, k)
     ratio_of = extension._ratio_function(keys, k, 0.8 * k)
     rng = random.Random("slices-%s-%d" % (name, k))
-    for i, line in enumerate(extension._ratio_slices(ratio_of, k, 0.8 * k)):
+    slices = extension._ratio_slices(ratio_of.energy_of, k, 0.8 * k)
+    for i, line in enumerate(slices):
         for ws in _slice_weights(rng, len(keys), i):
             f = line(ws)
             ts = [0.0, 1.5, rng.uniform(0.0, 1.5), rng.uniform(0.0, 1.5)]
@@ -367,7 +369,7 @@ def test_slices_match_the_ratio_bit_for_bit(name, k):
             for t in ts:
                 trial = ws[:i] + [t] + ws[i + 1:]
                 assert f(t).hex() == ratio_of(trial).hex(), (i, ws, t)
-        assert line.f is not None
+            assert f is line.f      # the one function compiled for weight i
 
 
 def test_slice_multiply_adds_stay_within_the_plan():
@@ -375,28 +377,36 @@ def test_slice_multiply_adds_stay_within_the_plan():
     # alphabets the slices of all weights average at most 3/4 of them
     for alphabet in SLICE_ALPHABETS.values():
         for k in (1, 2, 3):
-            ratio_of = extension._ratio_function(
-                pack_points(alphabet.sorted_points(), k), k, 1.5)
+            energy_of = extension._ratio_function(
+                pack_points(alphabet.sorted_points(), k), k, 1.5).energy_of
             work = [line.multiply_adds
-                    for line in extension._ratio_slices(ratio_of, k, 1.5)]
-            assert 0 < min(work) and max(work) <= ratio_of.multiply_adds
-            assert sum(work) <= 0.75 * len(work) * ratio_of.multiply_adds
+                    for line in extension._ratio_slices(energy_of, k, 1.5)]
+            assert 0 < min(work) and max(work) <= energy_of.multiply_adds
+            assert sum(work) <= 0.75 * len(work) * energy_of.multiply_adds
 
 
-def test_slice_compiles_on_its_second_line_search():
-    # a weight searched once runs the plan itself; the second search
-    # compiles the slice, whose source holds only names built from indices
+def test_slices_arrive_compiled(monkeypatch):
+    # _ratio_slices compiles every slice, so no line search compiles
+    # anything, the first included; each slice's source holds only names
+    # built from indices
     ratio_of = extension._ratio_function(
         pack_points(PointSet.cube(1, 3).sorted_points(), 2), 2, 2.0)
-    line = extension._ratio_slices(ratio_of, 2, 2.0)[3]
-    ws = [0.5] * 8
-    line(ws)
-    assert line.f is None
-    f = line(ws)
-    code = f.__code__
-    assert {name.rstrip("0123456789_") for name in
-            code.co_names + code.co_varnames} <= {"w", "s", "c", "f", "p",
-                                                  "q", "t", "u"}
+    slices = extension._ratio_slices(ratio_of.energy_of, 2, 2.0)
+
+    def no_compile(*args, **kwargs):
+        raise AssertionError("a line search compiled")
+    monkeypatch.setattr(builtins, "compile", no_compile)
+    rng = random.Random("arrive-compiled")
+    for i, line in enumerate(slices):
+        for _ in range(2):
+            ws = [rng.uniform(0.05, 1.5) for _ in range(8)]
+            t = rng.uniform(0.0, 1.5)
+            assert line(ws)(t).hex() == \
+                ratio_of(ws[:i] + [t] + ws[i + 1:]).hex(), (i, ws, t)
+        code = line.f.__code__
+        assert {name.rstrip("0123456789_") for name in
+                code.co_names + code.co_varnames} <= {"w", "s", "c", "f", "p",
+                                                      "q", "t", "u"}
 
 
 def _estimates(monkeypatch, call):
@@ -436,11 +446,6 @@ def test_optimizer_forks_by_its_work_estimate(monkeypatch, forks):
     assert forks == []
     optimize_de(DEProblem(PointSet.cube(1, 3), 2, 2.0), starts=4)
     assert len(forks) == 1
-
-
-def test_optimize_rejects_unknown_strategy():
-    with pytest.raises(ValueError):
-        optimize_de(DEProblem(SEGMENT, 2, 2.0), strategy="annealing")
 
 
 # ---------------------------------------------------------------------------

@@ -423,6 +423,16 @@ def one_worker(monkeypatch):
     monkeypatch.setattr(_fanout, "_cpu_count", lambda: 1)
 
 
+def test_only_large_grids_fork(monkeypatch, forks):
+    # a 200-point key grid is too little work to fork for on two CPUs; a
+    # 1000-point one, the size the certified-grids benchmark checks, forks
+    monkeypatch.setattr(_fanout, "_cpu_count", lambda: 2)
+    assert check_key_inequality(2, points=200).ok
+    assert forks == []
+    assert check_key_inequality(2, points=1000).ok
+    assert len(forks) == 1
+
+
 def test_grid_and_shape_checks_climb_one_ladder(rungs):
     assert check_key_inequality(2, points=80).ok
     assert rungs == [64]
