@@ -19,8 +19,9 @@ subset_energies walks the subsets of a small point list, one point a step,
 or recounts given masks, each selected through per-byte lookup lists, with
 their energies fanned out over forked workers (_fanout) and merged in mask
 order; orbit_energies walks the subsets one orbit of a given symmetry group
-at a time, computing one energy per orbit, and applies each generator to a
-mask through three unrolled 256-entry byte tables.
+at a time, computing one energy per orbit, and closes each orbit in one
+breadth-first function compiled per walk for its generators and the masks'
+byte count, each generator one line of 256-entry byte-table lookups.
 level_set_energies gives E_k of the level sets of {0..n}^d (points with at
 most t coordinates off the middle letters) from a generating function over
 sum types, in time polynomial in d, without building the cube.
@@ -442,6 +443,44 @@ def _byte_tables(perm: List[int]) -> List[List[int]]:
     return out
 
 
+def _orbit_closure(symmetries: List[List[int]], n: int, seen: bytearray
+                   ) -> Callable[[int], List[int]]:
+    """close(rep): the orbit of the unseen mask rep, a mask of n <= 24
+    bits, under the group generated by `symmetries`, marked in `seen` and
+    returned in breadth-first order: rep first, then each member's images
+    under the generators, in their order, that were not seen before.
+
+    The closure is the source of one function compiled for these
+    generators and the masks' byte count: each member m of more than one
+    byte is split once into its bytes m0, m1, ... (the last one unmasked,
+    as a mask has no higher bits), and generator g is one line `img =
+    tg_0[m0] | tg_1[m1] | ...` of its byte tables (_byte_tables), which
+    are bound, with `seen`, as names of the function's namespace."""
+    index, split = [
+        (["m"], "pass"),
+        (["m0", "m1"], "m0, m1 = m & 255, m >> 8"),
+        (["m0", "m1", "m2"], "m0, m1, m2 = m & 255, m >> 8 & 255, m >> 16"),
+    ][max(0, n - 1) // 8]
+    namespace: dict = {"seen": seen}
+    lines = ["def close(rep):",
+             "    seen[rep] = 1",
+             "    members = [rep]",
+             "    append = members.append",
+             "    for m in members:",
+             "        " + split]
+    for g, perm in enumerate(symmetries):
+        names = ["t%d_%d" % (g, b) for b in range(len(index))]
+        namespace.update(zip(names, _byte_tables(perm)))
+        lines += ["        img = %s" % " | ".join(
+                      "%s[%s]" % pair for pair in zip(names, index)),
+                  "        if not seen[img]:",
+                  "            seen[img] = 1",
+                  "            append(img)"]
+    lines.append("    return members")
+    exec(compile("\n".join(lines), "<orbit closure>", "exec"), namespace)
+    return namespace.pop("close")
+
+
 def orbit_energies(packed: List[int], k: int, kind: EnergyKind,
                    symmetries: List[List[int]]
                    ) -> Iterator[Tuple[int, int, int, List[int]]]:
@@ -451,11 +490,11 @@ def orbit_energies(packed: List[int], k: int, kind: EnergyKind,
 
     Each symmetry is a permutation of the point indices that preserves both
     energies (for a cube {0..n}^d: coordinate permutations and reflections
-    x_i -> n - x_i).  Each generator is applied to a mask through three
-    byte tables (_byte_tables), one expression per image.  A bitmap of
-    2^points bytes marks the masks seen, so at most MAX_ORBIT_POINTS points
-    are taken.  The scan jumps to the next unseen mask (bytearray.find) and
-    closes its orbit by breadth-first search over the generators, so rep is
+    x_i -> n - x_i).  A bitmap of 2^points bytes marks the masks seen, so
+    at most MAX_ORBIT_POINTS points are taken.  The scan jumps to the next
+    unseen mask (bytearray.find) and closes its orbit by breadth-first
+    search over the generators, in one function compiled per call for
+    these generators and the masks' byte count (_orbit_closure), so rep is
     the orbit's smallest mask and reps arrive in increasing order.  E is
     computed once per orbit, from scratch.
     """
@@ -463,20 +502,13 @@ def orbit_energies(packed: List[int], k: int, kind: EnergyKind,
     if n > MAX_ORBIT_POINTS:
         raise ValueError("orbit walk over %d points (> %d) refused"
                          % (n, MAX_ORBIT_POINTS))
-    tables = [_byte_tables(perm) for perm in symmetries]
     mask_energy = _mask_energy(packed, k, kind)
     seen = bytearray(1 << n)
     seen[0] = 1                         # the empty set is not walked
+    close = _orbit_closure(symmetries, n, seen)
     rep = seen.find(0)
     while rep > 0:
-        seen[rep] = 1
-        members = [rep]
-        for mask in members:            # grows while it is walked
-            for a, b, c in tables:
-                img = a[mask & 255] | b[mask >> 8 & 255] | c[mask >> 16]
-                if not seen[img]:
-                    seen[img] = 1
-                    members.append(img)
+        members = close(rep)
         yield rep, rep.bit_count(), mask_energy(rep), members
         rep = seen.find(0, rep)
 

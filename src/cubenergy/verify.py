@@ -10,10 +10,12 @@ an exhaustive sweep with d >= 2 computes one energy per orbit of its
 symmetry group (energy.orbit_energies; 401 orbits for the 65 535 nonempty
 subsets of {0,1}^4) and counts it for every member.  The walk closes each
 orbit under two generators, the swap of coordinates 0 and 1 and the signed
-rotation p -> p[1:] + (n - p[0],), each applied to a mask through three
-256-entry byte tables.  A sweep with d <= 1 takes its masks one at a time,
-on the Gray-code walk; a sampled sweep recounts each mask from scratch,
-its energies fanned out over forked workers and merged in mask order.
+rotation p -> p[1:] + (n - p[0],), in one breadth-first function compiled
+per sweep, where each generator is one line of 256-entry byte-table
+lookups on the mask's bytes.  A sweep with d <= 1 takes its masks one at
+a time, on the Gray-code walk; a sampled sweep recounts each mask from
+scratch, its energies fanned out over forked workers and merged in mask
+order.
 
 The witness search over the level sets of {0..n}^d takes its exact energies
 from energy.level_set_energies and its level sizes from a binomial sum, so
@@ -293,14 +295,17 @@ def _walk(pts: List[tuple], n: int, packed: List[int], k: int,
     With d <= 1 the group has order at most 2, too small to repay computing
     each energy from scratch, so the Gray-code walk updates it in place, one
     mask an entry; given masks are likewise taken one at a time (their
-    energies fan out over forked workers).  Measured on both energies,
-    k = 2 and 3, best of 5 to 50 runs, three runs each: the orbit walk takes
-    0.18-0.53x the Gray walk's time on {0..3}^2 and 0.33-1.03x on {0,1,2}^2
-    (group order 8), and 0.85-1.7x on {0,1}^2, where either walk takes
-    under 0.1 ms; on {0..15}^1, with the reflection alone, it takes
-    0.56-1.45x, faster or slower by run and energy.  Every cube with d >= 2
-    within MAX_EXHAUSTIVE_POINTS is one of {0,1}^2, {0,1}^3, {0,1}^4,
-    {0,1,2}^2 and {0..3}^2.
+    energies fan out over forked workers).  Measured as the CPU time of one
+    exhaustive sweep_cube at the sharp exponent, on both energies, k = 2
+    and 3, best of 5 to 200 runs, six runs each: the orbit walk takes
+    0.23-0.47x the Gray walk's time on {0..3}^2 and 0.43-0.91x on {0,1,2}^2
+    (group order 8), but 1.7-2.5x on {0,1}^2, where compiling its closure
+    (about 0.1 ms) outweighs a walk of 15 masks and either sweep takes
+    under 0.5 ms; on {0..15}^1, with the reflection alone, it takes
+    0.60-1.09x, faster on every energy but the additive one at k = 2,
+    where it is level.  So a split by point count would fit these figures
+    better than the split by d, at both ends.  Every cube with d >= 2 within MAX_EXHAUSTIVE_POINTS is one of
+    {0,1}^2, {0,1}^3, {0,1}^4, {0,1,2}^2 and {0..3}^2.
     """
     if masks is None and len(pts[0]) >= 2:
         return orbit_energies(packed, k, kind, _cube_symmetries(pts, n))
@@ -309,8 +314,18 @@ def _walk(pts: List[tuple], n: int, packed: List[int], k: int,
 
 
 def _mask_to_set(mask: int, pts: List[tuple]) -> PointSet:
-    chosen = [pts[i] for i in range(len(pts)) if (mask >> i) & 1]
-    return PointSet(len(pts[0]) if pts else 0, frozenset(chosen))
+    """The set of the points pts[i] whose bit i is set in mask.  The points
+    of pts are already valid, so PointSet's check of every point is
+    skipped: the fields are set as the frozen dataclass sets them."""
+    chosen = []
+    while mask:
+        low = mask & -mask
+        chosen.append(pts[low.bit_length() - 1])
+        mask ^= low
+    s = object.__new__(PointSet)
+    object.__setattr__(s, "dim", len(pts[0]) if pts else 0)
+    object.__setattr__(s, "points", frozenset(chosen))
+    return s
 
 
 def equality_witnesses(d: int, k: int, kind: EnergyKind, n: int = 1) -> List[PointSet]:

@@ -1,10 +1,13 @@
 """Exact energy computation, closed forms, and decomposition identities."""
 
+import builtins
+import importlib
 import math
 import os
 import random
+from array import array
 from collections import Counter
-from itertools import permutations, product
+from itertools import permutations, product, zip_longest
 
 import pytest
 
@@ -562,6 +565,89 @@ def test_orbit_walk_refuses_more_than_24_points():
     packed = pack_points(PointSet.cube(4, 2).sorted_points(), 2)
     with pytest.raises(ValueError, match="25 points"):
         next(orbit_energies(packed, 2, EnergyKind.ADDITIVE, []))
+
+
+def _plain_orbits(n, symmetries):
+    """(rep, |B|, members) of each orbit of the nonempty masks of n bits
+    under the group generated by ``symmetries``, by a plain breadth-first
+    walk: each member's images under the generators, in their order, from
+    a list of every mask's image, appended when not seen before."""
+    images = []
+    for perm in symmetries:
+        image = array("L", [0])         # image[m] for m < 2^i, i = 0..n
+        for j in perm:
+            image.extend([m | 1 << j for m in image])
+        images.append(image)
+    seen = bytearray(1 << n)
+    for rep in range(1, 1 << n):
+        if seen[rep]:
+            continue
+        seen[rep] = 1
+        members = [rep]
+        for mask in members:
+            for image in images:
+                img = image[mask]
+                if not seen[img]:
+                    seen[img] = 1
+                    members.append(img)
+        yield rep, bin(rep).count("1"), members
+
+
+def _compare_walks(packed, symmetries):
+    """Assert that orbit_energies walks as _plain_orbits does; return the
+    number of orbits."""
+    walked = ((rep, size, members) for rep, size, _, members
+              in orbit_energies(packed, 2, EnergyKind.ADDITIVE, symmetries))
+    count = 0
+    for got, want in zip_longest(walked,
+                                 _plain_orbits(len(packed), symmetries)):
+        assert got == want
+        count += 1
+    return count
+
+
+@pytest.mark.parametrize("n, d", [(1, 2), (1, 3), (1, 4), (2, 2), (3, 2)])
+def test_orbit_walk_is_the_plain_breadth_first_walk(n, d):
+    # the compiled closure yields the reps, sizes and members, in order, of
+    # a plain walk over the generators in the order given
+    pts = PointSet.cube(n, d).sorted_points()
+    assert _compare_walks(pack_points(pts, 2),
+                               _cube_symmetries(pts, n)) == \
+        {(1, 2): 5, (1, 3): 21, (1, 4): 401, (2, 2): 101, (3, 2): 8547}[n, d]
+
+
+@pytest.mark.parametrize("points", [5, 12, 20])
+@pytest.mark.parametrize("gens", [0, 1, 2, 3])
+def test_orbit_walk_of_any_generators_and_byte_count(monkeypatch, points,
+                                                     gens):
+    # 1, 2 and 3 mask bytes, under 0 to 3 generators; the energies are not
+    # under test here, so they are not computed
+    monkeypatch.setattr(importlib.import_module("cubenergy.energy"),
+                        "_mask_energy", lambda *args: lambda mask: 0)
+    rng = random.Random("orbit-%d" % points)
+    perms = [rng.sample(range(points), points) for _ in range(3)]
+    orbits = _compare_walks(list(range(points)), perms[:gens])
+    assert (orbits == (1 << points) - 1) == (gens == 0)
+
+
+def test_orbit_walk_compiles_once(monkeypatch):
+    # one closure per call, compiled before the first orbit; none is kept
+    # for the next call
+    pts = PointSet.cube(1, 4).sorted_points()
+    packed, symmetries = pack_points(pts, 2), _cube_symmetries(pts, n=1)
+    compiles = []
+    inner = builtins.compile
+
+    def counted(*args, **kwargs):
+        compiles.append(args[1])
+        return inner(*args, **kwargs)
+    monkeypatch.setattr(builtins, "compile", counted)
+    for calls in (1, 2):
+        walk = orbit_energies(packed, 2, EnergyKind.HIGHER, symmetries)
+        next(walk)
+        assert compiles == ["<orbit closure>"] * calls
+        assert len(list(walk)) == 400
+        assert compiles == ["<orbit closure>"] * calls
 
 
 def test_subset_energies_given_masks_in_given_order():
