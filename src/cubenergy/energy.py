@@ -4,22 +4,26 @@ The additive energy of order k counts 2k-tuples (a_1..a_k, b_1..b_k) in A
 with a_1+...+a_k = b_1+...+b_k.  The higher energy of order k counts
 2k-tuples (a_1, b_1, ..., a_k, b_k) with a_1-b_1 = a_2-b_2 = ... = a_k-b_k.
 Every energy runs on pack_points keys, by one of two routes.  A 0/1 set
-(energy(), the CLI, orbit representatives, sampled masks) goes through
-packed_subset_energy; a weighted map (the slice identities, the bullet
-product, the extension ratios) through convolve_packed: packed_power_energy
-for E_k, _correlation_moment for the k-th moment of a correlation.  Both
-exact big-integer products use lattice's slot format (see
-lattice._slot_bytes).  power_energy_plan compiles packed_power_energy's
-float dict loop, for fixed keys, into one straight-line function of the
-weights (the extension optimizer's ratios), bit for bit the same, which can
-also record every value it computes (the state its line searches start
-from).
+(energy(), the CLI) goes through packed_subset_energy; a weighted map (the
+slice identities, the bullet product, the extension ratios) through
+convolve_packed: packed_power_energy for E_k, _correlation_moment for the
+k-th moment of a correlation.  Both exact big-integer products use
+lattice's slot format (see lattice._slot_bytes).  The masks of a sweep
+(orbit representatives, sampled masks) take the same product through
+_mask_energy, a kernel built once per sweep when the product pays for the
+whole point list: a mask's indicator is an OR of per-byte table lookups,
+and the powers of 1-byte slots are summed by bytes.translate; otherwise
+each mask goes through packed_subset_energy.  power_energy_plan compiles
+packed_power_energy's float dict loop, for fixed keys, into one
+straight-line function of the weights (the extension optimizer's ratios),
+bit for bit the same, which can also record every value it computes (the
+state its line searches start from).
 brute_force_energy stays the independent oracle.
 subset_energies walks the subsets of a small point list, one point a step,
-or recounts given masks, each selected through per-byte lookup lists, with
-their energies fanned out over forked workers (_fanout) and merged in mask
-order; orbit_energies walks the subsets one orbit of a given symmetry group
-at a time, computing one energy per orbit, and closes each orbit in one
+or recounts given masks through _mask_energy, with their energies fanned
+out over forked workers (_fanout) and merged in mask order; orbit_energies
+walks the subsets one orbit of a given symmetry group at a time, computing
+one energy per orbit (by _mask_energy), and closes each orbit in one
 breadth-first function compiled per walk for its generators and the masks'
 byte count, each generator one line of 256-entry byte-table lookups.
 level_set_energies gives E_k of the level sets of {0..n}^d (points with at
@@ -332,9 +336,12 @@ def _product_energy(sel: List[int], k: int, higher: bool, lo: int, hi: int,
     return sum(map(operator.mul, slots, slots))
 
 
-# a forked worker pays for its fork, pipe and reaping (2 to 5 ms) only with
-# enough masks: one energy of a sampled subset of {0,1}^5 takes 15 to 20 us
-SAMPLE_MIN_CHUNK = 256
+# a forked worker pays for its fork, pipe and reaping (2.2 to 5 ms) only
+# with enough masks: one energy of a sampled subset of {0,1}^5 takes 5.5 to
+# 7.5 us on the byte tables (additive k = 2, 2 vCPUs, Python 3.11), so a
+# fork costs 300 to 900 of them.  Split over two workers, 1024 masks took
+# 0.93 to 1.02 of their serial time and 512 masks 1.00 to 1.18 (best of 15)
+SAMPLE_MIN_CHUNK = 512
 
 
 def subset_energies(packed: List[int], k: int, kind: EnergyKind,
@@ -349,9 +356,10 @@ def subset_energies(packed: List[int], k: int, kind: EnergyKind,
     counts ordered j-tuples by sum; adding p adds C(j,i) reps[j-i] shifted
     by i*p, top-down, and removing p subtracts it bottom-up, so no update
     reads a table that contains p.  Higher: the pair-difference counts.
-    Given masks are recounted from scratch and yielded in the order given;
-    their energies fan out over forked workers (_fanout._fan_out) in
-    contiguous chunks of at least SAMPLE_MIN_CHUNK masks.
+    Given masks are recounted from scratch by one _mask_energy kernel and
+    yielded in the order given; their energies fan out over forked workers
+    (_fanout._fan_out) in contiguous chunks of at least SAMPLE_MIN_CHUNK
+    masks.
     """
     n = len(packed)
     if masks is not None:
@@ -403,11 +411,58 @@ def subset_energies(packed: List[int], k: int, kind: EnergyKind,
         yield mask, size, energy
 
 
+# the most memory the byte tables of one _mask_energy may take
+MASK_TABLE_MAX_BYTES = 1 << 23
+
+
+def _byte_power_sum(e: int, top: int) -> Callable[[bytes], int]:
+    """raw -> the sum of c**e over the bytes c of raw, each at most top.
+
+    Byte j of every c**e is looked up at once, raw.translate(T_j) with T_j
+    mapping c to byte j of c**e, and summed by sum() over the small ints
+    of the translated bytes, so each addition is a C loop: the sum is
+    sum(raw.translate(T_j)) << 8*j over the bytes j of top**e."""
+    tables = [bytes(c ** e >> 8 * j & 255 for c in range(256))
+              for j in range(-(-(top ** e).bit_length() // 8))]
+
+    def power_sum(raw: bytes) -> int:
+        total = 0
+        for j, table in enumerate(tables):
+            total += sum(raw.translate(table)) << 8 * j
+        return total
+    return power_sum
+
+
 def _mask_energy(packed: List[int], k: int, kind: EnergyKind
                  ) -> Callable[[int], int]:
     """mask -> packed_subset_energy of the keys it selects, bit i of mask
-    selecting packed[i]: the selection is one list concatenation, of a
-    per-byte lookup list for each byte of the mask."""
+    selecting packed[i]; built once per sweep, for the sampled masks and
+    the orbit representatives.
+
+    When _slot_width picks the product path for the whole of packed, its
+    width holds the slots of every subset too (the slot bound, |B|^(k-1)
+    or |B|, only shrinks with B), so each mask takes one product in the
+    slots of packed's whole key range, lo .. hi: its indicator P (and, for
+    the higher energy, the reflected indicator R, slot hi - key) is the OR
+    of one 256-entry table lookup per byte of the mask, table[b] holding
+    the slots of b's bits.  Its energy sums the squares of the slots of
+    P**k (additive) or their k-th powers in P * R (higher): 1-byte slots
+    by _byte_power_sum, wider ones word by word (_int_slots).  The
+    tables hold at most ceil(len(packed)/8) * 256 ints of up to
+    (hi - lo + 1) * width bytes, doubled for the higher energy; they live
+    for the call and are built only when that bound is within
+    MASK_TABLE_MAX_BYTES.
+    Otherwise each mask's keys are selected, one list concatenation of a
+    per-byte lookup list for each byte of the mask, and counted by
+    packed_subset_energy."""
+    higher = kind is EnergyKind.HIGHER
+    if packed:
+        lo, hi = min(packed), max(packed)
+        width = _slot_width(len(packed), k, higher, hi - lo)
+        table_bytes = (-(-len(packed) // 8) * 256 * (hi - lo + 1) * width
+                       * (2 if higher else 1))
+        if width and table_bytes <= MASK_TABLE_MAX_BYTES:
+            return _table_mask_energy(packed, k, higher, lo, hi, width)
     chunks = []
     for shift in range(0, len(packed), 8):
         keys = packed[shift:shift + 8]
@@ -424,23 +479,64 @@ def _mask_energy(packed: List[int], k: int, kind: EnergyKind
     return mask_energy
 
 
+def _slot_table(offsets: List[int]) -> List[int]:
+    """table[b] = the OR of 1 << offsets[i] over the bits i of b, for b
+    below 2**len(offsets) (at most 8 offsets)."""
+    table = [0] * (1 << len(offsets))
+    for b in range(1, len(table)):
+        low = b & -b
+        table[b] = table[b ^ low] | 1 << offsets[low.bit_length() - 1]
+    return table
+
+
+def _table_mask_energy(packed: List[int], k: int, higher: bool, lo: int,
+                       hi: int, width: int) -> Callable[[int], int]:
+    """_mask_energy's product path, `width`-byte slots over lo .. hi."""
+    bits = 8 * width
+    tables = []
+    for shift in range(0, len(packed), 8):
+        keys = packed[shift:shift + 8]
+        ind = _slot_table([bits * (key - lo) for key in keys])
+        tables.append((shift, ind, _slot_table([bits * (hi - key)
+                                                for key in keys]))
+                      if higher else (shift, ind))
+    if higher:
+        cells, e, top = 2 * (hi - lo) + 1, k, len(packed)
+    else:
+        cells, e, top = k * (hi - lo) + 1, 2, len(packed) ** (k - 1)
+    if width == 1:
+        power_sum = _byte_power_sum(e, top)
+    else:
+        def power_sum(slots: Sequence[int]) -> int:
+            return sum(map(pow, slots, repeat(e)))
+
+    if higher:
+        def mask_energy(mask: int) -> int:
+            p = r = 0
+            for shift, ind, rev in tables:
+                byte = mask >> shift & 255
+                p |= ind[byte]
+                r |= rev[byte]
+            return power_sum(_int_slots(p * r, cells, width))
+    else:
+        def mask_energy(mask: int) -> int:
+            p = 0
+            for shift, ind in tables:
+                p |= ind[mask >> shift & 255]
+            return power_sum(_int_slots(p ** k, cells, width))
+    return mask_energy
+
+
 # the largest set the orbit walk's bitmap of 2^points bytes may cover
 MAX_ORBIT_POINTS = 24
 
 
 def _byte_tables(perm: List[int]) -> List[List[int]]:
-    """Three 256-entry tables, for bits 0-7, 8-15 and 16-23 of a mask:
-    table[b] is the image under perm of the bits b at that byte, so
+    """Three tables, for bits 0-7, 8-15 and 16-23 of a mask: table[b] is
+    the image under perm of the bits b at that byte, so
     a[m & 255] | b[m >> 8 & 255] | c[m >> 16] applies perm to a mask m of
-    at most 24 bits."""
-    out = []
-    for shift in (0, 8, 16):
-        table = [0] * 256
-        for b in range(1, 1 << min(8, max(0, len(perm) - shift))):
-            low = b & -b
-            table[b] = table[b ^ low] | 1 << perm[shift + low.bit_length() - 1]
-        out.append(table)
-    return out
+    len(perm) <= 24 bits."""
+    return [_slot_table(perm[shift:shift + 8]) for shift in (0, 8, 16)]
 
 
 def _orbit_closure(symmetries: List[List[int]], n: int, seen: bytearray
@@ -496,7 +592,7 @@ def orbit_energies(packed: List[int], k: int, kind: EnergyKind,
     search over the generators, in one function compiled per call for
     these generators and the masks' byte count (_orbit_closure), so rep is
     the orbit's smallest mask and reps arrive in increasing order.  E is
-    computed once per orbit, from scratch.
+    computed once per orbit, from scratch, by one _mask_energy kernel.
     """
     n = len(packed)
     if n > MAX_ORBIT_POINTS:

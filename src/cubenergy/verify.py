@@ -6,15 +6,16 @@ interval floor is used, escalating precision until the enclosure excludes
 every integer.  No verdict ever comes from bare floating point.
 
 Both energies are invariant under the symmetries of the cube {0..n}^d, so
-an exhaustive sweep with d >= 2 computes one energy per orbit of its
-symmetry group (energy.orbit_energies; 401 orbits for the 65 535 nonempty
-subsets of {0,1}^4) and counts it for every member.  The walk closes each
+an exhaustive sweep with d >= 2 and at least 8 points computes one energy
+per orbit of its symmetry group (energy.orbit_energies; 401 orbits for the
+65 535 nonempty subsets of {0,1}^4) and counts it for every member.  The walk closes each
 orbit under two generators, the swap of coordinates 0 and 1 and the signed
 rotation p -> p[1:] + (n - p[0],), in one breadth-first function compiled
 per sweep, where each generator is one line of 256-entry byte-table
-lookups on the mask's bytes.  A sweep with d <= 1 takes its masks one at
-a time, on the Gray-code walk; a sampled sweep recounts each mask from
-scratch, its energies fanned out over forked workers and merged in mask
+lookups on the mask's bytes.  A sweep with d <= 1, or of {0,1}^2, takes
+its masks one at a time, on the Gray-code walk; a sampled sweep recounts
+each mask from scratch, by one product over byte-table lookups built once
+per sweep, its energies fanned out over forked workers and merged in mask
 order.
 
 The witness search over the level sets of {0..n}^d takes its exact energies
@@ -204,10 +205,10 @@ def sweep_cube(n: int, d: int, target: ExponentTarget, *,
     most max_points cube points); otherwise `sample` masks drawn uniformly
     with the given seed (requires at most MAX_SAMPLED_POINTS cube points:
     each mask holds about half of them).  Both budgets are checked before
-    the cube is built.  An exhaustive sweep with d >= 2 computes one
-    energy per orbit of the cube's symmetry group; the report is the same
-    as from a scan in mask order: violations and rows in mask order, a tie
-    for the best ratio going to the smallest mask.
+    the cube is built.  An exhaustive sweep with d >= 2 and at least 8
+    points computes one energy per orbit of the cube's symmetry group; the
+    report is the same as from a scan in mask order: violations and rows in
+    mask order, a tie for the best ratio going to the smallest mask.
     """
     if n < 0 or d < 0:
         raise ValueError("need n >= 0 and d >= 0")
@@ -291,23 +292,25 @@ def _walk(pts: List[tuple], n: int, packed: List[int], k: int,
     """(mask, |B|, E(B), members) over the subsets of {0..n}^d: every mask
     in members has energy E(B), and mask is the smallest of them.
 
-    An exhaustive walk with d >= 2 yields one entry per symmetry orbit.
-    With d <= 1 the group has order at most 2, too small to repay computing
-    each energy from scratch, so the Gray-code walk updates it in place, one
-    mask an entry; given masks are likewise taken one at a time (their
-    energies fan out over forked workers).  Measured as the CPU time of one
-    exhaustive sweep_cube at the sharp exponent, on both energies, k = 2
-    and 3, best of 5 to 200 runs, six runs each: the orbit walk takes
-    0.23-0.47x the Gray walk's time on {0..3}^2 and 0.43-0.91x on {0,1,2}^2
-    (group order 8), but 1.7-2.5x on {0,1}^2, where compiling its closure
-    (about 0.1 ms) outweighs a walk of 15 masks and either sweep takes
-    under 0.5 ms; on {0..15}^1, with the reflection alone, it takes
-    0.60-1.09x, faster on every energy but the additive one at k = 2,
-    where it is level.  So a split by point count would fit these figures
-    better than the split by d, at both ends.  Every cube with d >= 2 within MAX_EXHAUSTIVE_POINTS is one of
-    {0,1}^2, {0,1}^3, {0,1}^4, {0,1,2}^2 and {0..3}^2.
+    An exhaustive walk with d >= 2 and at least 8 points yields one entry
+    per symmetry orbit.  With d <= 1 the group has order at most 2, too
+    small to repay computing each energy from scratch, and on {0,1}^2, 15
+    masks, compiling the orbit closure (about 0.1 ms) outweighs the walk,
+    so the Gray-code walk updates the energy in place, one mask an entry;
+    given masks are likewise taken one at a time (their energies fan out
+    over forked workers).  Measured as the CPU time of one exhaustive
+    sweep_cube at the sharp exponent, on both energies, k = 2 and 3, best
+    of 30 to 300 runs, two series: the orbit walk takes 1.4-2.7x the Gray
+    walk's time on {0,1}^2, where either sweep takes under 0.5 ms, but
+    0.33-0.83x on {0,1}^3 (one run of 1.12x, additive k = 2) and
+    0.35-0.66x on {0,1,2}^2 (group order 48 and 8), and 0.23-0.47x on
+    {0..3}^2.  On {0..15}^1, with the reflection alone, it
+    took 0.60-1.09x, faster on every energy but the additive one at k = 2,
+    where it was level.  Every cube with d >= 2 within
+    MAX_EXHAUSTIVE_POINTS is one of {0,1}^2, {0,1}^3, {0,1}^4, {0,1,2}^2
+    and {0..3}^2.
     """
-    if masks is None and len(pts[0]) >= 2:
+    if masks is None and len(pts[0]) >= 2 and len(pts) >= 8:
         return orbit_energies(packed, k, kind, _cube_symmetries(pts, n))
     return ((mask, c, e, (mask,))
             for mask, c, e in subset_energies(packed, k, kind, masks))

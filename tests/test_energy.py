@@ -32,7 +32,8 @@ from cubenergy.energy import (
     split_last_coordinate,
     subset_energies,
 )
-from cubenergy.energy import (_byte_tables, _correlation_moment,
+from cubenergy.energy import (_byte_power_sum, _byte_tables,
+                              _correlation_moment, _mask_energy,
                               _product_energy, _slot_width)
 from cubenergy import _fanout, lattice
 from cubenergy.errors import BudgetExceeded
@@ -667,8 +668,8 @@ def test_subset_energies_given_masks_in_given_order():
 
 
 def test_sampled_masks_fork_only_for_full_chunks(monkeypatch):
-    # one fork costs about as much as 250 sampled energies: a 96-mask
-    # sample stays in this process, two full chunks fork one worker
+    # one fork costs about as much as 300 to 900 sampled energies: a
+    # 96-mask sample stays in this process, two full chunks fork one worker
     forks = []
     fork = os.fork
 
@@ -693,6 +694,102 @@ def test_sampled_masks_fork_only_for_full_chunks(monkeypatch):
         sub = _mask_set(pts, mask)
         assert size == len(sub)
         assert e == energy(sub, 2, EnergyKind.ADDITIVE).value
+
+
+def _kernel_masks(rng, points):
+    """Masks of `points` bits for the mask-energy kernel: each 1-point
+    mask, the full mask, a few seeded ones, and one whose top bit sits at
+    each byte edge the kernel's tables meet."""
+    masks = [1 << i for i in range(points)] + [(1 << points) - 1]
+    masks += [rng.getrandbits(points) | 1 for _ in range(3)]
+    masks += [1 << top | rng.getrandbits(top)
+              for top in (7, 8, 15, 16, 23, 24, 63) if top < points]
+    return masks
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (1, 2), (1, 3), (1, 4), (1, 5),
+                                  (1, 6), (2, 2), (3, 2)])
+@pytest.mark.parametrize("kind", list(EnergyKind))
+def test_mask_energy_matches_both_oracles(kind, n, d):
+    # the table kernel, or its fallback, on the masks of _kernel_masks: the
+    # oracles are packed_subset_energy and, on sets small enough for its
+    # |B|^(2k) tuples, brute_force_energy (which takes k >= 2 only)
+    pts = PointSet.cube(n, d).sorted_points()
+    rng = random.Random("kernel-%s-%d-%d" % (kind.value, n, d))
+    masks = _kernel_masks(rng, len(pts))
+    for k in (1, 2, 3, 4):
+        packed = pack_points(pts, key_multiplier(k, kind))
+        mask_energy = _mask_energy(packed, k, kind)
+        for mask in masks:
+            sel = [x for i, x in enumerate(packed) if mask >> i & 1]
+            got = mask_energy(mask)
+            assert got == packed_subset_energy(sel, k, kind), (k, mask)
+            if k >= 2 and len(sel) ** (2 * k) <= 10 ** 5:
+                assert got == brute_force_energy(_mask_set(pts, mask), k,
+                                                 kind).value, (k, mask)
+
+
+@pytest.mark.parametrize("e", [2, 3, 4])
+def test_byte_power_sum_at_the_slot_extremes(e):
+    power_sum = _byte_power_sum(e, 255)
+    assert power_sum(bytes(7)) == 0
+    assert power_sum(bytes([255, 0, 255, 255, 0])) == 3 * 255 ** e
+    raw = bytes(random.Random(e).getrandbits(8) for _ in range(300))
+    assert power_sum(raw) == sum(c ** e for c in raw)
+    # a smaller top needs fewer bytes of c**e
+    assert _byte_power_sum(e, 9)(bytes([9, 3, 0])) == 9 ** e + 3 ** e
+
+
+def _counted_subset_energy(monkeypatch):
+    """The sel of every packed_subset_energy call in energy."""
+    calls = []
+    energy_module = importlib.import_module("cubenergy.energy")
+    inner = energy_module.packed_subset_energy
+
+    def counted(sel, k, kind):
+        calls.append(sel)
+        return inner(sel, k, kind)
+    monkeypatch.setattr(energy_module, "packed_subset_energy", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind, k", [(EnergyKind.ADDITIVE, 2),
+                                     (EnergyKind.HIGHER, 2),
+                                     (EnergyKind.HIGHER, 3)])
+def test_sampled_cube_masks_take_the_tables(monkeypatch, kind, k):
+    # the benchmark's sampled {0,1}^5 sweeps never call packed_subset_energy
+    calls = _counted_subset_energy(monkeypatch)
+    pts = PointSet.cube(1, 5).sorted_points()
+    packed = pack_points(pts, key_multiplier(k, kind))
+    rng = random.Random(5)
+    masks = [rng.getrandbits(32) | 1 for _ in range(12)]
+    got = list(subset_energies(packed, k, kind, masks))
+    assert calls == []
+    for mask, size, e in got:
+        assert e == energy(_mask_set(pts, mask), k, kind).value
+    assert len(calls) == len(masks)
+
+
+def test_mask_energy_fallback_routes(monkeypatch):
+    # keys too sparse for the product (the weighted-map route of the whole
+    # list) and tables past MASK_TABLE_MAX_BYTES ({0,1}^6, additive k = 4)
+    # both count each mask by packed_subset_energy
+    calls = _counted_subset_energy(monkeypatch)
+    rng = random.Random(66)
+    for n, d, k, kind, mult, width in [
+            (2, 2, 3, EnergyKind.ADDITIVE, 1000, 0),
+            (2, 2, 2, EnergyKind.HIGHER, 1000, 0),
+            (1, 6, 4, EnergyKind.ADDITIVE, 4, 4)]:
+        pts = PointSet.cube(n, d).sorted_points()
+        packed = pack_points(pts, mult)
+        assert _slot_width(len(packed), k, kind is EnergyKind.HIGHER,
+                           max(packed) - min(packed)) == width
+        mask_energy = _mask_energy(packed, k, kind)
+        for mask in [rng.getrandbits(len(pts)) | 1 for _ in range(3)]:
+            del calls[:]
+            got = mask_energy(mask)
+            assert len(calls) == 1
+            assert got == energy(_mask_set(pts, mask), k, kind).value
 
 
 # ---------------------------------------------------------------------------

@@ -305,8 +305,9 @@ def test_higher_energy_checks_refuse_k_below_one(check, k, monkeypatch):
 
 
 # frozen output at k = 1, where q = 2 and each inequality is an identity:
-# every point off the boundary equalities stays undecided at the precision
-# cap, which is why the grids are short
+# an identity grid skips the precision ladder, so every point off the
+# boundary equalities is reported undecided at once; the grids stay as
+# short as when each such point still climbed the ladder to its cap
 K1_REPORT_DIGESTS = {
     "goal":
         "f3e79ceb76dff4087b9301538ac46302704ee26b0033c88b8afd3b10a4c6bb63",

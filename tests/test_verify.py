@@ -237,21 +237,43 @@ def test_orbit_equality_witnesses_match_gray_walk(d, kind):
 
 
 def test_exhaustive_sweep_computes_one_energy_per_orbit(monkeypatch):
-    # {0,1}^4 has 65535 nonempty subsets in 401 orbits of its symmetry group
+    # {0,1}^4 has 65535 nonempty subsets in 401 orbits of its symmetry
+    # group; every energy from scratch is a call of the function that
+    # _mask_energy builds for the sweep
     calls = []
     energy_module = importlib.import_module("cubenergy.energy")
-    inner = energy_module.packed_subset_energy
+    inner = energy_module._mask_energy
 
-    def counted(sel, k, kind):
-        calls.append(len(sel))
-        return inner(sel, k, kind)
+    def counted(packed, k, kind):
+        mask_energy = inner(packed, k, kind)
 
-    monkeypatch.setattr(energy_module, "packed_subset_energy", counted)
+        def counted_energy(mask):
+            calls.append(mask)
+            return mask_energy(mask)
+        return counted_energy
+
+    monkeypatch.setattr(energy_module, "_mask_energy", counted)
     rep = sweep_cube(1, 4, ExponentTarget.sharp(EnergyKind.HIGHER, 2))
     assert rep.subsets_checked == 65535 and len(calls) == 401
     # a segment keeps the Gray-code walk, which computes no energy from scratch
     rep = sweep_cube(7, 1, ExponentTarget.sharp(EnergyKind.HIGHER, 2))
     assert rep.subsets_checked == 255 and len(calls) == 401
+
+
+@pytest.mark.parametrize("n, d, orbits", [(1, 2, False), (1, 3, True),
+                                          (2, 2, True), (7, 1, False)])
+def test_exhaustive_walk_by_point_count(monkeypatch, n, d, orbits):
+    # the orbit walk takes the cubes with d >= 2 and at least 8 points;
+    # {0,1}^2, like every segment, takes the Gray-code walk
+    walks = []
+    for name in ("orbit_energies", "subset_energies"):
+        inner = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda *args, name=name,
+                            inner=inner: walks.append(name) or inner(*args))
+    target = ExponentTarget.sharp(EnergyKind.ADDITIVE, 2)
+    rep = sweep_cube(n, d, target)
+    assert walks == ["orbit_energies" if orbits else "subset_energies"]
+    assert rep.subsets_checked == (1 << (n + 1) ** d) - 1
 
 
 @pytest.mark.parametrize("k", [4, 5, 6])
