@@ -10,10 +10,10 @@ convolve_packed: packed_power_energy for E_k, _correlation_moment for the
 k-th moment of a correlation.  Both exact big-integer products use
 lattice's slot format (see lattice._slot_bytes).  The masks of a sweep
 (orbit representatives, sampled masks) take the same product through
-_mask_energy, a kernel built once per sweep when the product pays for the
-whole point list: a mask's indicator is an OR of per-byte table lookups,
-and the powers of 1-byte slots are summed by bytes.translate; otherwise
-each mask goes through packed_subset_energy.  power_energy_plan compiles
+_mask_energy, a kernel built once per sweep when the product pays, in
+1-byte slots, for the whole point list: a mask's indicator is an OR of
+per-byte table lookups, and the powers of its slots are summed by
+bytes.translate; otherwise each mask goes through packed_subset_energy.  power_energy_plan compiles
 packed_power_energy's float dict loop, for fixed keys, into one
 straight-line function of the weights (the extension optimizer's ratios),
 bit for bit the same, which can also record every value it computes (the
@@ -321,19 +321,28 @@ def _slot_width(size: int, k: int, higher: bool, gap: int) -> int:
 def _product_energy(sel: List[int], k: int, higher: bool, lo: int, hi: int,
                     width: int) -> int:
     """packed_subset_energy by one product of indicators in lattice's slot
-    format, `width`-byte slots that the caller checked cannot carry: slot s
-    of P**k counts the ordered k-tuples with sum k*lo + s (additive), slot s
-    of P * R, R the reflected indicator, the pairs with difference
-    s - (hi - lo) (higher)."""
+    format (_product_slots), `width`-byte slots that the caller checked
+    cannot carry."""
     cells = hi - lo + 1
     if higher:
         p, r = _slots_int_reflected(sel, repeat(1), lo, cells, width)
-        slots = _int_slots(p * r, 2 * cells - 1, width)
         table = [c ** k for c in range(len(sel) + 1)]
-        return sum(map(table.__getitem__, slots))
+        return sum(map(table.__getitem__,
+                       _product_slots(p, r, k, hi - lo, width)))
     p = _slots_int(sel, repeat(1), lo, cells, width)
-    slots = _int_slots(p ** k, k * (cells - 1) + 1, width)
+    slots = _product_slots(p, None, k, hi - lo, width)
     return sum(map(operator.mul, slots, slots))
+
+
+def _product_slots(p: int, r: Optional[int], k: int, gap: int, width: int
+                   ) -> Sequence[int]:
+    """The slots of P**k (additive, r None) or of P * R (higher), P the
+    indicator of a set of keys in lo .. lo + gap in `width`-byte slots and
+    R its reflection (slot lo + gap - key): slot s counts the ordered
+    k-tuples with sum k*lo + s, or the pairs with difference s - gap."""
+    if r is None:
+        return _int_slots(p ** k, k * gap + 1, width)
+    return _int_slots(p * r, 2 * gap + 1, width)
 
 
 # a forked worker pays for its fork, pipe and reaping (2.2 to 5 ms) only
@@ -411,10 +420,6 @@ def subset_energies(packed: List[int], k: int, kind: EnergyKind,
         yield mask, size, energy
 
 
-# the most memory the byte tables of one _mask_energy may take
-MASK_TABLE_MAX_BYTES = 1 << 23
-
-
 def _byte_power_sum(e: int, top: int) -> Callable[[bytes], int]:
     """raw -> the sum of c**e over the bytes c of raw, each at most top.
 
@@ -439,30 +444,28 @@ def _mask_energy(packed: List[int], k: int, kind: EnergyKind
     selecting packed[i]; built once per sweep, for the sampled masks and
     the orbit representatives.
 
-    When _slot_width picks the product path for the whole of packed, its
-    width holds the slots of every subset too (the slot bound, |B|^(k-1)
-    or |B|, only shrinks with B), so each mask takes one product in the
-    slots of packed's whole key range, lo .. hi: its indicator P (and, for
-    the higher energy, the reflected indicator R, slot hi - key) is the OR
-    of one 256-entry table lookup per byte of the mask, table[b] holding
-    the slots of b's bits.  Its energy sums the squares of the slots of
-    P**k (additive) or their k-th powers in P * R (higher): 1-byte slots
-    by _byte_power_sum, wider ones word by word (_int_slots).  The
-    tables hold at most ceil(len(packed)/8) * 256 ints of up to
-    (hi - lo + 1) * width bytes, doubled for the higher energy; they live
-    for the call and are built only when that bound is within
-    MASK_TABLE_MAX_BYTES.
+    When _slot_width picks the product path with 1-byte slots for the whole
+    of packed, 1-byte slots hold every subset's slots too (the slot bound,
+    |B|^(k-1) or |B|, only shrinks with B), so each mask takes one product
+    over packed's whole key range, lo .. hi (_table_mask_energy): its
+    indicator P (and, for the higher energy, the reflected indicator R) is
+    the OR of one 256-entry table lookup per byte of the mask, table[b]
+    holding the slots of b's bits, and the squares of the slots of P**k
+    (additive) or their k-th powers in P * R (higher) are summed by
+    _byte_power_sum.  The tables live for the call and hold
+    ceil(len(packed)/8) * 256 ints of up to hi - lo + 1 bytes, doubled for
+    the higher energy: under 1.5 MB on every cube a sweep samples (at most
+    64 points, so hi - lo <= 364, reached by {0,1}^6), but 35 MB (Python
+    3.11, tracemalloc) for 200 keys spread over 0 .. 10 000, a sparse
+    alphabet whose sampled restricted enumeration they speed up 6.5x.
     Otherwise each mask's keys are selected, one list concatenation of a
     per-byte lookup list for each byte of the mask, and counted by
     packed_subset_energy."""
     higher = kind is EnergyKind.HIGHER
     if packed:
         lo, hi = min(packed), max(packed)
-        width = _slot_width(len(packed), k, higher, hi - lo)
-        table_bytes = (-(-len(packed) // 8) * 256 * (hi - lo + 1) * width
-                       * (2 if higher else 1))
-        if width and table_bytes <= MASK_TABLE_MAX_BYTES:
-            return _table_mask_energy(packed, k, higher, lo, hi, width)
+        if _slot_width(len(packed), k, higher, hi - lo) == 1:
+            return _table_mask_energy(packed, k, higher, lo, hi)
     chunks = []
     for shift in range(0, len(packed), 8):
         keys = packed[shift:shift + 8]
@@ -490,40 +493,34 @@ def _slot_table(offsets: List[int]) -> List[int]:
 
 
 def _table_mask_energy(packed: List[int], k: int, higher: bool, lo: int,
-                       hi: int, width: int) -> Callable[[int], int]:
-    """_mask_energy's product path, `width`-byte slots over lo .. hi."""
-    bits = 8 * width
+                       hi: int) -> Callable[[int], int]:
+    """_mask_energy's product path, 1-byte slots over lo .. hi."""
+    gap = hi - lo
     tables = []
     for shift in range(0, len(packed), 8):
         keys = packed[shift:shift + 8]
-        ind = _slot_table([bits * (key - lo) for key in keys])
-        tables.append((shift, ind, _slot_table([bits * (hi - key)
+        ind = _slot_table([8 * (key - lo) for key in keys])
+        tables.append((shift, ind, _slot_table([8 * (hi - key)
                                                 for key in keys]))
                       if higher else (shift, ind))
     if higher:
-        cells, e, top = 2 * (hi - lo) + 1, k, len(packed)
-    else:
-        cells, e, top = k * (hi - lo) + 1, 2, len(packed) ** (k - 1)
-    if width == 1:
-        power_sum = _byte_power_sum(e, top)
-    else:
-        def power_sum(slots: Sequence[int]) -> int:
-            return sum(map(pow, slots, repeat(e)))
+        power_sum = _byte_power_sum(k, len(packed))
 
-    if higher:
         def mask_energy(mask: int) -> int:
             p = r = 0
             for shift, ind, rev in tables:
                 byte = mask >> shift & 255
                 p |= ind[byte]
                 r |= rev[byte]
-            return power_sum(_int_slots(p * r, cells, width))
+            return power_sum(_product_slots(p, r, k, gap, 1))
     else:
+        power_sum = _byte_power_sum(2, len(packed) ** (k - 1))
+
         def mask_energy(mask: int) -> int:
             p = 0
             for shift, ind in tables:
                 p |= ind[mask >> shift & 255]
-            return power_sum(_int_slots(p ** k, cells, width))
+            return power_sum(_product_slots(p, None, k, gap, 1))
     return mask_energy
 
 

@@ -772,14 +772,14 @@ def test_sampled_cube_masks_take_the_tables(monkeypatch, kind, k):
 
 def test_mask_energy_fallback_routes(monkeypatch):
     # keys too sparse for the product (the weighted-map route of the whole
-    # list) and tables past MASK_TABLE_MAX_BYTES ({0,1}^6, additive k = 4)
-    # both count each mask by packed_subset_energy
+    # list) and slots wider than a byte ({0,1}^5, additive k = 3) both
+    # count each mask by packed_subset_energy
     calls = _counted_subset_energy(monkeypatch)
     rng = random.Random(66)
     for n, d, k, kind, mult, width in [
             (2, 2, 3, EnergyKind.ADDITIVE, 1000, 0),
             (2, 2, 2, EnergyKind.HIGHER, 1000, 0),
-            (1, 6, 4, EnergyKind.ADDITIVE, 4, 4)]:
+            (1, 5, 3, EnergyKind.ADDITIVE, 3, 2)]:
         pts = PointSet.cube(n, d).sorted_points()
         packed = pack_points(pts, mult)
         assert _slot_width(len(packed), k, kind is EnergyKind.HIGHER,

@@ -224,14 +224,15 @@ def test_orbit_sweep_matches_mask_by_mask(n, d, target):
 @pytest.mark.parametrize("d", [2, 3, 4])
 @pytest.mark.parametrize("kind", list(EnergyKind))
 def test_orbit_equality_witnesses_match_gray_walk(d, kind):
-    k = 2
-    pts = PointSet.cube(1, d).sorted_points()
+    # d = 2 sweeps {0,1,2}^2: {0,1}^2 takes the Gray walk itself
+    k, n = 2, 2 if d == 2 else 1
+    pts = PointSet.cube(n, d).sorted_points()
     target = ExponentTarget.sharp(kind, k)
     thresholds = [energy_threshold(target, c) for c in range(len(pts) + 1)]
     masks = sorted(mask for mask, c, e in
                    subset_energies(pack_points(pts, k), k, kind)
                    if thresholds[c] == (e, True))
-    assert equality_witnesses(d, k, kind) == [
+    assert equality_witnesses(d, k, kind, n) == [
         PointSet.from_points(p for i, p in enumerate(pts) if mask >> i & 1)
         for mask in masks]
 
