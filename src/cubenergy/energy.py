@@ -13,11 +13,11 @@ lattice's slot format (see lattice._slot_bytes).  The masks of a sweep
 _mask_energy, a kernel built once per sweep when the product pays, in
 1-byte slots, for the whole point list: a mask's indicator is an OR of
 per-byte table lookups, and the powers of its slots are summed by
-bytes.translate; otherwise each mask goes through packed_subset_energy.  power_energy_plan compiles
-packed_power_energy's float dict loop, for fixed keys, into one
-straight-line function of the weights (the extension optimizer's ratios),
-bit for bit the same, which can also record every value it computes (the
-state its line searches start from).
+bytes.translate; otherwise each mask goes through packed_subset_energy.
+power_energy_plan compiles packed_power_energy's float dict loop, for
+fixed keys, into one straight-line function of the weights (the extension
+optimizer's ratios), bit for bit the same, which can also record every
+value it computes (the state its line searches start from).
 brute_force_energy stays the independent oracle.
 subset_energies walks the subsets of a small point list, one point a step,
 or recounts given masks through _mask_energy, with their energies fanned

@@ -8,15 +8,15 @@ every integer.  No verdict ever comes from bare floating point.
 Both energies are invariant under the symmetries of the cube {0..n}^d, so
 an exhaustive sweep with d >= 2 and at least 8 points computes one energy
 per orbit of its symmetry group (energy.orbit_energies; 401 orbits for the
-65 535 nonempty subsets of {0,1}^4) and counts it for every member.  The walk closes each
-orbit under two generators, the swap of coordinates 0 and 1 and the signed
-rotation p -> p[1:] + (n - p[0],), in one breadth-first function compiled
-per sweep, where each generator is one line of 256-entry byte-table
-lookups on the mask's bytes.  A sweep with d <= 1, or of {0,1}^2, takes
-its masks one at a time, on the Gray-code walk; a sampled sweep recounts
-each mask from scratch, by one product over byte-table lookups built once
-per sweep, its energies fanned out over forked workers and merged in mask
-order.
+65 535 nonempty subsets of {0,1}^4) and counts it for every member.  The
+walk closes each orbit under two generators, the swap of coordinates 0 and
+1 and the signed rotation p -> p[1:] + (n - p[0],), in one breadth-first
+function compiled per sweep, where each generator is one line of 256-entry
+byte-table lookups on the mask's bytes.  A sweep with d <= 1, or of
+{0,1}^2, takes its masks one at a time, on the Gray-code walk; a sampled
+sweep recounts each mask from scratch, by one energy kernel built once per
+sweep (energy._mask_energy), its energies fanned out over forked workers
+and merged in mask order.
 
 The witness search over the level sets of {0..n}^d takes its exact energies
 from energy.level_set_energies and its level sizes from a binomial sum, so
