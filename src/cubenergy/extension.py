@@ -22,8 +22,12 @@ from .errors import DimensionMismatch
 from .intervals import decide_le, log2_interval
 from .lattice import PointSet, WeightFn, pack_points
 
-RESTRICTED_EXHAUSTIVE_MAX = 20      # 0/1 enumeration cap for k = 2
-RESTRICTED_SCRATCH_MAX = 14         # 0/1 enumeration cap for every other k
+# the most points whose 2^m - 1 masks restricted_enumeration recounts in
+# full, and so reports as exhaustive: for k = 2, and for every other k,
+# where each energy costs more.  Both caps bound the same recount
+# (subset_energies); at 20 points it holds 2^20 - 1 energies at once
+RESTRICTED_EXHAUSTIVE_MAX = 20
+RESTRICTED_SCRATCH_MAX = 14
 
 # a forked worker pays for its fork (2.5 to 5 ms) only with enough starts.
 # A start's work is estimated as the multiply-adds of one call of each of
@@ -128,7 +132,8 @@ def restricted_enumeration(problem: DEProblem, *, sample_count: int = 4096,
     Exhaustive whenever the alphabet is small enough or sample_count
     reaches the 2^m - 1 nonempty masks; otherwise a seeded mask sample that
     always includes the singletons and the full set, so the result is still
-    a true lower bound and still >= 1.
+    a true lower bound and still >= 1.  Either way each mask's energy is
+    recounted by subset_energies, fanned out over forked workers.
     """
     pts = problem.alphabet.sorted_points()
     m = len(pts)

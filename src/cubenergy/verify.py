@@ -6,15 +6,16 @@ interval floor is used, escalating precision until the enclosure excludes
 every integer.  No verdict ever comes from bare floating point.
 
 Both energies are invariant under the symmetries of the cube {0..n}^d, so
-an exhaustive sweep with d >= 2 and at least 8 points computes one energy
-per orbit of its symmetry group (energy.orbit_energies; 401 orbits for the
-65 535 nonempty subsets of {0,1}^4) and counts it for every member.  The
-walk closes each orbit under two generators, the swap of coordinates 0 and
-1 and the signed rotation p -> p[1:] + (n - p[0],), in one breadth-first
-function compiled per sweep, where each generator is one line of 256-entry
-byte-table lookups on the mask's bytes.  A sweep with d <= 1, or of
-{0,1}^2, takes its masks one at a time, on the Gray-code walk; a sampled
-sweep recounts each mask from scratch, by one energy kernel built once per
+an exhaustive sweep with at least 8 points computes one energy per orbit
+of its symmetry group (energy.orbit_energies; 401 orbits for the 65 535
+nonempty subsets of {0,1}^4, 135 for the 255 of {0..7}) and counts it for
+every member.  The walk closes each orbit under the cube's generators (the
+swap of coordinates 0 and 1 and the signed rotation
+p -> p[1:] + (n - p[0],), or at d = 1 the reflection alone) in one
+breadth-first function compiled per sweep, where each generator is one
+line of 256-entry byte-table lookups on the mask's bytes.  A smaller
+exhaustive sweep, and a sampled one, recounts each of its masks from
+scratch (energy.subset_energies), by one energy kernel built once per
 sweep (energy._mask_energy), its energies fanned out over forked workers
 and merged in mask order.
 
@@ -30,14 +31,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .energy import (EnergyKind, EnergyValue, key_multiplier,
-                     level_set_energies, orbit_energies, subset_energies)
+from .energy import (MAX_ORBIT_POINTS, EnergyKind, EnergyValue,
+                     key_multiplier, level_set_energies, orbit_energies,
+                     subset_energies)
 from .errors import BudgetExceeded, PrecisionExhausted
 from .intervals import (Interval, certified_floor, decide_le,
                         floor_power_log2, log2_interval)
 from .lattice import PointSet, pack_points
 
-MAX_EXHAUSTIVE_POINTS = 24
 # a sampled sweep's sets hold about half the cube's points each
 MAX_SAMPLED_POINTS = 64
 
@@ -197,26 +198,25 @@ class VerificationReport:
 
 def sweep_cube(n: int, d: int, target: ExponentTarget, *,
                sample: Optional[int] = None, seed: Optional[int] = None,
-               collect_rows: bool = False,
-               max_points: int = MAX_EXHAUSTIVE_POINTS) -> VerificationReport:
+               collect_rows: bool = False) -> VerificationReport:
     """Check E(A) <= |A|^exponent over subsets of {0..n}^d.
 
     Exhaustive over all nonempty subsets when sample is None (requires at
-    most max_points cube points); otherwise `sample` masks drawn uniformly
-    with the given seed (requires at most MAX_SAMPLED_POINTS cube points:
-    each mask holds about half of them).  Both budgets are checked before
-    the cube is built.  An exhaustive sweep with d >= 2 and at least 8
-    points computes one energy per orbit of the cube's symmetry group; the
-    report is the same as from a scan in mask order: violations and rows in
-    mask order, a tie for the best ratio going to the smallest mask.
+    most MAX_ORBIT_POINTS cube points); otherwise `sample` masks drawn
+    uniformly with the given seed (requires at most MAX_SAMPLED_POINTS cube
+    points: each mask holds about half of them).  Both budgets are checked
+    before the cube is built.  An exhaustive sweep with at least 8 points
+    computes one energy per orbit of the cube's symmetry group; the report
+    is the same as from a scan in mask order: violations and rows in mask
+    order, a tie for the best ratio going to the smallest mask.
     """
     if n < 0 or d < 0:
         raise ValueError("need n >= 0 and d >= 0")
     npts = (n + 1) ** d
     if sample is None:
-        if npts > max_points:
-            raise BudgetExceeded(
-                "exhaustive sweep over %d points (> %d) refused" % (npts, max_points))
+        if npts > MAX_ORBIT_POINTS:
+            raise BudgetExceeded("exhaustive sweep over %d points (> %d) refused"
+                                 % (npts, MAX_ORBIT_POINTS))
         masks = None
         mode = "exhaustive"
     else:
@@ -274,14 +274,18 @@ def sweep_cube(n: int, d: int, target: ExponentTarget, *,
 
 
 def _cube_symmetries(pts: List[tuple], n: int) -> List[List[int]]:
-    """Two generators of the symmetry group of the cube {0..n}^d, d >= 2,
-    whose sorted points are pts, each as the permutation of point indices
-    it induces: the swap of coordinates 0 and 1, and the signed rotation
-    p -> p[1:] + (n - p[0],), a d-cycle of the coordinates that reflects
-    one of them.  A transposition and a signed d-cycle generate the whole
-    group of coordinate permutations and reflections, of order 2^d d!
-    (closed and counted in the tests for every cube the sweeps take)."""
-    moves = [lambda p: (p[1], p[0]) + p[2:], lambda p: p[1:] + (n - p[0],)]
+    """Generators of the symmetry group of the cube {0..n}^d, d >= 1, whose
+    sorted points are pts, each as the permutation of point indices it
+    induces: the signed rotation p -> p[1:] + (n - p[0],), a d-cycle of the
+    coordinates that reflects one of them, and for d >= 2 the swap of
+    coordinates 0 and 1 before it.  A transposition and a signed d-cycle
+    generate the whole group of coordinate permutations and reflections, of
+    order 2^d d!; at d = 1 the rotation is the reflection, and the group
+    has order 2 (closed and counted in the tests for every cube the sweeps
+    take)."""
+    moves = [lambda p: p[1:] + (n - p[0],)]
+    if len(pts[0]) >= 2:
+        moves.insert(0, lambda p: (p[1], p[0]) + p[2:])
     index = {p: i for i, p in enumerate(pts)}
     return [[index[move(p)] for p in pts] for move in moves]
 
@@ -292,25 +296,17 @@ def _walk(pts: List[tuple], n: int, packed: List[int], k: int,
     """(mask, |B|, E(B), members) over the subsets of {0..n}^d: every mask
     in members has energy E(B), and mask is the smallest of them.
 
-    An exhaustive walk with d >= 2 and at least 8 points yields one entry
-    per symmetry orbit.  With d <= 1 the group has order at most 2, too
-    small to repay computing each energy from scratch, and on {0,1}^2, 15
-    masks, compiling the orbit closure (about 0.1 ms) outweighs the walk,
-    so the Gray-code walk updates the energy in place, one mask an entry;
-    given masks are likewise taken one at a time (their energies fan out
-    over forked workers).  Measured as the CPU time of one exhaustive
-    sweep_cube at the sharp exponent, on both energies, k = 2 and 3, best
-    of 30 to 300 runs, two series: the orbit walk takes 1.4-2.7x the Gray
-    walk's time on {0,1}^2, where either sweep takes under 0.5 ms, but
-    0.33-0.83x on {0,1}^3 (one run of 1.12x, additive k = 2) and
-    0.35-0.66x on {0,1,2}^2 (group order 48 and 8), and 0.23-0.47x on
-    {0..3}^2.  On {0..15}^1, with the reflection alone, it
-    took 0.60-1.09x, faster on every energy but the additive one at k = 2,
-    where it was level.  Every cube with d >= 2 within
-    MAX_EXHAUSTIVE_POINTS is one of {0,1}^2, {0,1}^3, {0,1}^4, {0,1,2}^2
-    and {0..3}^2.
+    An exhaustive walk over at least 8 points yields one entry per
+    symmetry orbit (on a segment, under the reflection alone); a smaller
+    one, and given masks, are recounted one entry a mask.  The orbit walk
+    marks masks in a bitmap of 2^points bytes, where a recount holds every
+    mask's result, so it bounds an exhaustive sweep (MAX_ORBIT_POINTS).
+    From 8 points on it took 0.6 to 1.05 times the recount's time (one run
+    of 1.25), and on {0,1}^2 1.4 to 2.6 times, where compiling its closure
+    (about 0.1 ms) outweighs the walk (one exhaustive sweep_cube, both
+    energies, k = 2 and 3, on 1 and 2 CPUs, best of 3 to 200).
     """
-    if masks is None and len(pts[0]) >= 2 and len(pts) >= 8:
+    if masks is None and len(pts) >= 8:
         return orbit_energies(packed, k, kind, _cube_symmetries(pts, n))
     return ((mask, c, e, (mask,))
             for mask, c, e in subset_energies(packed, k, kind, masks))

@@ -182,6 +182,11 @@ def test_sampled_verify_budget_exits_fast(capsys):
     # {0..3}^2: 8 547 orbits of a group of order 8, with violations
     (["verify", "--set", "cube:3x2", "--k", "2", "--kind", "higher"], 1,
      "c4ab14c91a150f73543c45f4b4547d797ecf00ce3f8f33ed604975efe7b3430d"),
+    # {0..11}: 2 079 orbits of the reflection, with violations
+    (["verify", "--set", "cube:11x1", "--k", "2"], 1,
+     "fcc1f03c92f27e6c941e2a72563ab5d0b727df81c8d6f46647fbb810e97bddc6"),
+    (["verify", "--set", "cube:11x1", "--k", "3", "--kind", "higher"], 1,
+     "bb95184d1a39e936c5ca38ee8e506635223910a1cd7e39c5046827927d4d3e1d"),
 ])
 def test_verify_exhaustive_golden_bytes(capsys, workers, argv, code, digest):
     # frozen output of orbit sweeps: one energy per orbit, reported as a
@@ -368,16 +373,17 @@ def test_extension_golden_bytes_on_sixteen_points(capsys):
 def test_extension_golden_bytes_on_any_worker_count(capsys, workers, alphabet,
                                                     k, flag, value, starts,
                                                     digest):
-    # the optimizer's starts fan out; they merge in start order
+    # the optimizer's starts and the restricted enumeration's masks fan
+    # out, one fork each on two workers; they merge in start and mask order
     test_extension_golden_bytes(capsys, alphabet, k, flag, value, starts,
                                 digest)
-    assert len(workers.forks) == workers.count - 1
+    assert len(workers.forks) == 2 * (workers.count - 1)
 
 
 def test_extension_golden_bytes_on_sixteen_points_on_any_worker_count(
         capsys, workers):
     test_extension_golden_bytes_on_sixteen_points(capsys)
-    assert len(workers.forks) == workers.count - 1
+    assert len(workers.forks) == 2 * (workers.count - 1)
 
 
 def test_extension_csv_golden_bytes(capsys):

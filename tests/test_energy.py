@@ -32,14 +32,14 @@ from cubenergy.energy import (
     split_last_coordinate,
     subset_energies,
 )
-from cubenergy.energy import (_byte_power_sum, _byte_tables,
-                              _correlation_moment, _mask_energy,
-                              _product_energy, _slot_width)
+from cubenergy.energy import (MAX_ORBIT_POINTS, _byte_power_sum,
+                              _byte_tables, _correlation_moment,
+                              _mask_energy, _product_energy, _slot_width)
 from cubenergy import _fanout, lattice
 from cubenergy.errors import BudgetExceeded
 from cubenergy.lattice import (CountsMap, PointSet, indicator,
                                iterate_convolve, pack_points)
-from cubenergy.verify import MAX_EXHAUSTIVE_POINTS, _cube_symmetries
+from cubenergy.verify import _cube_symmetries
 
 
 def _random_set(rng, dim, lo=0, hi=3, max_size=8):
@@ -476,9 +476,8 @@ def test_subset_walk_matches_brute_force(n, d, kind, k):
             oracle[key] = brute_force_energy(sub, k, kind).value
         assert e == oracle[key], (mask, kind, k)
         seen.append(mask)
-    assert sorted(seen) == list(range(1, 1 << len(pts)))
-    # consecutive Gray-code masks differ in exactly one point
-    assert all(bin(a ^ b).count("1") == 1 for a, b in zip(seen, seen[1:]))
+    # every nonempty mask, in increasing order
+    assert seen == list(range(1, 1 << len(pts)))
 
 
 def _cube_group(pts, n):
@@ -497,18 +496,19 @@ def _mask_image(mask, perm):
     return sum(1 << j for i, j in enumerate(perm) if mask >> i & 1)
 
 
-# every cube with d >= 2 an exhaustive sweep takes (2^d <= its points), and
-# {0,1}^5
-SWEPT_CUBES = [(n, d) for n in range(1, MAX_EXHAUSTIVE_POINTS)
-               for d in range(2, MAX_EXHAUSTIVE_POINTS.bit_length())
-               if (n + 1) ** d <= MAX_EXHAUSTIVE_POINTS] + [(1, 5)]
+# every cube with d >= 2 an exhaustive sweep takes (2^d <= its points),
+# every segment it walks by orbits (8 to 24 points), and {0,1}^5
+SWEPT_CUBES = [(n, d) for n in range(1, MAX_ORBIT_POINTS)
+               for d in range(1, MAX_ORBIT_POINTS.bit_length())
+               if (n + 1) ** d <= MAX_ORBIT_POINTS and (d >= 2 or n >= 7)
+               ] + [(1, 5)]
 
 
 @pytest.mark.parametrize("n, d", SWEPT_CUBES)
 def test_cube_symmetries_generate_the_whole_group(n, d):
     pts = PointSet.cube(n, d).sorted_points()
     gens = [tuple(g) for g in _cube_symmetries(pts, n)]
-    assert len(gens) == 2
+    assert len(gens) == min(d, 2)       # a segment's is the reflection alone
     group = {tuple(range(len(pts)))}
     frontier = list(group)
     while frontier:                 # close the group under the generators

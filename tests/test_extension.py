@@ -430,9 +430,11 @@ def _estimates(monkeypatch, call):
     lambda: tensorization_check(SEGMENT, SEGMENT, 2, 2.0, starts=4).to_dict(),
 ], ids=["critical-exponent", "tensorization"])
 def test_optimizer_callers_on_any_worker_count(monkeypatch, workers, call):
-    # every bound, witness, sweep count and convergence flag is the serial one
+    # every bound, witness, sweep count and convergence flag is the serial
+    # one; each estimate forks for its starts and for its restricted
+    # enumeration's masks
     got, made = _estimates(monkeypatch, call)
-    assert len(workers.forks) == (workers.count - 1) * len(made)
+    assert len(workers.forks) == 2 * (workers.count - 1) * len(made)
     monkeypatch.setattr(_fanout, "_cpu_count", lambda: 1)
     assert _estimates(monkeypatch, call) == (got, made)
 

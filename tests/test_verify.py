@@ -10,7 +10,7 @@ from mpmath import mp, workdps
 
 from cubenergy import intervals, verify
 from cubenergy.energy import (EnergyKind, brute_force_energy, energy,
-                              subset_energies)
+                              packed_subset_energy)
 from cubenergy.errors import BudgetExceeded
 from cubenergy.lattice import PointSet, pack_points
 from cubenergy.verify import (
@@ -177,14 +177,23 @@ def test_sweep_reports_do_not_depend_on_walk_order(monkeypatch):
             for d, n in [(3, 1), (1, 3)] for kind in EnergyKind] == eq
 
 
+def _mask_by_mask(pts, k, kind):
+    """(mask, |B|, E(B)) for every nonempty mask of pts, in increasing
+    order, each energy from packed_subset_energy on the keys it selects,
+    not from the sweeps' kernel."""
+    packed = pack_points(pts, max(k, 2))
+    for mask in range(1, 1 << len(pts)):
+        sel = [key for i, key in enumerate(packed) if mask >> i & 1]
+        yield mask, len(sel), packed_subset_energy(sel, k, kind)
+
+
 def _sweep_mask_by_mask(n, d, target):
-    """Oracle: the report fields of an exhaustive sweep, built from the
-    Gray-code walk one mask at a time."""
+    """Oracle: the report fields of an exhaustive sweep, built one mask at
+    a time."""
     pts = PointSet.cube(n, d).sorted_points()
-    packed = pack_points(pts, max(target.k, 2))
     thresholds = [energy_threshold(target, c) for c in range(len(pts) + 1)]
     rows, violations, eq, best = [], [], 0, None
-    for mask, c, e in subset_energies(packed, target.k, target.kind):
+    for mask, c, e in _mask_by_mask(pts, target.k, target.kind):
         bound, exact = thresholds[c]
         if e > bound:
             violations.append(mask)
@@ -223,15 +232,14 @@ def test_orbit_sweep_matches_mask_by_mask(n, d, target):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 @pytest.mark.parametrize("kind", list(EnergyKind))
-def test_orbit_equality_witnesses_match_gray_walk(d, kind):
-    # d = 2 sweeps {0,1,2}^2: {0,1}^2 takes the Gray walk itself
+def test_orbit_equality_witnesses_match_mask_by_mask(d, kind):
+    # d = 2 sweeps {0,1,2}^2: {0,1}^2, 4 points, is not walked by orbits
     k, n = 2, 2 if d == 2 else 1
     pts = PointSet.cube(n, d).sorted_points()
     target = ExponentTarget.sharp(kind, k)
     thresholds = [energy_threshold(target, c) for c in range(len(pts) + 1)]
-    masks = sorted(mask for mask, c, e in
-                   subset_energies(pack_points(pts, k), k, kind)
-                   if thresholds[c] == (e, True))
+    masks = [mask for mask, c, e in _mask_by_mask(pts, k, kind)
+             if thresholds[c] == (e, True)]
     assert equality_witnesses(d, k, kind, n) == [
         PointSet.from_points(p for i, p in enumerate(pts) if mask >> i & 1)
         for mask in masks]
@@ -239,8 +247,9 @@ def test_orbit_equality_witnesses_match_gray_walk(d, kind):
 
 def test_exhaustive_sweep_computes_one_energy_per_orbit(monkeypatch):
     # {0,1}^4 has 65535 nonempty subsets in 401 orbits of its symmetry
-    # group; every energy from scratch is a call of the function that
-    # _mask_energy builds for the sweep
+    # group, and {0..7} 255 in 135 orbits of the reflection; every energy
+    # from scratch is a call of the function that _mask_energy builds for
+    # the sweep
     calls = []
     energy_module = importlib.import_module("cubenergy.energy")
     inner = energy_module._mask_energy
@@ -256,16 +265,15 @@ def test_exhaustive_sweep_computes_one_energy_per_orbit(monkeypatch):
     monkeypatch.setattr(energy_module, "_mask_energy", counted)
     rep = sweep_cube(1, 4, ExponentTarget.sharp(EnergyKind.HIGHER, 2))
     assert rep.subsets_checked == 65535 and len(calls) == 401
-    # a segment keeps the Gray-code walk, which computes no energy from scratch
     rep = sweep_cube(7, 1, ExponentTarget.sharp(EnergyKind.HIGHER, 2))
-    assert rep.subsets_checked == 255 and len(calls) == 401
+    assert rep.subsets_checked == 255 and len(calls) == 401 + 135
 
 
 @pytest.mark.parametrize("n, d, orbits", [(1, 2, False), (1, 3, True),
-                                          (2, 2, True), (7, 1, False)])
+                                          (2, 2, True), (7, 1, True)])
 def test_exhaustive_walk_by_point_count(monkeypatch, n, d, orbits):
-    # the orbit walk takes the cubes with d >= 2 and at least 8 points;
-    # {0,1}^2, like every segment, takes the Gray-code walk
+    # the orbit walk takes the cubes with at least 8 points, segments too;
+    # {0,1}^2 is recounted mask by mask
     walks = []
     for name in ("orbit_energies", "subset_energies"):
         inner = getattr(verify, name)
@@ -289,6 +297,10 @@ def test_sharp_exponent_holds_on_the_4_cube(kind, k):
 def test_sweep_exhaustive_budget():
     with pytest.raises(BudgetExceeded):
         sweep_cube(2, 5, ExponentTarget.sharp(EnergyKind.ADDITIVE, 2))
+    # one point past the orbit walk's 24 is refused as a budget, not by
+    # the walk's own check
+    with pytest.raises(BudgetExceeded, match="25 points"):
+        sweep_cube(4, 2, ExponentTarget.sharp(EnergyKind.ADDITIVE, 2))
 
 
 def test_sweep_sampled_budget():
