@@ -13,8 +13,7 @@ import os
 import random
 import re
 import sys
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .energy import (EnergyKind, decomposition_identity_check, energy,
                      interval_energy_closed_form)
@@ -28,24 +27,6 @@ SCHEMA_VERSION = 1
 
 _CUBE_RE = re.compile(r"^cube:(\d+)x(\d+)$")
 _LIST_RE = re.compile(r"^-?\d+(,-?\d+)*$")
-
-
-@dataclass
-class JobConfig:
-    """Echo of everything that shaped a run; embedded in every JSON report."""
-
-    command: str
-    parameters: Dict[str, object]
-    seed: Optional[int] = None
-    output: Optional[str] = None
-    format: str = "json"
-
-    def to_dict(self) -> dict:
-        d = dict(self.parameters)
-        d["seed"] = self.seed
-        d["output"] = self.output
-        d["format"] = self.format
-        return d
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +146,6 @@ def parse_set_spec(spec: str) -> PointSet:
         return parse_points_auto(fh.read())
 
 
-def _kind(name: str) -> EnergyKind:
-    return EnergyKind(name)
-
-
 def _positive_int(text: str) -> int:
     v = int(text)
     if v < 1:
@@ -263,7 +240,7 @@ def _common_output(p: argparse.ArgumentParser):
 
 def _run_energy(args) -> Tuple[dict, int, Optional[tuple]]:
     a = parse_set_spec(args.set)
-    val = energy(a, args.k, _kind(args.kind))
+    val = energy(a, args.k, EnergyKind(args.kind))
     result = val.to_report()
     csv = (["kind", "k", "set_size", "energy"],
            [[args.kind, args.k, val.set_size, str(val.value)]])
@@ -276,9 +253,9 @@ def _run_verify(args) -> Tuple[dict, int, Optional[tuple]]:
         raise ParseError("verify needs a cube:NxD family")
     n, d = cube
     if args.exponent is None:
-        target = ExponentTarget.sharp(_kind(args.kind), args.k)
+        target = ExponentTarget.sharp(EnergyKind(args.kind), args.k)
     else:
-        target = ExponentTarget.custom(_kind(args.kind), args.k, args.exponent)
+        target = ExponentTarget.custom(EnergyKind(args.kind), args.k, args.exponent)
     report = sweep_cube(n, d, target, sample=args.sample, seed=args.seed)
     return report.to_dict(), 0 if report.ok else 1, None
 
@@ -361,7 +338,7 @@ def _run_identity_check(args) -> Tuple[dict, int, Optional[tuple]]:
     if len(pts) > 24:
         raise BudgetExceeded("base set too large for random subset trials")
     kinds = ([EnergyKind.ADDITIVE, EnergyKind.HIGHER]
-             if args.kind == "both" else [_kind(args.kind)])
+             if args.kind == "both" else [EnergyKind(args.kind)])
     rng = random.Random(args.seed)
     failures = []
     trials = 0
@@ -420,20 +397,16 @@ _HANDLERS = {
 }
 
 
-def _config_from_args(args) -> JobConfig:
-    params = {k.replace("_", "-"): v for k, v in vars(args).items()
-              if k not in ("command", "output", "format", "seed")}
-    return JobConfig(args.command, params, getattr(args, "seed", None),
-                     args.output, args.format)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return 0 if code in (0, None) else 2
-    config = _config_from_args(args)
+    # the echo of everything that shaped the run, in every JSON report
+    config = {k.replace("_", "-"): v for k, v in vars(args).items()
+              if k != "command"}
+    config.setdefault("seed", None)
     handler = _HANDLERS[args.command]
     try:
         result, code, csv = handler(args)
@@ -456,7 +429,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     envelope = {
         "schema": SCHEMA_VERSION,
         "command": args.command,
-        "config": config.to_dict(),
+        "config": config,
         "result": result,
     }
     _write_output(dumps_canonical(envelope) + "\n", args.output)

@@ -89,14 +89,14 @@ class EnergyValue:
             return None
         return math.log(self.value) / math.log(self.set_size)
 
-    def to_report(self, witness_path: Optional[str] = None) -> dict:
+    def to_report(self) -> dict:
         return {
             "kind": self.kind.value,
             "k": self.k,
             "set_size": self.set_size,
             "energy": str(self.value),
             "log_ratio": self.log_ratio(),
-            "witness_path": witness_path,
+            "witness_path": None,
         }
 
 
@@ -197,9 +197,7 @@ def power_energy_plan(keys: List[int], k: int) -> Callable[..., float]:
     ``energy_of(ws, values)`` also appends every value of the call to the
     list ``values``, in the order of ``energy_of.names``: the recorded state
     that the extension optimizer's line searches start from.  The
-    function's ``names`` and ``sums`` attributes are the recording, and
-    ``multiply_adds`` counts its multiply-adds, the squares included: the
-    work of one call."""
+    function's ``names`` and ``sums`` attributes are the recording."""
     names, sums = _plan_sums(keys, k)
     lines = ["def energy_of(ws, values=None):",
              "    [%s] = ws" % ", ".join(names[:len(keys)])]
@@ -213,7 +211,6 @@ def power_energy_plan(keys: List[int], k: int) -> Callable[..., float]:
     exec(compile("\n".join(lines), "<power_energy_plan>", "exec"), namespace)
     energy_of = namespace["energy_of"]
     energy_of.names, energy_of.sums = names, sums
-    energy_of.multiply_adds = sum(map(len, sums))
     return energy_of
 
 
@@ -413,26 +410,20 @@ def _mask_energy(packed: List[int], k: int, kind: EnergyKind
     64 points, so hi - lo <= 364, reached by {0,1}^6), but 35 MB (Python
     3.11, tracemalloc) for 200 keys spread over 0 .. 10 000, a sparse
     alphabet whose sampled restricted enumeration they speed up 6.5x.
-    Otherwise each mask's keys are selected, one list concatenation of a
-    per-byte lookup list for each byte of the mask, and counted by
-    packed_subset_energy."""
+    Otherwise each mask's keys are selected one set bit at a time and
+    counted by packed_subset_energy."""
     higher = kind is EnergyKind.HIGHER
     if packed:
         lo, hi = min(packed), max(packed)
         if _slot_width(len(packed), k, higher, hi - lo) == 1:
             return _table_mask_energy(packed, k, higher, lo, hi)
-    chunks = []
-    for shift in range(0, len(packed), 8):
-        keys = packed[shift:shift + 8]
-        lists = [[]]
-        for key in keys:                # lists[b]: the keys of b's bits
-            lists += [sel + [key] for sel in lists]
-        chunks.append((shift, lists))
 
     def mask_energy(mask: int) -> int:
         sel = []
-        for shift, lists in chunks:
-            sel += lists[mask >> shift & 255]
+        while mask:
+            low = mask & -mask
+            sel.append(packed[low.bit_length() - 1])
+            mask ^= low
         return packed_subset_energy(sel, k, kind)
     return mask_energy
 

@@ -9,10 +9,10 @@ by rounding luck.  Exact (rational) equality cases must be handled by
 callers before asking for a strict decision, otherwise the ladder cannot
 settle.
 
-Intervals are ``Interval``s, built by ``Interval``/``to_interval``,
-``log2_interval`` and ``ipows``/``ipow``: mpmath intervals whose arithmetic
-calls libmpi directly, at the one precision ``iv.prec`` that ``workprec``
-sets, and gives mpmath's enclosures bit for bit.
+Intervals are ``Interval``s, built by ``Interval``, ``log2_interval`` and
+``ipows``/``ipow``: mpmath intervals whose arithmetic calls libmpi
+directly, at the one precision ``iv.prec`` that ``workprec`` sets, and
+gives mpmath's enclosures bit for bit.
 
 A function evaluated at many points on one rung is compiled once for that
 rung: ``_Tape`` traces it on a symbolic point (a ``_Traced``), records each
@@ -195,12 +195,6 @@ def _escalate(step: Callable[[], object]):
     raise PrecisionExhausted("undecided at %d bits" % PREC_CAP)
 
 
-def to_interval(x):
-    """Enclose an int, float or Fraction in an ``Interval`` at current
-    precision."""
-    return Interval(x)
-
-
 def log2_interval(m):
     return Interval(iv.log(Interval(m))) / iv.log(Interval(2))
 
@@ -310,10 +304,9 @@ class _Traced(Interval):
     ``+ - * /`` with any operand ``Interval`` takes, in either order, ``**``
     with an int exponent that fits the precision, unary ``-`` and ``ipows``
     record the libmpi call the ``Interval`` path makes and give the node
-    of its result.  ``Interval(t)``, ``to_interval(t)`` and ``iv.mpf(t)``
-    give t itself.  A node has no endpoints: reading them (to compare,
-    hash or convert it) raises TypeError, so a traced function must not
-    branch on its point.
+    of its result.  ``Interval(t)`` and ``iv.mpf(t)`` give t itself.  A
+    node has no endpoints: reading them (to compare, hash or convert it)
+    raises TypeError, so a traced function must not branch on its point.
     """
 
     __slots__ = ("_tape", "_node")

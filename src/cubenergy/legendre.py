@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from mpmath import iv
 
@@ -30,10 +30,6 @@ from .intervals import (Interval, _classify_second_differences, _grid_level,
 
 # exact-power comparison budget for compare_alpha, in bits
 EXACT_BITS_CAP = 1 << 21
-
-
-def _is_power_of_two(m: int) -> bool:
-    return m > 0 and (m & (m - 1)) == 0
 
 
 @dataclass(frozen=True)
@@ -53,7 +49,7 @@ class ExactAlpha:
             raise ValueError("k must be >= 2")
         if self.central != math.comb(2 * self.k, self.k):
             raise ValueError("central must equal C(2k,k)")
-        if _is_power_of_two(self.central):
+        if self.central.bit_count() == 1:
             raise AssertionError("C(2k,k) is never a power of two for k >= 2")
         # alpha in (1/2, 1) <=> 2^k < M < 4^k
         if not 2 ** self.k < self.central < 4 ** self.k:
@@ -303,14 +299,6 @@ class GridCheckReport:
         }
 
 
-def _grid_check(name: str, k: int, xs: List[float], lo: float, hi: float,
-                exact: Dict[float, bool], sides: Callable,
-                identity: bool = False) -> GridCheckReport:
-    """Check lhs(x) <= rhs(x) at every x of a grid inside [lo, hi]: the
-    one-inequality case of ``_grid_checks``."""
-    return _grid_checks(xs, lo, hi, [(name, k, exact, sides, identity)])[0]
-
-
 def _grid_checks(xs: List[float], lo: float, hi: float,
                  inequalities: List[tuple]) -> List[GridCheckReport]:
     """Check inequalities lhs(x) <= rhs(x) at every x of one grid inside
@@ -396,8 +384,8 @@ def check_legendre_inequality(k: int, ts: Optional[List[float]] = None,
         return lhs, lambda t: ipow(ipow((t - one) / two, al)
                                    + ipow((t + one) / two, al), p)
 
-    return _grid_check("legendre", k, ts, 1.0, math.inf,
-                       {1.0: legendre_q(k, 1) == 1}, sides)
+    return _grid_checks(ts, 1.0, math.inf, [
+        ("legendre", k, {1.0: legendre_q(k, 1) == 1}, sides, False)])[0]
 
 
 def check_key_inequality(k: int, xs: Optional[List[float]] = None,
@@ -420,9 +408,9 @@ def check_key_inequality(k: int, xs: Optional[List[float]] = None,
 
     # at x = 0 both sides reduce to 1 exactly; at k = 0, p = log2 C(0, 0)
     # = 0 and both sides are 1 everywhere
-    return _grid_check("key", k, xs, 0.0, math.inf,
-                       {0.0: True, 1.0: sum(w) == math.comb(2 * k, k)}, sides,
-                       identity=k == 0)
+    return _grid_checks(xs, 0.0, math.inf, [
+        ("key", k, {0.0: True, 1.0: sum(w) == math.comb(2 * k, k)}, sides,
+         k == 0)])[0]
 
 
 def check_goal_inequality(k: int, grid: Optional[List[float]] = None,
@@ -477,9 +465,9 @@ def check_two_point_inequality(k: int, xs: Optional[List[float]] = None,
 
     # at x = 0 both sides reduce to 1 exactly; at k = 1, q = 2 and the left
     # side is 2x + x^2 + 1 = (x + 1)^2
-    return _grid_check("two_point", k, xs, 0.0, math.inf,
-                       {0.0: True, 1.0: 2 + 2 ** k == 2 ** k + 2}, sides,
-                       identity=k == 1)
+    return _grid_checks(xs, 0.0, math.inf, [
+        ("two_point", k, {0.0: True, 1.0: 2 + 2 ** k == 2 ** k + 2}, sides,
+         k == 1)])[0]
 
 
 def check_cfil_instance(k: int, grid: Optional[List[float]] = None,

@@ -43,10 +43,6 @@ from .lattice import PointSet, pack_points
 MAX_SAMPLED_POINTS = 64
 
 
-def _is_power_of_two(c: int) -> bool:
-    return c > 0 and (c & (c - 1)) == 0
-
-
 def _nth_root_floor(t: int, n: int) -> int:
     """floor(t ** (1/n)) for integers t >= 0, n >= 1 (Newton on integers)."""
     if t < 0 or n < 1:
@@ -124,7 +120,7 @@ def energy_threshold(target: ExponentTarget, c: int) -> Tuple[int, bool]:
         return 1, True
     m = target.log2_arg
     if m is not None:
-        if _is_power_of_two(c):
+        if c.bit_count() == 1:
             return m ** (c.bit_length() - 1), True
         return floor_power_log2(c, m), False
     # custom float exponent: exact when it is an integer or c^x is a perfect
@@ -169,7 +165,6 @@ class VerificationReport:
     max_ratio_witness: Optional[PointSet]
     equality_count: int
     violations: List[Violation] = field(default_factory=list)
-    rows: Optional[List[Tuple[int, int, int, Optional[float]]]] = None
 
     @property
     def ok(self) -> bool:
@@ -197,8 +192,8 @@ class VerificationReport:
 
 
 def sweep_cube(n: int, d: int, target: ExponentTarget, *,
-               sample: Optional[int] = None, seed: Optional[int] = None,
-               collect_rows: bool = False) -> VerificationReport:
+               sample: Optional[int] = None, seed: Optional[int] = None
+               ) -> VerificationReport:
     """Check E(A) <= |A|^exponent over subsets of {0..n}^d.
 
     Exhaustive over all nonempty subsets when sample is None (requires at
@@ -207,8 +202,8 @@ def sweep_cube(n: int, d: int, target: ExponentTarget, *,
     points: each mask holds about half of them).  Both budgets are checked
     before the cube is built.  An exhaustive sweep with at least 8 points
     computes one energy per orbit of the cube's symmetry group; the report
-    is the same as from a scan in mask order: violations and rows in mask
-    order, a tie for the best ratio going to the smallest mask.
+    is the same as from a scan in mask order: violations in mask order, a
+    tie for the best ratio going to the smallest mask.
     """
     if n < 0 or d < 0:
         raise ValueError("need n >= 0 and d >= 0")
@@ -237,7 +232,6 @@ def sweep_cube(n: int, d: int, target: ExponentTarget, *,
     thresholds = [energy_threshold(target, c) for c in range(npts + 1)]
 
     violations: List[Tuple[int, int, int, int]] = []
-    rows: Optional[List[Tuple[int, int, int, Optional[float]]]] = [] if collect_rows else None
     max_ratio = None
     best_mask = None
     equality_count = 0
@@ -259,18 +253,14 @@ def sweep_cube(n: int, d: int, target: ExponentTarget, *,
                 ratio == max_ratio and masks is None and mask < best_mask)):
             max_ratio = ratio
             best_mask = mask
-        if rows is not None:
-            rows.extend((m, c, e, ratio) for m in members)
     if masks is None:
         violations.sort()
-        if rows is not None:
-            rows.sort()
 
     witness = _mask_to_set(best_mask, pts) if best_mask is not None else None
     return VerificationReport(target, n, d, mode, seed if mode == "sample" else None,
                               checked, max_ratio, witness, equality_count,
                               [Violation(_mask_to_set(mask, pts), c, e, bound)
-                               for mask, c, e, bound in violations], rows)
+                               for mask, c, e, bound in violations])
 
 
 def _cube_symmetries(pts: List[tuple], n: int) -> List[List[int]]:

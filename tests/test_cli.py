@@ -533,6 +533,14 @@ def test_tn_bounds_json(capsys):
     assert len(doc["result"]["rows"]) == 5
 
 
+def test_tn_bounds_golden_bytes(capsys):
+    # pins the config echo too: n-max, and seed, output and format
+    code, out, _ = _run(capsys, ["tn-bounds", "--n-max", "40"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "2a349344d772993ee4f86b750255d55965ee04bb626f53c356e38c0a3ddcf798"
+
+
 # ---------------------------------------------------------------------------
 # usage errors and output redirection
 

@@ -24,7 +24,6 @@ from cubenergy.intervals import (
     ipow,
     ipows,
     log2_interval,
-    to_interval,
     workprec,
 )
 
@@ -36,8 +35,8 @@ def test_workprec_restores():
     assert iv.prec == before
 
 
-def test_to_interval_encloses_fraction():
-    x = to_interval(Fraction(1, 3))
+def test_interval_encloses_fraction():
+    x = Interval(Fraction(1, 3))
     assert float(x.a) <= 1 / 3 <= float(x.b)
     assert float(x.b - x.a) < 1e-15
 
@@ -139,7 +138,7 @@ def test_decide_le_escalates_through_tiny_gaps():
         mp.dps = old
     target = close + Fraction(1, 10 ** 38)
     less, margin = decide_le(lambda: iv.exp(iv.mpf(1)),
-                             lambda: to_interval(target))
+                             lambda: Interval(target))
     assert less
     assert 0 < margin < 1e-30
 
@@ -242,7 +241,7 @@ def test_interval_constructor_matches_mpmath(prec):
         third = Interval(Fraction(1, 3))
         assert third._mpi_ == (iv.mpf(1) / iv.mpf(3))._mpi_
         assert Interval(third) is third
-        assert to_interval(Fraction(-5, 7))._mpi_ == \
+        assert Interval(Fraction(-5, 7))._mpi_ == \
             (iv.mpf(-5) / iv.mpf(7))._mpi_
         nan = Interval(math.nan)
         assert nan._mpi_ == iv.mpf(math.nan)._mpi_

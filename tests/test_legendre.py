@@ -12,12 +12,12 @@ from mpmath.libmp import fzero, libmpi
 from cubenergy import _fanout, intervals, legendre
 from cubenergy.cli import dumps_canonical
 from cubenergy.errors import PrecisionExhausted
-from cubenergy.intervals import to_interval
+from cubenergy.intervals import Interval
 from cubenergy.legendre import (
     ExactAlpha,
     GridCheckReport,
     _classify_second_differences,
-    _grid_check,
+    _grid_checks,
     certify_psi_shape,
     certify_sign_pattern,
     check_cfil_instance,
@@ -280,7 +280,7 @@ def test_convex_concave_needs_an_interior_point(points, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("grid check ran")
 
-    monkeypatch.setattr(legendre, "_grid_check", no_work)
+    monkeypatch.setattr(legendre, "_grid_checks", no_work)
     with pytest.raises(ValueError):
         check_convex_concave(3, zs=[0.25], points=points)
 
@@ -299,7 +299,7 @@ def test_higher_energy_checks_refuse_k_below_one(check, k, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("grid check ran")
 
-    monkeypatch.setattr(legendre, "_grid_check", no_work)
+    monkeypatch.setattr(legendre, "_grid_checks", no_work)
     with pytest.raises(ValueError, match="k must be >= 1"):
         check(k)
 
@@ -473,7 +473,7 @@ def test_grid_check_matches_a_per_point_ladder(rungs):
     def sides():
         return (lambda x: x), (lambda x: x + (x - 6) ** 31)
 
-    rep = _grid_check("synthetic", 2, xs, 0.0, 9.0, exact, sides)
+    [rep] = _grid_checks(xs, 0.0, 9.0, [("synthetic", 2, exact, sides, False)])
     assert rungs == _ladder()
     want = _per_point_report("synthetic", 2, xs, exact, sides)
     assert [f["x"] for f in rep.failures] == [6 - 2 ** -20, 5.5, 7.0]
@@ -495,8 +495,8 @@ def _per_point_report(name, k, xs, exact, sides):
             continue
         try:
             holds, gap = intervals.decide_le(
-                lambda: sides()[0](to_interval(x)),
-                lambda: sides()[1](to_interval(x)))
+                lambda: sides()[0](Interval(x)),
+                lambda: sides()[1](Interval(x)))
         except PrecisionExhausted:
             want.undecided.append(x)
             continue
@@ -559,7 +559,7 @@ def test_convex_concave_encloses_each_side_once_per_point(rungs, one_worker,
 def _oracle_sides(k):
     q = intervals.log2_interval(2 ** k + 2)
     q2, qk = q / 2, q - k
-    scale, one = to_interval(2 ** (k - 1)), to_interval(1)
+    scale, one = Interval(2 ** (k - 1)), Interval(1)
     return (lambda z: one + intervals.ipow(z, q2) / scale,
             lambda z: intervals.ipow(one + z, qk))
 
@@ -584,9 +584,10 @@ def _convex_concave_unshared(k, zs, points):
     """check_convex_concave built from parts: its own grid check, and the
     shape flags from second differences on the uniform grid."""
     half = Fraction(2 ** k + 2, 2 ** k)
-    report = _grid_check("convex_concave", k, zs, 0.0, 1.0,
-                         {0.0: True, 1.0: 1 + Fraction(1, 2 ** (k - 1)) == half},
-                         lambda: _oracle_sides(k))
+    report = _grid_checks(zs, 0.0, 1.0, [
+        ("convex_concave", k,
+         {0.0: True, 1.0: 1 + Fraction(1, 2 ** (k - 1)) == half},
+         lambda: _oracle_sides(k), False)])[0]
     report.shape_flags.update(_shape_flags_by_second_differences(k, points))
     return report
 
@@ -831,7 +832,7 @@ def _seeded_points(name, rng):
 def _interval_path(fn, x):
     """fn at the point's Interval: its endpoints, or ValueError."""
     try:
-        return fn(to_interval(x))._mpi_
+        return fn(Interval(x))._mpi_
     except ValueError:
         return ValueError
 
@@ -893,16 +894,16 @@ def test_grid_checks_climb_like_a_per_point_interval_ladder(name, rungs,
 
 def test_kernel_raises_at_a_zero_base_exactly_where_ipows_does():
     with intervals.workprec(64):
-        one = to_interval(1)
-        good = [to_interval(0.5), to_interval(2)]
+        one = Interval(1)
+        good = [Interval(0.5), Interval(2)]
         fns = [
             lambda x: intervals.ipows(x, good)[1],
-            lambda x: intervals.ipows(x, good + [to_interval(0)])[0],
-            lambda x: intervals.ipow(x, to_interval(-0.5)),
-            lambda x: intervals.ipow(x, to_interval([-1, 1])),
+            lambda x: intervals.ipows(x, good + [Interval(0)])[0],
+            lambda x: intervals.ipow(x, Interval(-0.5)),
+            lambda x: intervals.ipow(x, Interval([-1, 1])),
             # a zero base that is not the point: 1 - x at x = 1, x - x
-            lambda x: intervals.ipow(one - x, to_interval(0)),
-            lambda x: intervals.ipow(x - x, to_interval(0)) + x,
+            lambda x: intervals.ipow(one - x, Interval(0)),
+            lambda x: intervals.ipow(x - x, Interval(0)) + x,
         ]
         raised = []
         for fn in fns:

@@ -130,25 +130,48 @@ def test_sweep_cube_d3_frozen():
     assert abs(rep.max_ratio - math.log2(6)) < 1e-12
 
 
-def test_sweep_rows_and_mode():
+def _recorded_walks(monkeypatch):
+    """A list that collects, for each verify._walk call, the entries
+    (mask, |B|, E(B), members) its caller consumed."""
+    walk, walks = verify._walk, []
+
+    def recording(*args):
+        walks.append(list(walk(*args)))
+        return walks[-1]
+    monkeypatch.setattr(verify, "_walk", recording)
+    return walks
+
+
+def test_sweep_rows_and_mode(monkeypatch):
     target = ExponentTarget.sharp(EnergyKind.ADDITIVE, 2)
-    rep = sweep_cube(1, 2, target, collect_rows=True)
+    walks = _recorded_walks(monkeypatch)
+    rep = sweep_cube(1, 2, target)
     assert rep.mode == "exhaustive"
-    assert len(rep.rows) == rep.subsets_checked
-    assert [row[0] for row in rep.rows] == list(range(1, 16))
-    for mask, size, e, ratio in rep.rows:
+    [entries] = walks
+    assert len(entries) == rep.subsets_checked
+    assert [entry[0] for entry in entries] == list(range(1, 16))
+    pts = PointSet.cube(1, 2).sorted_points()
+    ratios = {}
+    for mask, size, e, members in entries:
+        assert members == (mask,)
         assert 1 <= mask < 16 and bin(mask).count("1") == size
+        sub = PointSet.from_points([p for i, p in enumerate(pts)
+                                    if mask >> i & 1])
+        assert e == brute_force_energy(sub, 2, EnergyKind.ADDITIVE).value
         assert e <= energy_threshold(target, size)[0]
         if size >= 2:
-            assert abs(ratio - math.log(e) / math.log(size)) < 1e-12
-        else:
-            assert ratio is None
+            ratios[mask] = math.log(e) / math.log(size)
+    best = max(ratios.values())
+    assert rep.max_ratio == best
+    witness = min(m for m, r in ratios.items() if r == best)
+    assert rep.max_ratio_witness.points == \
+        {p for i, p in enumerate(pts) if witness >> i & 1}
 
 
 def test_sweep_reports_do_not_depend_on_walk_order(monkeypatch):
     # replay the exhaustive walks backwards, the orbit walk with each
-    # orbit's members reversed too: violations, rows, the witness of the
-    # best ratio and the equality witnesses must all come out the same
+    # orbit's members reversed too: violations, the witness of the best
+    # ratio and the equality witnesses must all come out the same
     walk = verify.subset_energies
     orbits = verify.orbit_energies
 
@@ -165,14 +188,13 @@ def test_sweep_reports_do_not_depend_on_walk_order(monkeypatch):
             (1, 3, ExponentTarget.sharp(EnergyKind.HIGHER, 2)),
             (2, 2, ExponentTarget.custom(EnergyKind.ADDITIVE, 3, 3.9)),
             (7, 1, ExponentTarget.custom(EnergyKind.ADDITIVE, 2, 2.2))]
-    want = [sweep_cube(n, d, t, collect_rows=True) for n, d, t in jobs]
+    want = [sweep_cube(n, d, t) for n, d, t in jobs]
     eq = [equality_witnesses(d, 2, kind, n)
           for d, n in [(3, 1), (1, 3)] for kind in EnergyKind]
     monkeypatch.setattr(verify, "subset_energies", backwards)
     monkeypatch.setattr(verify, "orbit_energies", orbits_backwards)
     for (n, d, t), rep in zip(jobs, want):
-        got = sweep_cube(n, d, t, collect_rows=True)
-        assert got.to_dict() == rep.to_dict() and got.rows == rep.rows
+        assert sweep_cube(n, d, t).to_dict() == rep.to_dict()
     assert [equality_witnesses(d, 2, kind, n)
             for d, n in [(3, 1), (1, 3)] for kind in EnergyKind] == eq
 
@@ -200,10 +222,9 @@ def _sweep_mask_by_mask(n, d, target):
         elif exact and e == bound:
             eq += 1
         ratio = math.log(e) / math.log(c) if c >= 2 else None
-        rows.append((mask, c, e, ratio))
+        rows.append((mask, c, e))
         if ratio is not None and (best is None or (-ratio, mask) < best):
             best = (-ratio, mask)
-    rows.sort()
     witness = [list(p) for i, p in enumerate(pts) if best[1] >> i & 1]
     return rows, sorted(violations), eq, -best[0], witness
 
@@ -217,10 +238,13 @@ def _sweep_mask_by_mask(n, d, target):
     (3, 2, ExponentTarget.sharp(EnergyKind.ADDITIVE, 2)),
     (3, 2, ExponentTarget.sharp(EnergyKind.HIGHER, 2)),
 ])
-def test_orbit_sweep_matches_mask_by_mask(n, d, target):
+def test_orbit_sweep_matches_mask_by_mask(n, d, target, monkeypatch):
     rows, violations, eq, max_ratio, witness = _sweep_mask_by_mask(n, d, target)
-    rep = sweep_cube(n, d, target, collect_rows=True)
-    assert rep.rows == rows
+    walks = _recorded_walks(monkeypatch)
+    rep = sweep_cube(n, d, target)
+    [entries] = walks
+    assert sorted((m, c, e) for _, c, e, members in entries
+                  for m in members) == rows
     assert rep.subsets_checked == len(rows) == (1 << (n + 1) ** d) - 1
     pts = PointSet.cube(n, d).sorted_points()
     assert [sorted(map(list, v.subset.points)) for v in rep.violations] == \
@@ -314,15 +338,16 @@ def test_sweep_sampled_budget():
             sweep_cube(n, d, t, sample=2, seed=0)
 
 
-def test_sweep_sampled_deterministic():
+def test_sweep_sampled_deterministic(monkeypatch):
     t = ExponentTarget.sharp(EnergyKind.ADDITIVE, 2)
-    a = sweep_cube(1, 4, t, sample=200, seed=5, collect_rows=True)
-    b = sweep_cube(1, 4, t, sample=200, seed=5, collect_rows=True)
-    assert a.rows == b.rows
+    walks = _recorded_walks(monkeypatch)
+    a = sweep_cube(1, 4, t, sample=200, seed=5)
+    b = sweep_cube(1, 4, t, sample=200, seed=5)
+    assert walks[0] == walks[1] and a.to_dict() == b.to_dict()
     assert a.mode == "sample" and a.subsets_checked == 200
     assert not a.violations
-    c = sweep_cube(1, 4, t, sample=200, seed=6, collect_rows=True)
-    assert c.rows != a.rows
+    sweep_cube(1, 4, t, sample=200, seed=6)
+    assert walks[2] != walks[0]
 
 
 # ---------------------------------------------------------------------------
