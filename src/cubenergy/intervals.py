@@ -9,16 +9,15 @@ by rounding luck.  Exact (rational) equality cases must be handled by
 callers before asking for a strict decision, otherwise the ladder cannot
 settle.
 
-Intervals are ``Interval``s, built by ``Interval``, ``log2_interval`` and
-``ipows``/``ipow``: mpmath intervals whose arithmetic calls libmpi
-directly, at the one precision ``iv.prec`` that ``workprec`` sets, and
-gives mpmath's enclosures bit for bit.
+Intervals are mpmath's, built by ``Interval``, ``log2_interval`` and
+``ipows``/``ipow``, and there is one interval arithmetic: mpmath's own, at
+the one precision ``iv.prec`` that ``workprec`` sets.
 
 A function evaluated at many points on one rung is compiled once for that
 rung: ``_Tape`` traces it on a symbolic point (a ``_Traced``), records each
-libmpi call the ``Interval`` path would make once, however often it is
-asked for, and writes the calls as one straight-line kernel over endpoint
-pairs, which gives the ``Interval`` path's enclosures bit for bit.
+libmpi call mpmath's arithmetic would make once, however often it is asked
+for, and writes the calls as one straight-line kernel over endpoint pairs,
+which gives mpmath's enclosures bit for bit.
 ``_settle`` climbs the ladder once for many points, each kept at the first
 rung that decides it: the grids' kernels (``_grid_level``) and psi's second
 differences (``_classify_second_differences``) run on it.
@@ -76,89 +75,24 @@ def _lift(mpi) -> "Interval":
     return x
 
 
-def _operators(f, parent, parent_reflected):
-    """``s op t`` and ``t op s`` as ``f`` on endpoints, for an interval, int,
-    float or Fraction operand t (a Fraction enclosed as ``Interval`` encloses
-    it); any other t goes to mpmath's operators, or gives NotImplemented,
-    so that t's own operator runs, when mpmath cannot convert it."""
-    def op(s, t):
-        prec = _PREC[0]
-        v = t._mpi_ if isinstance(t, _IVMPF) else _endpoints(t, prec)
-        if v is None:
-            if not isinstance(t, Fraction):
-                return _mpmath_operator(parent, s, t)
-            v = Interval(t)._mpi_
-        return _lift(f(s._mpi_, v, prec))
-
-    def rop(s, t):
-        prec = _PREC[0]
-        v = t._mpi_ if isinstance(t, _IVMPF) else _endpoints(t, prec)
-        if v is None:
-            if not isinstance(t, Fraction):
-                return _mpmath_operator(parent_reflected, s, t)
-            v = Interval(t)._mpi_
-        return _lift(f(v, s._mpi_, prec))
-    return op, rop
-
-
-def _mpmath_operator(parent, s, t):
-    """mpmath's operator ``parent(s, t)``, or NotImplemented for an operand
-    t that mpmath cannot convert."""
-    try:
-        t = iv.convert(t)
-    except NotImplementedError:
-        return NotImplemented
-    return parent(s, t)
-
-
 class Interval(_IVMPF):
-    """An mpmath interval whose arithmetic skips mpmath's object layer.
+    """The enclosure of an int, float or Fraction at the current precision,
+    or what ``iv.mpf`` makes of anything else.
 
-    ``+ - * /`` with an interval, int or float operand, in either order,
-    and ``**`` with an int exponent call the libmpi routine mpmath's own
-    operator reaches (``mpi_add``, ``mpi_sub``, ``mpi_mul``, ``mpi_div``,
-    ``mpi_pow_int``), at ``iv.prec``, with int and float operands rounded
-    out as ``iv.convert`` rounds them: the same enclosures, without the
-    conversion and dispatch.  A Fraction operand, exponent or comparand is
-    enclosed as ``Interval(Fraction)`` encloses it.  Any other operand goes
-    to mpmath's operator, or gives NotImplemented when mpmath cannot convert
-    it.  ``Fraction ** Interval`` never reaches this class: Fraction takes
-    it and rounds itself to a float first.
-    ``Interval(x)`` encloses an int, float or Fraction at the current
-    precision, and anything else ``iv.mpf`` takes.
+    Its arithmetic is mpmath's own: an ``Interval`` mixed with an operand
+    mpmath cannot convert, a Fraction among them, raises.  It stays a class:
+    ``_Traced`` subclasses it, which lets a node take the reflected
+    operators of interval constants first, and ``bench/tracing.py`` wraps
+    the package's public functions but not its classes.
     """
 
     __slots__ = ("_mpi_",)
 
     def __new__(cls, x=0):
-        if isinstance(x, Interval):
-            return x
         if isinstance(x, Fraction):
             return cls(x.numerator) / x.denominator
         v = _endpoints(x, _PREC[0])
-        return _lift(v if v is not None else iv.convert(x)._mpi_)
-
-    __add__, __radd__ = _operators(mpi_add, _IVMPF.__add__, _IVMPF.__radd__)
-    __sub__, __rsub__ = _operators(mpi_sub, _IVMPF.__sub__, _IVMPF.__rsub__)
-    __mul__, __rmul__ = _operators(mpi_mul, _IVMPF.__mul__, _IVMPF.__rmul__)
-    __truediv__, __rtruediv__ = _operators(mpi_div, _IVMPF.__truediv__,
-                                           _IVMPF.__rtruediv__)
-
-    def __pow__(self, n):
-        prec = _PREC[0]
-        # an int that fits the precision converts to a point, and mpmath's
-        # ** sends a point integer exponent to mpi_pow_int
-        if type(n) is int and n.bit_length() <= prec:
-            return _lift(mpi_pow_int(self._mpi_, n, prec))
-        if isinstance(n, Fraction):
-            n = Interval(n)
-        return _IVMPF.__pow__(self, n)
-
-    def _compare(self, t, cmpfun):
-        # mpmath's six comparisons all come here
-        if isinstance(t, Fraction):
-            t = Interval(t)
-        return _IVMPF._compare(self, t, cmpfun)
+        return iv.convert(x) if v is None else _lift(v)
 
 
 class workprec:
@@ -196,7 +130,7 @@ def _escalate(step: Callable[[], object]):
 
 
 def log2_interval(m):
-    return Interval(iv.log(Interval(m))) / iv.log(Interval(2))
+    return iv.log(Interval(m)) / iv.log(Interval(2))
 
 
 def ipows(base, expos):
@@ -303,10 +237,12 @@ class _Traced(Interval):
 
     ``+ - * /`` with any operand ``Interval`` takes, in either order, ``**``
     with an int exponent that fits the precision, unary ``-`` and ``ipows``
-    record the libmpi call the ``Interval`` path makes and give the node
-    of its result.  ``Interval(t)`` and ``iv.mpf(t)`` give t itself.  A
-    node has no endpoints: reading them (to compare, hash or convert it)
-    raises TypeError, so a traced function must not branch on its point.
+    record the libmpi call mpmath's arithmetic makes and give the node of
+    its result; as a subclass of every interval constant's class, a node
+    takes the reflected operators before the constant's own.
+    ``Interval(t)`` and ``iv.mpf(t)`` give t itself.  A node has no
+    endpoints: reading them (to compare, hash or convert it) raises
+    TypeError, so a traced function must not branch on its point.
     """
 
     __slots__ = ("_tape", "_node")
@@ -350,8 +286,8 @@ class _Tape:
         self.prec = _PREC[0]
         self.calls = {}             # source of a call -> its node
         self.consts = {}            # endpoint pair -> its name
-        # the libmpi routines read now, so that the kernel calls what the
-        # Interval path would call at this moment
+        # the libmpi routines read now, so that the kernel calls what
+        # mpmath's arithmetic would call at this moment
         self.namespace = {
             "point": _point, "sep": _separation, "ZERO": (fzero, fzero),
             "zero_guard": _zero_guard, "mpi_add": mpi_add,

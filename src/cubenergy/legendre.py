@@ -11,8 +11,8 @@ Each grid check, and the psi shape check, climbs one precision ladder for
 all its points (``intervals._settle``).  At each level its functions of
 the point are traced once on a symbolic point and compiled into one
 straight-line kernel (``intervals._Tape``), which gives the enclosures of
-the ``Interval`` path bit for bit; checks on one grid share a kernel, and
-with it every libmpi call they have in common.
+mpmath's interval arithmetic bit for bit; checks on one grid share a
+kernel, and with it every libmpi call they have in common.
 """
 from __future__ import annotations
 

@@ -49,6 +49,10 @@ def _nth_root_floor(t: int, n: int) -> int:
         raise ValueError
     if t == 0:
         return 0
+    # 1 <= t < 2^n: the root is 1, and Newton's first r ** (n - 1) would
+    # have about n bits
+    if n >= t.bit_length():
+        return 1
     r = 1 << ((t.bit_length() + n - 1) // n)
     while True:
         nr = ((n - 1) * r + t // r ** (n - 1)) // n

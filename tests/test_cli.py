@@ -145,6 +145,19 @@ def test_verify_rejects_infinite_exponent(capsys):
     assert "2k - 1" in err
 
 
+def test_verify_at_a_tiny_exponent_reports_fast(capsys):
+    # every threshold is 1, so each set of two or more points violates the
+    # bound: a report and exit code 1, with no power of 2^1074 bits attempted
+    t0 = time.perf_counter()
+    code, out, err = _run(capsys, ["verify", "--set", "cube:1x2", "--k", "2",
+                                   "--exponent", "5e-324"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1 and err == ""
+    violations = json.loads(out)["result"]["violations"]
+    assert len(violations) == 11
+    assert {v["bound"] for v in violations} == {"1"}
+
+
 @pytest.mark.parametrize("command", ["verify", "energy"])
 def test_cube_spec_needs_a_dimension(capsys, command):
     # verify and the other commands read cube:NxD through one parser

@@ -72,6 +72,15 @@ def test_energy_threshold_custom_exponent():
     assert energy_threshold(t, 5) == (11, False)
 
 
+def test_energy_threshold_at_a_tiny_exponent_is_one():
+    # a Fraction numerator of 1 over 2^60 or 2^1074 takes the exact-root
+    # branch; c^x is just above 1, so the root there is 1 and not exact
+    for x in (2.0 ** -60, 5e-324):
+        t = ExponentTarget.custom(EnergyKind.ADDITIVE, 2, x)
+        for c in range(2, 17):
+            assert energy_threshold(t, c) == (1, False), (x, c)
+
+
 def test_energy_threshold_tracks_float_power():
     t = ExponentTarget.sharp(EnergyKind.HIGHER, 3)
     for c in range(1, 40):
