@@ -184,7 +184,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _common_output(p)
 
     p = sub.add_parser("curves", help="sampled curve data for the figures")
-    p.add_argument("--which", choices=["phi", "psi", "goal", "goal_q"],
+    p.add_argument("--which", choices=["phi", "psi", "goal"],
                    required=True)
     p.add_argument("--k", type=_positive_int, required=True)
     p.add_argument("--samples", type=_positive_int, default=1000)

@@ -20,12 +20,13 @@ optimizer's ratios), bit for bit the same, which can also record every
 value it computes (the state its line searches start from).
 brute_force_energy stays the independent oracle.
 Every exhaustive energy comes from one of two walks, both on _mask_energy.
-subset_energies recounts every mask of a small point list, or given masks,
-with their energies fanned out over forked workers (_fanout) and merged in
-mask order; orbit_energies walks the subsets one orbit of a given symmetry
+subset_energies recounts every mask of a point list, or given masks, with
+their energies fanned out over forked workers (_fanout) and merged in mask
+order; orbit_energies walks the subsets one orbit of a given symmetry
 group at a time, computing one energy per orbit, and closes each orbit in
 one breadth-first function compiled per walk for its generators and the
-masks' byte count, each generator one line of 256-entry byte-table lookups.
+masks' byte count, each generator one line of 256-entry byte-table lookups
+(_byte_tables, which builds _mask_energy's tables too, for any byte count).
 level_set_energies gives E_k of the level sets of {0..n}^d (points with at
 most t coordinates off the middle letters) from a generating function over
 sum types, in time polynomial in d, without building the cube.
@@ -442,14 +443,11 @@ def _table_mask_energy(packed: List[int], k: int, higher: bool, lo: int,
                        hi: int) -> Callable[[int], int]:
     """_mask_energy's product path, 1-byte slots over lo .. hi."""
     gap = hi - lo
-    tables = []
-    for shift in range(0, len(packed), 8):
-        keys = packed[shift:shift + 8]
-        ind = _slot_table([8 * (key - lo) for key in keys])
-        tables.append((shift, ind, _slot_table([8 * (hi - key)
-                                                for key in keys]))
-                      if higher else (shift, ind))
+    shifts = range(0, len(packed), 8)
+    inds = _byte_tables([8 * (key - lo) for key in packed])
     if higher:
+        tables = list(zip(shifts, inds,
+                          _byte_tables([8 * (hi - key) for key in packed])))
         power_sum = _byte_power_sum(k, len(packed))
 
         def mask_energy(mask: int) -> int:
@@ -460,6 +458,7 @@ def _table_mask_energy(packed: List[int], k: int, higher: bool, lo: int,
                 r |= rev[byte]
             return power_sum(_product_slots(p, r, k, gap, 1))
     else:
+        tables = list(zip(shifts, inds))
         power_sum = _byte_power_sum(2, len(packed) ** (k - 1))
 
         def mask_energy(mask: int) -> int:
@@ -474,20 +473,22 @@ def _table_mask_energy(packed: List[int], k: int, higher: bool, lo: int,
 MAX_ORBIT_POINTS = 24
 
 
-def _byte_tables(perm: List[int]) -> List[List[int]]:
-    """Three tables, for bits 0-7, 8-15 and 16-23 of a mask: table[b] is
-    the image under perm of the bits b at that byte, so
-    a[m & 255] | b[m >> 8 & 255] | c[m >> 16] applies perm to a mask m of
-    len(perm) <= 24 bits."""
-    return [_slot_table(perm[shift:shift + 8]) for shift in (0, 8, 16)]
+def _byte_tables(offsets: List[int]) -> List[List[int]]:
+    """One _slot_table per 8 offsets, for any number of them: tables[j][b]
+    is the OR of 1 << offsets[8*j + i] over the bits i of b.  For offsets
+    a permutation perm, the OR over j of tables[j][byte j of m] is the
+    image under perm of a mask m of len(perm) bits."""
+    return [_slot_table(offsets[shift:shift + 8])
+            for shift in range(0, len(offsets), 8)]
 
 
 def _orbit_closure(symmetries: List[List[int]], n: int, seen: bytearray
                    ) -> Callable[[int], List[int]]:
-    """close(rep): the orbit of the unseen mask rep, a mask of n <= 24
-    bits, under the group generated by `symmetries`, marked in `seen` and
-    returned in breadth-first order: rep first, then each member's images
-    under the generators, in their order, that were not seen before.
+    """close(rep): the orbit of the unseen mask rep, a mask of n bits,
+    under the group generated by `symmetries`, marked in `seen` (or a dict
+    that reads an unseen mask as 0) and returned in breadth-first order:
+    rep first, then each member's images under the generators, in their
+    order, that were not seen before.
 
     The closure is the source of one function compiled for these
     generators and the masks' byte count: each member m of more than one
@@ -495,11 +496,13 @@ def _orbit_closure(symmetries: List[List[int]], n: int, seen: bytearray
     as a mask has no higher bits), and generator g is one line `img =
     tg_0[m0] | tg_1[m1] | ...` of its byte tables (_byte_tables), which
     are bound, with `seen`, as names of the function's namespace."""
-    index, split = [
-        (["m"], "pass"),
-        (["m0", "m1"], "m0, m1 = m & 255, m >> 8"),
-        (["m0", "m1", "m2"], "m0, m1, m2 = m & 255, m >> 8 & 255, m >> 16"),
-    ][max(0, n - 1) // 8]
+    index, split = ["m"], "pass"
+    if n > 8:
+        index = ["m%d" % j for j in range(-(-n // 8))]
+        split = "%s = %s" % (", ".join(index), ", ".join(
+            ["m & 255"] + ["m >> %d & 255" % (8 * j)
+                           for j in range(1, len(index) - 1)]
+            + ["m >> %d" % (8 * len(index) - 8)]))
     namespace: dict = {"seen": seen}
     lines = ["def close(rep):",
              "    seen[rep] = 1",

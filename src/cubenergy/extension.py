@@ -37,6 +37,9 @@ RESTRICTED_SCRATCH_MAX = 14
 # gets a chunk of starts only with at least this many units.
 START_FORK_WORK = 250
 
+# the most coordinate-ascent sweeps of one start, converged or not
+MAX_SWEEPS = 80
+
 
 @dataclass(frozen=True)
 class DEProblem:
@@ -325,7 +328,6 @@ class _Slice:
 
 
 def optimize_de(problem: DEProblem, *, seed: int = 0, starts: int = 24,
-                max_sweeps: int = 80,
                 restricted_sample: int = 4096) -> DEEstimate:
     """Best extension-ratio lower bound found by seeded multi-start
     coordinate ascent, merged with exhaustive (or sampled) 0/1 enumeration.
@@ -366,7 +368,7 @@ def optimize_de(problem: DEProblem, *, seed: int = 0, starts: int = 24,
         prev = ratio_of(ws)
         converged = False
         sweeps = 0
-        for _ in range(max_sweeps):
+        for _ in range(MAX_SWEEPS):
             sweeps += 1
             for i, line in enumerate(slices):
                 ws[i] = _golden_max(line(ws), 0.0, 1.5)

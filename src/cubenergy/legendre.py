@@ -389,10 +389,10 @@ def check_legendre_inequality(k: int, ts: Optional[List[float]] = None,
 
 
 def check_key_inequality(k: int, xs: Optional[List[float]] = None,
-                         points: int = 1000, x_hi: float = 1e6) -> GridCheckReport:
+                         points: int = 1000) -> GridCheckReport:
     """sum_i C(k,i)^2 x^(i p/k) <= (1+x)^p on an x >= 0 grid."""
     if xs is None:
-        xs = [0.0] + log_grid(1e-6, x_hi, points - 2) + [1.0]
+        xs = [0.0] + log_grid(1e-6, 1e6, points - 2) + [1.0]
         xs = sorted(set(xs))
     w = [math.comb(k, i) ** 2 for i in range(k + 1)]
 
@@ -585,22 +585,21 @@ def curve_data(which: str, k: int, samples: int) -> List[Tuple[float, float]]:
     critical-point curve (psi), or the goal-inequality left side (goal)."""
     if samples < 2:
         raise ValueError("samples must be >= 2")
-    name = {"phi": "phi", "psi": "psi", "goal": "goal", "goal_q": "goal"}.get(which)
-    if name is None:
+    if which not in ("phi", "psi", "goal"):
         raise ValueError("unknown curve %r" % (which,))
     xs = [j / (samples - 1) for j in range(samples)]
     w = [math.comb(k, i) ** 2 for i in range(k + 1)]
     out = []
     # terms are added one by one in order: sum() compensates float rounding
     # from Python 3.12 on, which would change the rows' bytes
-    if name == "phi":
+    if which == "phi":
         p = _float_pk(k)
         for x in xs:
             num = 0.0
             for i in range(k + 1):
                 num += w[i] * x ** (p * (k - i) / k)
             out.append((x, num / (1 + x) ** p))
-    elif name == "psi":
+    elif which == "psi":
         p = _float_pk(k)
         for x in xs:
             val = 0.0

@@ -6,18 +6,18 @@ interval floor is used, escalating precision until the enclosure excludes
 every integer.  No verdict ever comes from bare floating point.
 
 Both energies are invariant under the symmetries of the cube {0..n}^d, so
-an exhaustive sweep with at least 8 points computes one energy per orbit
-of its symmetry group (energy.orbit_energies; 401 orbits for the 65 535
-nonempty subsets of {0,1}^4, 135 for the 255 of {0..7}) and counts it for
-every member.  The walk closes each orbit under the cube's generators (the
-swap of coordinates 0 and 1 and the signed rotation
-p -> p[1:] + (n - p[0],), or at d = 1 the reflection alone) in one
-breadth-first function compiled per sweep, where each generator is one
-line of 256-entry byte-table lookups on the mask's bytes.  A smaller
-exhaustive sweep, and a sampled one, recounts each of its masks from
-scratch (energy.subset_energies), by one energy kernel built once per
-sweep (energy._mask_energy), its energies fanned out over forked workers
-and merged in mask order.
+every exhaustive sweep computes one energy per orbit of its symmetry group
+(energy.orbit_energies; 401 orbits for the 65 535 nonempty subsets of
+{0,1}^4, 135 for the 255 of {0..7}) and counts it for every member.  The
+walk closes each orbit under the cube's generators (the swap of
+coordinates 0 and 1 and the signed rotation p -> p[1:] + (n - p[0],), at
+d = 1 the reflection alone, at d = 0 none) in one breadth-first function
+compiled per sweep, where each generator is one line of 256-entry
+byte-table lookups on the mask's bytes.  A sampled sweep recounts each of
+its masks from scratch (energy.subset_energies), by one energy kernel built
+once per sweep (energy._mask_energy), its energies fanned out over forked
+workers and merged in mask order.  equality_witnesses filters the entries
+of the same walk as sweep_cube.
 
 The witness search over the level sets of {0..n}^d takes its exact energies
 from energy.level_set_energies and its level sizes from a binomial sum, so
@@ -135,8 +135,7 @@ def energy_threshold(target: ExponentTarget, c: int) -> Tuple[int, bool]:
     if fr.numerator * c.bit_length() <= 1 << 14:
         t = c ** fr.numerator
         r = _nth_root_floor(t, fr.denominator)
-        if r ** fr.denominator == t:
-            return r, True
+        return r, r ** fr.denominator == t
     return certified_floor(
         lambda: Interval(c) ** Interval(target.exponent)), False
 
@@ -204,10 +203,10 @@ def sweep_cube(n: int, d: int, target: ExponentTarget, *,
     most MAX_ORBIT_POINTS cube points); otherwise `sample` masks drawn
     uniformly with the given seed (requires at most MAX_SAMPLED_POINTS cube
     points: each mask holds about half of them).  Both budgets are checked
-    before the cube is built.  An exhaustive sweep with at least 8 points
-    computes one energy per orbit of the cube's symmetry group; the report
-    is the same as from a scan in mask order: violations in mask order, a
-    tie for the best ratio going to the smallest mask.
+    before the cube is built.  An exhaustive sweep computes one energy per
+    orbit of the cube's symmetry group; the report is the same as from a
+    scan in mask order: violations in mask order, a tie for the best ratio
+    going to the smallest mask.
     """
     if n < 0 or d < 0:
         raise ValueError("need n >= 0 and d >= 0")
@@ -231,9 +230,7 @@ def sweep_cube(n: int, d: int, target: ExponentTarget, *,
             if m:
                 masks.append(m)
         mode = "sample"
-    pts = PointSet.cube(n, d).sorted_points()
-    packed = pack_points(pts, key_multiplier(target.k, target.kind))
-    thresholds = [energy_threshold(target, c) for c in range(npts + 1)]
+    pts, thresholds, entries = _walk(n, d, target, masks)
 
     violations: List[Tuple[int, int, int, int]] = []
     max_ratio = None
@@ -241,7 +238,7 @@ def sweep_cube(n: int, d: int, target: ExponentTarget, *,
     equality_count = 0
     checked = 0
 
-    for mask, c, e, members in _walk(pts, n, packed, target.k, target.kind, masks):
+    for mask, c, e, members in entries:
         checked += len(members)
         bound, exact_power = thresholds[c]
         if e > bound:
@@ -268,42 +265,42 @@ def sweep_cube(n: int, d: int, target: ExponentTarget, *,
 
 
 def _cube_symmetries(pts: List[tuple], n: int) -> List[List[int]]:
-    """Generators of the symmetry group of the cube {0..n}^d, d >= 1, whose
-    sorted points are pts, each as the permutation of point indices it
-    induces: the signed rotation p -> p[1:] + (n - p[0],), a d-cycle of the
+    """Generators of the symmetry group of the cube {0..n}^d whose sorted
+    points are pts, each as the permutation of point indices it induces:
+    the signed rotation p -> p[1:] + (n - p[0],), a d-cycle of the
     coordinates that reflects one of them, and for d >= 2 the swap of
     coordinates 0 and 1 before it.  A transposition and a signed d-cycle
     generate the whole group of coordinate permutations and reflections, of
     order 2^d d!; at d = 1 the rotation is the reflection, and the group
     has order 2 (closed and counted in the tests for every cube the sweeps
-    take)."""
-    moves = [lambda p: p[1:] + (n - p[0],)]
-    if len(pts[0]) >= 2:
-        moves.insert(0, lambda p: (p[1], p[0]) + p[2:])
+    take).  At d = 0 the group is trivial: no generator."""
+    d = len(pts[0])
+    moves = [lambda p: (p[1], p[0]) + p[2:]] if d >= 2 else []
+    if d:
+        moves.append(lambda p: p[1:] + (n - p[0],))
     index = {p: i for i, p in enumerate(pts)}
     return [[index[move(p)] for p in pts] for move in moves]
 
 
-def _walk(pts: List[tuple], n: int, packed: List[int], k: int,
-          kind: EnergyKind, masks: Optional[List[int]] = None
-          ) -> Iterator[Tuple[int, int, int, Sequence[int]]]:
-    """(mask, |B|, E(B), members) over the subsets of {0..n}^d: every mask
-    in members has energy E(B), and mask is the smallest of them.
-
-    An exhaustive walk over at least 8 points yields one entry per
-    symmetry orbit (on a segment, under the reflection alone); a smaller
-    one, and given masks, are recounted one entry a mask.  The orbit walk
-    marks masks in a bitmap of 2^points bytes, where a recount holds every
-    mask's result, so it bounds an exhaustive sweep (MAX_ORBIT_POINTS).
-    From 8 points on it took 0.6 to 1.05 times the recount's time (one run
-    of 1.25), and on {0,1}^2 1.4 to 2.6 times, where compiling its closure
-    (about 0.1 ms) outweighs the walk (one exhaustive sweep_cube, both
-    energies, k = 2 and 3, on 1 and 2 CPUs, best of 3 to 200).
-    """
-    if masks is None and len(pts) >= 8:
-        return orbit_energies(packed, k, kind, _cube_symmetries(pts, n))
-    return ((mask, c, e, (mask,))
-            for mask, c, e in subset_energies(packed, k, kind, masks))
+def _walk(n: int, d: int, target: ExponentTarget,
+          masks: Optional[List[int]] = None
+          ) -> Tuple[List[tuple], List[Tuple[int, bool]],
+                     Iterator[Tuple[int, int, int, Sequence[int]]]]:
+    """(pts, thresholds, entries) of a sweep of {0..n}^d: the cube's sorted
+    points, energy_threshold(target, c) for c = 0 .. len(pts), and entries
+    (mask, |B|, E(B), members), every mask in members of energy E(B) and
+    mask the smallest of them: one per orbit of the cube's symmetry group
+    when masks is None (orbit_energies), else one a mask in their order."""
+    k, kind = target.k, target.kind
+    pts = PointSet.cube(n, d).sorted_points()
+    packed = pack_points(pts, key_multiplier(k, kind))
+    thresholds = [energy_threshold(target, c) for c in range(len(pts) + 1)]
+    if masks is None:
+        entries = orbit_energies(packed, k, kind, _cube_symmetries(pts, n))
+    else:
+        entries = ((mask, c, e, (mask,))
+                   for mask, c, e in subset_energies(packed, k, kind, masks))
+    return pts, thresholds, entries
 
 
 def _mask_to_set(mask: int, pts: List[tuple]) -> PointSet:
@@ -329,14 +326,12 @@ def equality_witnesses(d: int, k: int, kind: EnergyKind, n: int = 1) -> List[Poi
     report it.
     """
     target = ExponentTarget.sharp(kind, k)
-    pts = PointSet.cube(n, d).sorted_points()
-    npts = len(pts)
-    if npts > 16:
-        raise BudgetExceeded("equality sweep over %d points refused" % npts)
-    packed = pack_points(pts, key_multiplier(k, kind))
-    thresholds = [energy_threshold(target, c) for c in range(npts + 1)]
+    if (n + 1) ** d > 16:
+        raise BudgetExceeded("equality sweep over %d points refused"
+                             % ((n + 1) ** d))
+    pts, thresholds, entries = _walk(n, d, target)
     # equality: an exact-power threshold (bound, True) with E == bound
-    masks = [m for _, c, e, members in _walk(pts, n, packed, k, kind)
+    masks = [m for _, c, e, members in entries
              if thresholds[c] == (e, True) for m in members]
     return [_mask_to_set(mask, pts) for mask in sorted(masks)]
 

@@ -209,6 +209,29 @@ def test_verify_exhaustive_golden_bytes(capsys, workers, argv, code, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, code, digest", [
+    # cubes of 2 to 7 points, orbit-walked like the larger ones
+    (["verify", "--set", "cube:1x1", "--k", "2"], 0,
+     "082c33058d66f0b67464852c3215f905d35f75865f9e88286d290dffdfeaaa07"),
+    (["verify", "--set", "cube:1x2", "--k", "2", "--kind", "higher"], 0,
+     "40c93f490388dd080dc449c73b26e7c74d06112064e3e6bc0788f8057171c238"),
+    (["verify", "--set", "cube:1x2", "--k", "3"], 0,
+     "b0eb59a01eeb33f2add4e23127351f64e44027e4ce829f2d239a7675b8310a3e"),
+    (["verify", "--set", "cube:2x1", "--k", "3", "--kind", "higher"], 1,
+     "166a6c87fec958af4a6e54faccb3ed33a7f22e5ead2299c515e3194889f698b2"),
+    (["verify", "--set", "cube:3x1", "--k", "2"], 1,
+     "a8833d893da07b42bf1288a69d765c79052cf122a16a05d3eca9b7b3d9b0845f"),
+    (["verify", "--set", "cube:6x1", "--k", "2", "--exponent", "2.2"], 1,
+     "8453c87bb58334d3e58259cbf19a7bd73420f6a510ac03b14e94703cb1ac70b6"),
+    (["verify", "--set", "cube:6x1", "--k", "3", "--kind", "higher"], 1,
+     "aeb808592564ee79755b362a4f37652a8b4424e861440bb616f829a74bd602c2"),
+])
+def test_verify_small_cube_golden_bytes(capsys, argv, code, digest):
+    got, out, _ = _run(capsys, argv)
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 SAMPLED_GOLDENS = [
     (["--k", "2"],
      "35fdd3eb559417eee34a5f1f5601415ed218c30c3ffe3a35a5b33036a27e79f5"),

@@ -6,7 +6,7 @@ import math
 import os
 import random
 from array import array
-from collections import Counter
+from collections import Counter, defaultdict
 from itertools import permutations, product, zip_longest
 
 import pytest
@@ -34,7 +34,8 @@ from cubenergy.energy import (
 )
 from cubenergy.energy import (MAX_ORBIT_POINTS, _byte_power_sum,
                               _byte_tables, _correlation_moment,
-                              _mask_energy, _product_energy, _slot_width)
+                              _mask_energy, _orbit_closure, _product_energy,
+                              _slot_width)
 from cubenergy import _fanout, lattice
 from cubenergy.errors import BudgetExceeded
 from cubenergy.lattice import (CountsMap, PointSet, indicator,
@@ -495,11 +496,11 @@ def _mask_image(mask, perm):
     return sum(1 << j for i, j in enumerate(perm) if mask >> i & 1)
 
 
-# every cube with d >= 2 an exhaustive sweep takes (2^d <= its points),
-# every segment it walks by orbits (8 to 24 points), and {0,1}^5
+# every cube an exhaustive sweep takes (the one point of d = 0 once), and
+# {0,1}^5
 SWEPT_CUBES = [(n, d) for n in range(1, MAX_ORBIT_POINTS)
-               for d in range(1, MAX_ORBIT_POINTS.bit_length())
-               if (n + 1) ** d <= MAX_ORBIT_POINTS and (d >= 2 or n >= 7)
+               for d in range(MAX_ORBIT_POINTS.bit_length())
+               if (n + 1) ** d <= MAX_ORBIT_POINTS and (d or n == 1)
                ] + [(1, 5)]
 
 
@@ -548,16 +549,85 @@ def test_orbit_walk_partitions_by_cube_symmetry(n, d, orbits):
     assert len(classes) == orbits
 
 
-def test_byte_tables_apply_a_permutation_of_up_to_24_points():
+def test_byte_tables_apply_a_permutation_of_any_length():
+    # one table per 8 bits, past the orbit walk's 24 points too
     rng = random.Random(24)
-    for points in (1, 7, 8, 9, 16, 17, 23, 24):
+    for points in range(1, 41):
         perm = list(range(points))
         rng.shuffle(perm)
-        a, b, c = _byte_tables(perm)
+        tables = _byte_tables(perm)
+        assert len(tables) == -(-points // 8)
         for mask in [0, (1 << points) - 1] + [rng.getrandbits(points)
-                                              for _ in range(200)]:
-            assert a[mask & 255] | b[mask >> 8 & 255] | c[mask >> 16] == \
-                _mask_image(mask, perm), (points, mask)
+                                              for _ in range(50)]:
+            image = 0
+            for j, table in enumerate(tables):
+                image |= table[mask >> 8 * j & 255]
+            assert image == _mask_image(mask, perm), (points, mask)
+
+
+def _plain_closure(rep, symmetries):
+    """The orbit of rep, breadth first: each member's images under the
+    generators, in their order, appended when not met before."""
+    members = [rep]
+    for mask in members:
+        for perm in symmetries:
+            image = _mask_image(mask, perm)
+            if image not in members:
+                members.append(image)
+    return members
+
+
+@pytest.mark.parametrize("n, d", [(4, 2), (2, 3), (1, 5), (32, 1), (5, 2),
+                                  (39, 1)])
+def test_orbit_closure_of_masks_past_3_bytes(n, d):
+    # 25, 27, 32, 33, 36 and 40 points, 4 and 5 mask bytes: a dict marks
+    # the masks seen in place of the orbit walk's 2^points bitmap
+    pts = PointSet.cube(n, d).sorted_points()
+    symmetries = _cube_symmetries(pts, n)
+    group = _cube_group(pts, n)
+    seen = defaultdict(int)
+    close = _orbit_closure(symmetries, len(pts), seen)
+    rng = random.Random("wide-%d-%d" % (n, d))
+    closed = set()
+    for rep in [1, (1 << len(pts)) - 1] + [rng.getrandbits(len(pts))
+                                           for _ in range(4)]:
+        if seen[rep]:
+            continue
+        members = close(rep)
+        assert members == _plain_closure(rep, symmetries)
+        assert set(members) == {_mask_image(rep, g) for g in group}
+        closed.update(members)
+        assert {m for m, mark in seen.items() if mark} == closed
+
+
+CLOSURE_SPLITS = {
+    8: "pass",
+    16: "m0, m1 = m & 255, m >> 8",
+    24: "m0, m1, m2 = m & 255, m >> 8 & 255, m >> 16",
+    40: "m0, m1, m2, m3, m4 = m & 255, m >> 8 & 255, m >> 16 & 255, "
+        "m >> 24 & 255, m >> 32",
+}
+
+
+@pytest.mark.parametrize("points", sorted(CLOSURE_SPLITS))
+def test_orbit_closure_splits_each_member_into_its_bytes(monkeypatch, points):
+    # one split line for any byte count, none for one byte; each generator
+    # looks up one table per byte
+    sources = []
+    inner = builtins.compile
+
+    def recorded(source, *args, **kwargs):
+        sources.append(source)
+        return inner(source, *args, **kwargs)
+    monkeypatch.setattr(builtins, "compile", recorded)
+    _orbit_closure([list(range(points))], points, bytearray(1))
+    [source] = sources
+    lines = [line.strip() for line in source.splitlines()]
+    split = CLOSURE_SPLITS[points]
+    assert lines[5] == split
+    index = split.split(" = ")[0].split(", ") if points > 8 else ["m"]
+    assert "img = %s" % " | ".join("t0_%d[%s]" % pair
+                                   for pair in enumerate(index)) in lines
 
 
 def test_orbit_walk_refuses_more_than_24_points():

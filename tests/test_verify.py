@@ -3,6 +3,7 @@
 import importlib
 import math
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -81,6 +82,23 @@ def test_energy_threshold_at_a_tiny_exponent_is_one():
             assert energy_threshold(t, c) == (1, False), (x, c)
 
 
+@pytest.mark.parametrize("x", [2.5, 1.5, 0.75])
+def test_energy_threshold_of_a_dyadic_exponent_needs_no_interval(monkeypatch,
+                                                                  x):
+    # x = num/den with a small numerator: floor(c^x) is the integer den-th
+    # root of c^num whether or not it is exact, so no certified floor is
+    # computed for it
+    def refused(*args):
+        raise AssertionError("certified_floor called")
+    monkeypatch.setattr(verify, "certified_floor", refused)
+    num, den = Fraction(x).numerator, Fraction(x).denominator
+    t = ExponentTarget.custom(EnergyKind.ADDITIVE, 2, x)
+    for c in range(2, 65):
+        r, exact = energy_threshold(t, c)
+        assert r ** den <= c ** num < (r + 1) ** den, (x, c)
+        assert exact == (r ** den == c ** num), (x, c)
+
+
 def test_energy_threshold_tracks_float_power():
     t = ExponentTarget.sharp(EnergyKind.HIGHER, 3)
     for c in range(1, 40):
@@ -145,31 +163,36 @@ def _recorded_walks(monkeypatch):
     walk, walks = verify._walk, []
 
     def recording(*args):
-        walks.append(list(walk(*args)))
-        return walks[-1]
+        pts, thresholds, entries = walk(*args)
+        walks.append(list(entries))
+        return pts, thresholds, walks[-1]
     monkeypatch.setattr(verify, "_walk", recording)
     return walks
 
 
 def test_sweep_rows_and_mode(monkeypatch):
+    # {0,1}^2 takes the orbit walk too: 5 orbits of its 15 nonempty masks
     target = ExponentTarget.sharp(EnergyKind.ADDITIVE, 2)
     walks = _recorded_walks(monkeypatch)
     rep = sweep_cube(1, 2, target)
     assert rep.mode == "exhaustive"
     [entries] = walks
-    assert len(entries) == rep.subsets_checked
-    assert [entry[0] for entry in entries] == list(range(1, 16))
+    assert len(entries) == 5
+    assert [entry[0] for entry in entries] == [1, 3, 6, 7, 15]
+    assert sorted(m for entry in entries for m in entry[3]) == \
+        list(range(1, 16)) and rep.subsets_checked == 15
     pts = PointSet.cube(1, 2).sorted_points()
     ratios = {}
-    for mask, size, e, members in entries:
-        assert members == (mask,)
-        assert 1 <= mask < 16 and bin(mask).count("1") == size
-        sub = PointSet.from_points([p for i, p in enumerate(pts)
-                                    if mask >> i & 1])
-        assert e == brute_force_energy(sub, 2, EnergyKind.ADDITIVE).value
-        assert e <= energy_threshold(target, size)[0]
-        if size >= 2:
-            ratios[mask] = math.log(e) / math.log(size)
+    for rep_mask, size, e, members in entries:
+        assert rep_mask == min(members)
+        for mask in members:
+            assert bin(mask).count("1") == size
+            sub = PointSet.from_points([p for i, p in enumerate(pts)
+                                        if mask >> i & 1])
+            assert e == brute_force_energy(sub, 2, EnergyKind.ADDITIVE).value
+            assert e <= energy_threshold(target, size)[0]
+            if size >= 2:
+                ratios[mask] = math.log(e) / math.log(size)
     best = max(ratios.values())
     assert rep.max_ratio == best
     witness = min(m for m, r in ratios.items() if r == best)
@@ -266,7 +289,7 @@ def test_orbit_sweep_matches_mask_by_mask(n, d, target, monkeypatch):
 @pytest.mark.parametrize("d", [2, 3, 4])
 @pytest.mark.parametrize("kind", list(EnergyKind))
 def test_orbit_equality_witnesses_match_mask_by_mask(d, kind):
-    # d = 2 sweeps {0,1,2}^2: {0,1}^2, 4 points, is not walked by orbits
+    # d = 2 sweeps the wider alphabet {0,1,2}^2
     k, n = 2, 2 if d == 2 else 1
     pts = PointSet.cube(n, d).sorted_points()
     target = ExponentTarget.sharp(kind, k)
@@ -302,11 +325,11 @@ def test_exhaustive_sweep_computes_one_energy_per_orbit(monkeypatch):
     assert rep.subsets_checked == 255 and len(calls) == 401 + 135
 
 
-@pytest.mark.parametrize("n, d, orbits", [(1, 2, False), (1, 3, True),
-                                          (2, 2, True), (7, 1, True)])
-def test_exhaustive_walk_by_point_count(monkeypatch, n, d, orbits):
-    # the orbit walk takes the cubes with at least 8 points, segments too;
-    # {0,1}^2 is recounted mask by mask
+@pytest.mark.parametrize("n, d", [(1, 0), (1, 1), (2, 1), (3, 1), (6, 1),
+                                  (1, 2), (1, 3), (2, 2), (7, 1)])
+def test_exhaustive_walk_by_point_count(monkeypatch, n, d):
+    # every exhaustive sweep takes the orbit walk, the one point of d = 0
+    # (no generator) and every segment too; a sampled one recounts its masks
     walks = []
     for name in ("orbit_energies", "subset_energies"):
         inner = getattr(verify, name)
@@ -314,8 +337,20 @@ def test_exhaustive_walk_by_point_count(monkeypatch, n, d, orbits):
                             inner=inner: walks.append(name) or inner(*args))
     target = ExponentTarget.sharp(EnergyKind.ADDITIVE, 2)
     rep = sweep_cube(n, d, target)
-    assert walks == ["orbit_energies" if orbits else "subset_energies"]
+    assert walks == ["orbit_energies"]
     assert rep.subsets_checked == (1 << (n + 1) ** d) - 1
+    assert sweep_cube(n, d, target, sample=3, seed=0).subsets_checked == 3
+    assert walks == ["orbit_energies", "subset_energies"]
+
+
+def test_sweeps_of_the_one_point_cube():
+    # {0..n}^0 is one point: one subset, an equality case of every target
+    for kind in EnergyKind:
+        rep = sweep_cube(2, 0, ExponentTarget.sharp(kind, 2))
+        assert (rep.subsets_checked, rep.equality_count, rep.violations,
+                rep.max_ratio) == (1, 1, [], None)
+        assert [w.points for w in equality_witnesses(0, 3, kind)] == \
+            [frozenset({()})]
 
 
 @pytest.mark.parametrize("k", [4, 5, 6])
