@@ -20,7 +20,7 @@ from .energy import (EnergyKind, decomposition_identity_check, energy,
 from .errors import BudgetExceeded, ParseError, PrecisionExhausted
 from .extension import DEProblem, optimize_de, tn_interval
 from .lattice import PointSet, parse_points_auto
-from .legendre import certify_sign_pattern, curve_data
+from .legendre import curve_data, sign_table
 from .verify import ExponentTarget, sweep_cube, witness_search_general_cube
 
 SCHEMA_VERSION = 1
@@ -263,14 +263,11 @@ def _run_verify(args) -> Tuple[dict, int, Optional[tuple]]:
 def _run_signs(args) -> Tuple[dict, int, Optional[tuple]]:
     if args.k_min < 2 or args.k_max < args.k_min:
         raise ParseError("need 2 <= k-min <= k-max")
-    certs = [certify_sign_pattern(k) for k in range(args.k_min, args.k_max + 1)]
+    certs = sign_table(args.k_min, args.k_max)
     result = {"table": [c.to_dict() for c in certs],
               "all_certified": all(c.certified for c in certs)}
-    rows = []
-    for c in certs:
-        for i, s in enumerate(c.signs, start=1):
-            rows.append([c.k, i, s])
-    csv = (["k", "i", "sign"], rows)
+    csv = (["k", "i", "sign"], [[c.k, i, s] for c in certs
+                                for i, s in enumerate(c.signs, start=1)])
     return result, 0 if result["all_certified"] else 1, csv
 
 
@@ -302,10 +299,10 @@ def _run_witness(args) -> Tuple[dict, int, Optional[tuple]]:
         # the trivial whole-cube level can never cross by rounding
         threshold = math.log(19) / math.log(3)
         threshold_log = (19, 3)
-    # the cube grows with d: refuse an over-budget run before searching any d
-    for d in range(1, args.d_max + 1):
-        if (args.n + 1) ** d > args.max_points:
-            raise BudgetExceeded("cube with %d points refused" % ((args.n + 1) ** d))
+    # the cube is largest at d_max: refuse an over-budget run before any search
+    points = (args.n + 1) ** args.d_max
+    if points > args.max_points:
+        raise BudgetExceeded("cube with %d points refused" % points)
     reports = []
     crossing_d = None
     for d in range(1, args.d_max + 1):

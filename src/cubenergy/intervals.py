@@ -198,19 +198,6 @@ def certified_floor(fn: Callable[[], object]) -> int:
     return _escalate(step)
 
 
-def floor_power_log2(c: int, m: int) -> int:
-    """Certified floor(c ** log2(m)) for integers c >= 2, m >= 2.
-
-    The enclosure must exclude integers before the floor is trusted, so the
-    true value must be irrational: callers handle the case where both c and
-    m are powers of two (there the power is an exact integer).
-    """
-    if c < 2 or m < 2:
-        raise ValueError("need c >= 2 and m >= 2")
-    return certified_floor(lambda: iv.exp(
-        iv.log(Interval(c)) * iv.log(Interval(m)) / iv.log(Interval(2))))
-
-
 # ---------------------------------------------------------------------------
 # one rung's kernel: a function of the point traced once, compiled once
 

@@ -113,9 +113,6 @@ class CoeffLinearForm:
     alpha_coeff: int
     const_coeff: int
 
-    def evaluate(self, alpha_value: float) -> float:
-        return self.alpha_coeff * alpha_value + self.const_coeff
-
 
 @lru_cache(maxsize=None)
 def coefficient_forms(k: int) -> Tuple[CoeffLinearForm, ...]:
@@ -364,10 +361,10 @@ def unit_grid(count: int) -> List[float]:
 
 
 def check_legendre_inequality(k: int, ts: Optional[List[float]] = None,
-                              points: int = 1000, t_hi: float = 1e6) -> GridCheckReport:
+                              points: int = 1000) -> GridCheckReport:
     """Q_k(t) <= (((t-1)/2)^(k/p) + ((t+1)/2)^(k/p))^p on a t >= 1 grid."""
     if ts is None:
-        offsets = log_grid(1e-9, t_hi - 1.0, points - 1)
+        offsets = log_grid(1e-9, 1e6 - 1.0, points - 1)
         ts = [1.0] + [1.0 + u for u in offsets]
 
     def sides():

@@ -1,9 +1,12 @@
 """Exhaustive and sampled verification of energy exponent bounds on cubes.
 
-The boundary E <= |A|^exponent is decided exactly: when exponent = log2(M)
-and |A| = 2^j the right side is the integer M^j; otherwise a certified
-interval floor is used, escalating precision until the enclosure excludes
-every integer.  No verdict ever comes from bare floating point.
+Every comparison of an exact energy E with |A|^x, a sweep's threshold or a
+witness search's crossing, first asks one exactness rule (_exact_power)
+whether |A|^x is an integer; there it is exact integer arithmetic, equality
+included.  The rest is certified: a threshold by an integer root or by an
+interval floor that escalates precision until it excludes every integer, a
+crossing by comparing logarithms.  No verdict ever comes from bare floating
+point.
 
 Both energies are invariant under the symmetries of the cube {0..n}^d, so
 every exhaustive sweep computes one energy per orbit of its symmetry group
@@ -31,12 +34,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
 
+from mpmath import iv
+
 from .energy import (MAX_ORBIT_POINTS, EnergyKind, EnergyValue,
                      key_multiplier, level_set_energies, orbit_energies,
                      subset_energies)
 from .errors import BudgetExceeded, PrecisionExhausted
-from .intervals import (Interval, certified_floor, decide_le,
-                        floor_power_log2, log2_interval)
+from .intervals import Interval, certified_floor, decide_le, log2_interval
 from .lattice import PointSet, pack_points
 
 # a sampled sweep's sets hold about half the cube's points each
@@ -108,36 +112,56 @@ class ExponentTarget:
         return cls(kind, k, exponent)
 
 
+def _exact_power(c: int, bar, bits: Optional[int] = None) -> Optional[int]:
+    """c^x for an integer c >= 1 where this rule finds it an integer, else None.
+
+    bar is a log pair (a, b), with x = log(a)/log(b), or the exact Fraction
+    num/den of a float exponent.  For a log pair c^x is the integer a^t when
+    c = b^t, and the rule looks no further; for num/den in lowest terms with
+    num >= 0, c^x is an integer exactly when c = r^den, and it is then r^num.
+    With bits given, a power that must have more than bits bits is not
+    computed: None.
+    """
+    if isinstance(bar, Fraction):
+        base, t = _nth_root_floor(c, bar.denominator), bar.numerator
+        if t < 0 or base ** bar.denominator != c:
+            return None
+    else:
+        base, b = bar
+        t, s = 0, 1
+        while s < c:
+            s *= b
+            t += 1
+        if s != c:
+            return None
+    # base^t has at least (base.bit_length() - 1) * t + 1 bits
+    if bits is not None and (base.bit_length() - 1) * t >= bits:
+        return None
+    return base ** t
+
+
 def energy_threshold(target: ExponentTarget, c: int) -> Tuple[int, bool]:
     """(floor(c^exponent), equality_possible) for a set of size c.
 
-    equality_possible marks the exact-power branch, where the threshold is an
-    exact integer value of c^exponent and E == threshold is a true equality
-    case; on the certified-floor branch the power is irrational so equality
-    with it cannot occur.
+    equality_possible marks an exact power (_exact_power), where the
+    threshold is c^exponent itself and E == threshold is a true equality
+    case.  Otherwise the power is not an integer: a dyadic exponent with a
+    small numerator takes the integer root of c^num, anything else one
+    certified interval floor.
     """
     if c < 0:
         raise ValueError
     if c == 0:
         return 0, False
-    if c == 1:
-        return 1, True
     m = target.log2_arg
-    if m is not None:
-        if c.bit_count() == 1:
-            return m ** (c.bit_length() - 1), True
-        return floor_power_log2(c, m), False
-    # custom float exponent: exact when it is an integer or c^x is a perfect
-    # power along the dyadic representation of x, else certified floor
-    fr = Fraction(target.exponent)
-    if fr.denominator == 1:
-        return c ** fr.numerator, True
-    if fr.numerator * c.bit_length() <= 1 << 14:
-        t = c ** fr.numerator
-        r = _nth_root_floor(t, fr.denominator)
-        return r, r ** fr.denominator == t
-    return certified_floor(
-        lambda: Interval(c) ** Interval(target.exponent)), False
+    bar = Fraction(target.exponent) if m is None else (m, 2)
+    exact = _exact_power(c, bar)
+    if exact is not None:
+        return exact, True
+    if m is None and bar.numerator * c.bit_length() <= 1 << 14:
+        return _nth_root_floor(c ** bar.numerator, bar.denominator), False
+    return certified_floor(lambda: iv.exp(iv.log(Interval(c)) * (
+        Interval(target.exponent) if m is None else log2_interval(m)))), False
 
 
 @dataclass(frozen=True)
@@ -376,57 +400,30 @@ class WitnessSearchReport:
         }
 
 
-def _is_perfect_power_pair(energy_val: int, size: int,
-                           base_num: int, base_den: int) -> bool:
-    """True when (energy, size) = (a^t, b^t) for one integer t >= 1, which
-    makes log(energy)/log(size) equal to log(a)/log(b) exactly."""
-    if base_den < 2 or size < 2:
-        return False
-    t = 0
-    s = 1
-    while s < size:
-        s *= base_den
-        t += 1
-    return s == size and base_num ** t == energy_val
-
-
-def _is_rational_ratio(energy_val: int, size: int, num: int, den: int) -> bool:
-    """True when log(energy)/log(size) = num/den exactly, for size >= 2 and
-    num/den in lowest terms with den >= 1: then size^num = energy^den, so
-    size = r^den and energy = r^num for one integer r >= 2."""
-    if den > size.bit_length() or num < 0:
-        return False
-    r = _nth_root_floor(size, den)
-    if r ** den != size:
-        return False
-    # r^num has at least (r.bit_length() - 1) * num + 1 bits
-    return ((r.bit_length() - 1) * num < energy_val.bit_length()
-            and r ** num == energy_val)
-
-
 def _crosses(energy_val: int, size: int, threshold: float,
              threshold_log: Optional[Tuple[int, int]]) -> Optional[bool]:
     """Does log(energy)/log(size) strictly exceed the threshold?
 
     With threshold_log = (a, b) the bar is the exact number log(a)/log(b);
-    without it, the bar is the float threshold's exact value num/den.  Both
-    comparisons are certified by interval arithmetic, with the equal case
-    detected exactly first.  Returns None when the interval comparison hits
-    its precision cap (reported, never guessed).
+    without it, the bar is the float threshold's exact value num/den.  One
+    exactness rule comes first: where size^bar is an integer
+    (_exact_power), the verdict is the integer comparison energy > size^bar,
+    a tie included.  Only the rest is decided by interval arithmetic on the
+    logarithms, which returns None when it hits its precision cap (reported,
+    never guessed).
     """
     if size < 2:
         return False
+    bar = Fraction(threshold) if threshold_log is None else threshold_log
+    exact = _exact_power(size, bar, energy_val.bit_length() + 1)
+    if exact is not None:
+        return energy_val > exact
     if threshold_log is None:
-        bar = Fraction(threshold)
         num, den = bar.numerator, bar.denominator
-        if _is_rational_ratio(energy_val, size, num, den):
-            return False
         sides = (lambda: num * log2_interval(size),
                  lambda: den * log2_interval(energy_val))
     else:
         a, b = threshold_log
-        if _is_perfect_power_pair(energy_val, size, a, b):
-            return False
         sides = (lambda: log2_interval(a) * log2_interval(size),
                  lambda: log2_interval(energy_val) * log2_interval(b))
     try:
@@ -450,13 +447,20 @@ def witness_search_general_cube(n: int, d: int, threshold: float,
     is refused, although no cube is built.  threshold_log = (a, b) declares
     the threshold to be log(a)/log(b) exactly; crossings are then certified
     instead of compared in floats, so a level whose ratio equals the bar
-    exactly (the full cube) never counts.  A NaN or infinite threshold is
+    exactly (the full cube) never counts; it needs a >= 1, b >= 2 and
+    log(a)/log(b) within 1e-12 of threshold.  A NaN or infinite threshold is
     rejected: it could never cross, or would always cross.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     if not math.isfinite(threshold):
         raise ValueError("threshold must be finite, got %r" % (threshold,))
+    if threshold_log is not None:
+        a, b = threshold_log
+        if a < 1 or b < 2:
+            raise ValueError("threshold_log needs a >= 1 and b >= 2")
+        if abs(math.log(a) / math.log(b) - threshold) > 1e-12:
+            raise ValueError("threshold does not match log(a)/log(b) of threshold_log")
     if (n + 1) ** d > max_points:
         raise BudgetExceeded("cube with %d points refused" % ((n + 1) ** d))
     n_mid = len({n // 2, (n + 1) // 2})     # two middle letters for odd n

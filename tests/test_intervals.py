@@ -20,7 +20,6 @@ from cubenergy.intervals import (
     Interval,
     _escalate,
     decide_le,
-    floor_power_log2,
     ipow,
     ipows,
     log2_interval,
@@ -156,27 +155,6 @@ def test_decide_le_reports_the_lower_end_of_an_inexact_gap():
 def test_decide_le_exact_tie_raises():
     with pytest.raises(PrecisionExhausted):
         decide_le(lambda: iv.log(iv.mpf(3)), lambda: iv.log(iv.mpf(3)))
-
-
-def test_floor_power_log2_frozen():
-    assert floor_power_log2(3, 6) == 17
-    assert floor_power_log2(5, 6) == 64
-    assert floor_power_log2(3, 19) == 106
-
-
-def test_floor_power_log2_validates():
-    with pytest.raises(ValueError):
-        floor_power_log2(1, 6)
-    with pytest.raises(ValueError):
-        floor_power_log2(6, 1)
-
-
-def test_floor_power_log2_tracks_floats():
-    for c in (3, 5, 6, 7, 9, 11):
-        for m in (3, 5, 6, 10, 19):
-            got = floor_power_log2(c, m)
-            approx = c ** math.log2(m)
-            assert abs(got - math.floor(approx)) <= 1
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,18 @@ def test_energy_threshold_frozen_values():
     assert energy_threshold(t, 16) == (1296, True)
 
 
+def _log2_target(m):
+    # the exponent log2 m in its integer form, as the sharp targets keep it
+    return ExponentTarget(EnergyKind.ADDITIVE, 3, math.log2(m), m)
+
+
+def test_energy_threshold_frozen_log2_floors():
+    # floor(c^log2 m) at m not a power of two
+    assert energy_threshold(_log2_target(6), 3) == (17, False)
+    assert energy_threshold(_log2_target(6), 5) == (64, False)
+    assert energy_threshold(_log2_target(19), 3) == (106, False)
+
+
 def test_energy_threshold_custom_exponent():
     t = ExponentTarget.custom(EnergyKind.ADDITIVE, 2, 1.5)
     assert energy_threshold(t, 4) == (8, True)
@@ -99,8 +111,7 @@ def test_energy_threshold_of_a_dyadic_exponent_needs_no_interval(monkeypatch,
         assert exact == (r ** den == c ** num), (x, c)
 
 
-def test_energy_threshold_tracks_float_power():
-    t = ExponentTarget.sharp(EnergyKind.HIGHER, 3)
+def _assert_tracks_float_power(t):
     for c in range(1, 40):
         bound, eq = energy_threshold(t, c)
         approx = c ** t.exponent
@@ -109,6 +120,51 @@ def test_energy_threshold_tracks_float_power():
         if eq:
             # exact equality only happens on powers of two
             assert c & (c - 1) == 0
+
+
+def test_energy_threshold_tracks_float_power():
+    _assert_tracks_float_power(ExponentTarget.sharp(EnergyKind.HIGHER, 3))
+
+
+def test_energy_threshold_tracks_floats_at_log2_exponents():
+    # c^log2 m for m not a power of two
+    for m in (3, 5, 6, 10, 19):
+        _assert_tracks_float_power(_log2_target(m))
+
+
+def test_energy_threshold_validates():
+    t = ExponentTarget.sharp(EnergyKind.ADDITIVE, 2)
+    with pytest.raises(ValueError):
+        energy_threshold(t, -1)
+    # log2 of 1 is no exponent: the integer form must exceed 1
+    with pytest.raises(ValueError):
+        ExponentTarget(EnergyKind.ADDITIVE, 2, math.log2(1), 1)
+
+
+def test_energy_threshold_exact_power_has_no_bit_cap():
+    # 16 = 2^4, so the bound is (2^5000 + 2)^4 exactly, with 20 001 bits: a
+    # certified floor of it could never settle
+    t = ExponentTarget.sharp(EnergyKind.HIGHER, 5000)
+    assert energy_threshold(t, 16) == ((2 ** 5000 + 2) ** 4, True)
+
+
+def test_exact_power_cases():
+    # log pairs: c = b^t gives a^t
+    assert verify._exact_power(1, (19, 3)) == 1
+    assert verify._exact_power(27, (19, 3)) == 19 ** 3
+    assert verify._exact_power(16, (6, 2)) == 6 ** 4
+    assert verify._exact_power(6, (19, 3)) is None
+    # Fractions num/den: c = r^den gives r^num
+    assert verify._exact_power(8, Fraction(5, 3)) == 32
+    assert verify._exact_power(5, Fraction(3)) == 125
+    assert verify._exact_power(5, Fraction(0)) == 1
+    assert verify._exact_power(9, Fraction(5, 3)) is None
+    assert verify._exact_power(4, Fraction(-1)) is None
+    assert verify._exact_power(7, Fraction(5e-324)) is None
+    # bits: a power that must have more bits is not computed; 4^5 has 11
+    assert verify._exact_power(4, Fraction(10 ** 300), 10) is None
+    assert verify._exact_power(4, Fraction(5), 10) is None
+    assert verify._exact_power(4, Fraction(5), 11) == 4 ** 5
 
 
 def test_energy_threshold_monotone():
@@ -523,6 +579,21 @@ def test_witness_search_budget_is_a_cube_size_limit():
     assert len(witness_search_general_cube(2, 5, 2.5, max_points=243).levels) == 6
 
 
+def test_witness_search_refuses_a_threshold_log_off_its_threshold():
+    # crossings are decided against log(a)/log(b): it must be the threshold
+    with pytest.raises(ValueError, match="does not match"):
+        witness_search_general_cube(2, 7, 2.69, threshold_log=(19, 3))
+    rep = witness_search_general_cube(2, 7, math.log(19) / math.log(3),
+                                      threshold_log=(19, 3))
+    assert rep.crossed and rep.undecided_levels == []
+
+
+@pytest.mark.parametrize("threshold_log", [(19, 1), (19, 0), (0, 3), (-19, 3)])
+def test_witness_search_refuses_a_degenerate_threshold_log(threshold_log):
+    with pytest.raises(ValueError, match="a >= 1 and b >= 2"):
+        witness_search_general_cube(2, 2, 2.5, threshold_log=threshold_log)
+
+
 @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
 def test_witness_search_rejects_non_finite_threshold(threshold):
     with pytest.raises(ValueError, match="finite"):
@@ -561,6 +632,20 @@ def test_float_threshold_ties_do_not_cross():
     assert verify._crosses(1000, 10, 3.0, None) is False
     assert verify._crosses(1000, 10, 0.0, None) is True
     assert verify._crosses(1000, 10, -1.0, None) is True
+
+
+def test_exact_non_ties_need_no_interval(monkeypatch):
+    # where size^bar is an integer the verdict is one integer comparison
+    def refused(*args):
+        raise AssertionError("decide_le called")
+    monkeypatch.setattr(verify, "decide_le", refused)
+    bar = math.log(19) / math.log(3)
+    for e, crossed in ((19 ** 3 - 1, False), (19 ** 3, False),
+                       (19 ** 3 + 1, True)):
+        assert verify._crosses(e, 27, bar, (19, 3)) is crossed
+    for e, crossed in ((2 ** 5 - 1, False), (2 ** 5, False),
+                       (2 ** 5 + 1, True)):
+        assert verify._crosses(e, 4, 2.5, None) is crossed
 
 
 def test_float_threshold_far_from_the_ratio_is_cheap():
