@@ -405,29 +405,22 @@ def _grid_level(xs: Sequence, sides: Sequence[Callable]) -> Callable:
     return level
 
 
-def _classify_second_differences(xs: List[float], curve: Callable,
-                                 exact: Optional[Dict[float, object]] = None
+def _classify_second_differences(xs: List[float], curve: Callable
                                  ) -> Tuple[List[int], List[int], List[int]]:
     """Indices i in 1..len(xs)-2 whose second difference
     f(xs[i+1]) - 2 f(xs[i]) + f(xs[i-1]) is certified negative, certified
     positive, or still undecided at the precision cap, each in index order.
     ``curve()`` builds f, a function of the point's interval, for one
-    precision level; ``exact`` maps a point to f's exact value there (an
-    int or Fraction), enclosed at each level instead of f.  A level traces
-    f once, compiles it (``_Tape``) and encloses through the
-    fan-out the other points its pending second differences need.
-    ``legendre.certify_psi_shape`` is its caller.
+    precision level.  A level traces f once, compiles it (``_Tape``) and
+    encloses through the fan-out the points its pending second differences
+    need.  ``legendre.certify_psi_shape`` is its caller.
     """
-    exact = exact or {}
-
     def level(pending):
         tape = _Tape()
         f = tape.compile([tape.record(curve())])
         needed = sorted({j for i in pending for j in (i - 1, i, i + 1)})
-        vals = {j: Interval(exact[xs[j]]) for j in needed if xs[j] in exact}
-        traced = [j for j in needed if j not in vals]
-        vals.update(zip(traced, (_lift(v) for v, in _fan_out(
-            lambda j: f(xs[j]), traced))))
+        vals = dict(zip(needed, (_lift(v) for v, in _fan_out(
+            lambda j: f(xs[j]), needed))))
 
         def judge(i):
             lo, hi = (vals[i + 1] - 2 * vals[i] + vals[i - 1])._mpi_

@@ -32,6 +32,11 @@ from .intervals import (Interval, _classify_second_differences, _grid_level,
 EXACT_BITS_CAP = 1 << 21
 
 
+def _check_k(k: int) -> None:
+    if k < 2:
+        raise ValueError("k must be >= 2")
+
+
 @dataclass(frozen=True)
 class ExactAlpha:
     """alpha = k / log2(M) with M = C(2k,k), kept symbolically.
@@ -45,8 +50,7 @@ class ExactAlpha:
                                            repr=False, compare=False)
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ValueError("k must be >= 2")
+        _check_k(self.k)
         if self.central != math.comb(2 * self.k, self.k):
             raise ValueError("central must equal C(2k,k)")
         if self.central.bit_count() == 1:
@@ -117,8 +121,7 @@ class CoeffLinearForm:
 @lru_cache(maxsize=None)
 def coefficient_forms(k: int) -> Tuple[CoeffLinearForm, ...]:
     """All forms C_0..C_2k for one k (cached; the table is reused heavily)."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    _check_k(k)
     w = [math.comb(k, j) ** 2 for j in range(k + 1)]
     forms = []
     for i in range(2 * k + 1):
@@ -299,7 +302,7 @@ class GridCheckReport:
 def _grid_checks(xs: List[float], lo: float, hi: float,
                  inequalities: List[tuple]) -> List[GridCheckReport]:
     """Check inequalities lhs(x) <= rhs(x) at every x of one grid inside
-    [lo, hi], each given as ``(name, k, exact, sides, identity)``.
+    [lo, hi], each given as ``(name, k, exact, sides)``.
 
     ``exact`` maps each boundary equality point to whether its identity
     holds in exact arithmetic; such a point is recorded as an equality, or
@@ -309,21 +312,17 @@ def _grid_checks(xs: List[float], lo: float, hi: float,
     builds one level's constants and returns ``(lhs, rhs)``, functions of
     the point's interval.  Each level compiles the inequalities with
     undecided points into one kernel (``intervals._grid_level``), and a
-    point takes the verdicts of the inequalities still undecided there.  With
-    ``identity`` the two sides are the same real function, so the
-    enclosures overlap at every precision and no point can be decided: the
-    ladder is skipped, and every point but the exact ones is undecided.
+    point takes the verdicts of the inequalities still undecided there.
     """
     if not all(lo <= x <= hi for x in xs):
         raise ValueError("grid must lie in [%r, %r]" % (lo, hi))
 
-    pending = [(c, j)
-               for c, (_, _, exact, _, identity) in enumerate(inequalities)
-               if not identity for j, x in enumerate(xs) if x not in exact]
-    level = _grid_level(xs, [sides for _, _, _, sides, _ in inequalities])
+    pending = [(c, j) for c, (_, _, exact, _) in enumerate(inequalities)
+               for j, x in enumerate(xs) if x not in exact]
+    level = _grid_level(xs, [sides for _, _, _, sides in inequalities])
     verdicts = _settle(pending, level) if pending else {}
     reports = []
-    for c, (name, k, exact, _, _) in enumerate(inequalities):
+    for c, (name, k, exact, _) in enumerate(inequalities):
         report = GridCheckReport(name, k, len(xs))
         for j, x in enumerate(xs):
             holds, gap = verdicts.get((c, j), (None, None))
@@ -363,6 +362,7 @@ def unit_grid(count: int) -> List[float]:
 def check_legendre_inequality(k: int, ts: Optional[List[float]] = None,
                               points: int = 1000) -> GridCheckReport:
     """Q_k(t) <= (((t-1)/2)^(k/p) + ((t+1)/2)^(k/p))^p on a t >= 1 grid."""
+    _check_k(k)
     if ts is None:
         offsets = log_grid(1e-9, 1e6 - 1.0, points - 1)
         ts = [1.0] + [1.0 + u for u in offsets]
@@ -382,12 +382,13 @@ def check_legendre_inequality(k: int, ts: Optional[List[float]] = None,
                                    + ipow((t + one) / two, al), p)
 
     return _grid_checks(ts, 1.0, math.inf, [
-        ("legendre", k, {1.0: legendre_q(k, 1) == 1}, sides, False)])[0]
+        ("legendre", k, {1.0: legendre_q(k, 1) == 1}, sides)])[0]
 
 
 def check_key_inequality(k: int, xs: Optional[List[float]] = None,
                          points: int = 1000) -> GridCheckReport:
     """sum_i C(k,i)^2 x^(i p/k) <= (1+x)^p on an x >= 0 grid."""
+    _check_k(k)
     if xs is None:
         xs = [0.0] + log_grid(1e-6, 1e6, points - 2) + [1.0]
         xs = sorted(set(xs))
@@ -403,11 +404,10 @@ def check_key_inequality(k: int, xs: Optional[List[float]] = None,
                                zip(wiv[1:], ipows(x, expos))), wiv[0]),
                 lambda x: ipow(one + x, p))
 
-    # at x = 0 both sides reduce to 1 exactly; at k = 0, p = log2 C(0, 0)
-    # = 0 and both sides are 1 everywhere
+    # at x = 0 both sides reduce to 1 exactly
     return _grid_checks(xs, 0.0, math.inf, [
-        ("key", k, {0.0: True, 1.0: sum(w) == math.comb(2 * k, k)}, sides,
-         k == 0)])[0]
+        ("key", k, {0.0: True, 1.0: sum(w) == math.comb(2 * k, k)},
+         sides)])[0]
 
 
 def check_goal_inequality(k: int, grid: Optional[List[float]] = None,
@@ -417,6 +417,7 @@ def check_goal_inequality(k: int, grid: Optional[List[float]] = None,
     Equality at a in {0, 1/2, 1}: at the midpoint both sides collapse to
     (2^k + 2)/2^q = 1 exactly since 2^q is 2^k + 2 by definition.
     """
+    _check_k(k)
     goal = _goal_inequality(k)
     if grid is None:
         grid = unit_grid(points)
@@ -424,17 +425,13 @@ def check_goal_inequality(k: int, grid: Optional[List[float]] = None,
 
 
 def _goal_inequality(k: int) -> tuple:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-
     def sides():
         q = _qk_iv(k)
         qk, q2, one, two = q / k, q / 2, Interval(1), Interval(2)
         return (lambda a: (ipow(a, qk) + ipow(one - a, qk)) ** k
                 + two * ipow(a * (one - a), q2), lambda a: one)
 
-    # at k = 1, q = 2 and the left side is (a + (1 - a))^2 = 1
-    return "goal", k, {0.0: True, 0.5: True, 1.0: True}, sides, k == 1
+    return "goal", k, {0.0: True, 0.5: True, 1.0: True}, sides
 
 
 def check_two_point_inequality(k: int, xs: Optional[List[float]] = None,
@@ -445,8 +442,7 @@ def check_two_point_inequality(k: int, xs: Optional[List[float]] = None,
     equality happens at x = 0 and x = y = 1 (where both sides are the exact
     integer 2^k + 2).
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_k(k)
     if xs is None:
         xs = [0.0] + log_grid(1e-3, 1e3, points - 2) + [1.0]
         xs = sorted(set(xs))
@@ -460,11 +456,10 @@ def check_two_point_inequality(k: int, xs: Optional[List[float]] = None,
             return two * xq2 + (xqk + one) ** k
         return lhs, lambda x: ipow(x + one, q)
 
-    # at x = 0 both sides reduce to 1 exactly; at k = 1, q = 2 and the left
-    # side is 2x + x^2 + 1 = (x + 1)^2
+    # at x = 0 both sides reduce to 1 exactly
     return _grid_checks(xs, 0.0, math.inf, [
-        ("two_point", k, {0.0: True, 1.0: 2 + 2 ** k == 2 ** k + 2}, sides,
-         k == 1)])[0]
+        ("two_point", k, {0.0: True, 1.0: 2 + 2 ** k == 2 ** k + 2},
+         sides)])[0]
 
 
 def check_cfil_instance(k: int, grid: Optional[List[float]] = None,
@@ -476,6 +471,7 @@ def check_cfil_instance(k: int, grid: Optional[List[float]] = None,
 
     with equality at a in {0, 1/2, 1}.
     """
+    _check_k(k)
     cfil = _cfil_inequality(k)
     if grid is None:
         grid = unit_grid(points)
@@ -483,9 +479,6 @@ def check_cfil_instance(k: int, grid: Optional[List[float]] = None,
 
 
 def _cfil_inequality(k: int) -> tuple:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-
     def sides():
         p = _qk_iv(k) / k
         half, inv, less = p / 2, 2 / p, p - 1
@@ -499,8 +492,7 @@ def _cfil_inequality(k: int) -> tuple:
             return s * ipow(one + ipow(mu, inv), less)
         return lhs, lambda a: one
 
-    # at k = 1, p = 2 and the left side is a^2 + (1 - a)^2 + 2 a (1 - a) = 1
-    return "cfil", k, {0.0: True, 0.5: True, 1.0: True}, sides, k == 1
+    return "cfil", k, {0.0: True, 0.5: True, 1.0: True}, sides
 
 
 def check_convex_concave(k: int, zs: Optional[List[float]] = None,
@@ -509,12 +501,11 @@ def check_convex_concave(k: int, zs: Optional[List[float]] = None,
     facts the proof uses: equality at both endpoints (checked as exact
     rationals), strict convexity of the left side and strict concavity of
     the right side.  The inequality is checked on zs, by default the unit
-    grid of `points` points, which needs points >= 3.  The shape flags are
-    exact for all of [0, 1]: each side is one power, and the sign of its
-    second derivative is decided by integer comparisons."""
+    grid of `points` points.  The shape flags are exact for all of [0, 1]:
+    each side is one power, and the sign of its second derivative is
+    decided by integer comparisons."""
+    _check_k(k)
     convex_concave = _convex_concave_inequality(k)
-    if points < 3:
-        raise ValueError("points must be >= 3 for the convex/concave grid")
     if zs is None:
         zs = unit_grid(points)
     report = _grid_checks(zs, 0.0, 1.0, [convex_concave])[0]
@@ -523,9 +514,6 @@ def check_convex_concave(k: int, zs: Optional[List[float]] = None,
 
 
 def _convex_concave_inequality(k: int) -> tuple:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-
     def sides():
         q = _qk_iv(k)
         q2, qk, scale, one = q / 2, q - k, Interval(2 ** (k - 1)), Interval(1)
@@ -533,8 +521,8 @@ def _convex_concave_inequality(k: int) -> tuple:
                 lambda z: ipow(one + z, qk))
 
     at_one = 1 + Fraction(1, 2 ** (k - 1)) == Fraction(2 ** k + 2, 2 ** k)
-    # at z = 0 both sides are 1; at k = 1, q = 2 and both sides are 1 + z
-    return "convex_concave", k, {0.0: True, 1.0: at_one}, sides, k == 1
+    # at z = 0 both sides are 1
+    return "convex_concave", k, {0.0: True, 1.0: at_one}, sides
 
 
 def _convex_concave_shape(k: int) -> Dict[str, bool]:
@@ -542,8 +530,7 @@ def _convex_concave_shape(k: int) -> Dict[str, bool]:
     q = log2 m, m = 2^k + 2, on (0, 1]
       lhs'' = (q/2)(q/2 - 1) z^(q/2-2) / 2^(k-1) > 0  iff  q > 2,
       rhs'' = (q-k)(q-k-1) (1+z)^(q-k-2) < 0  iff  k < q < k+1,
-    and 2^q = m turns both into integer comparisons.  At k = 1 both sides
-    are 1 + z, whose f'' is 0, so neither flag holds."""
+    and 2^q = m turns both into integer comparisons."""
     m = 2 ** k + 2
     return {"lhs_convex": m > 4, "rhs_concave": 2 ** k < m < 2 ** (k + 1)}
 
@@ -556,7 +543,7 @@ def check_higher_energy_inequalities(k: int, points: int = 1000) -> Dict[str, Gr
     kernel, which computes 1 - a, log a, log(1 - a) and the powers they
     share once per point.  Each report is the one its own check gives."""
     two_point = check_two_point_inequality(k, points=points)
-    # two_point has refused k < 1 and points < 4 already
+    # two_point has refused k < 2 and points < 4 already
     goal, cfil, convex_concave = _grid_checks(unit_grid(points), 0.0, 1.0, [
         _goal_inequality(k), _cfil_inequality(k),
         _convex_concave_inequality(k)])
@@ -648,6 +635,7 @@ def certify_psi_shape(k: int, samples: int = 512) -> PsiShapeReport:
     Every interior index ends up certified negative, certified positive, or
     undecided at the precision cap; nothing is classified by rounding.
     """
+    _check_k(k)
     if samples < 3:
         raise ValueError("samples must be >= 3 to certify second differences")
     xs = [j / (samples - 1) for j in range(samples)]
@@ -666,10 +654,7 @@ def certify_psi_shape(k: int, samples: int = 512) -> PsiShapeReport:
                         for i, (wi, c1, c0) in enumerate(terms)), zero)
         return psi_at
 
-    # psi_k(0) = 0: every power of x vanishes there (at k = 1 one exponent
-    # is p - 1 = 0, which the zero base of ipows refuses)
-    negative, positive, undecided = _classify_second_differences(
-        xs, curve, {0.0: 0})
+    negative, positive, undecided = _classify_second_differences(xs, curve)
     return PsiShapeReport(k, samples, len(negative),
                           [(i, xs[i]) for i in positive], undecided)
 

@@ -115,13 +115,20 @@ class ExponentTarget:
 def _exact_power(c: int, bar, bits: Optional[int] = None) -> Optional[int]:
     """c^x for an integer c >= 1 where this rule finds it an integer, else None.
 
-    bar is a log pair (a, b), with x = log(a)/log(b), or the exact Fraction
-    num/den of a float exponent.  For a log pair c^x is the integer a^t when
-    c = b^t, and the rule looks no further; for num/den in lowest terms with
-    num >= 0, c^x is an integer exactly when c = r^den, and it is then r^num.
-    With bits given, a power that must have more than bits bits is not
-    computed: None.
+    bar is a log pair (a, b), x = log(a)/log(b), or the exact Fraction num/den
+    of a float exponent.  A pair of powers g^u and g^v (u, v >= 1) of one
+    integer is the Fraction u/v; for any other pair c^x is the integer a^t
+    when c = b^t, and the rule looks no further.  For num/den in lowest
+    terms with num >= 0, c^x is an integer exactly when c = r^den: r^num.
+    With bits given, a power that must have more than bits bits is None.
     """
+    if not isinstance(bar, Fraction) and math.gcd(*bar) > 1:
+        a, b = bar
+        # g | gcd(a, b) and v < b.bit_length(); ints check the float's u/v
+        x = Fraction(math.log(a) / math.log(b)).limit_denominator(
+            b.bit_length())
+        if a ** x.denominator == b ** x.numerator:
+            bar = x
     if isinstance(bar, Fraction):
         base, t = _nth_root_floor(c, bar.denominator), bar.numerator
         if t < 0 or base ** bar.denominator != c:

@@ -274,15 +274,24 @@ def test_convex_concave_grid_check():
 
 
 @pytest.mark.parametrize("points", [1, 2])
-def test_convex_concave_needs_an_interior_point(points, monkeypatch):
-    # with fewer than three grid points there is no second difference, so
-    # no shape flag may be reported as certified; the check refuses at once
-    def no_work(*args, **kwargs):
-        raise AssertionError("grid check ran")
+def test_convex_concave_needs_an_interior_point(points):
+    # the shape flags are closed forms, not second differences on the grid
+    # of `points` points, so a given zs takes any count
+    rep = check_convex_concave(3, zs=[0.25], points=points)
+    assert dumps_canonical(rep.to_dict()) == \
+        dumps_canonical(check_convex_concave(3, zs=[0.25]).to_dict())
+    assert rep.ok and rep.points == 1
+    assert rep.shape_flags == {"lhs_convex": True, "rhs_concave": True}
 
-    monkeypatch.setattr(legendre, "_grid_checks", no_work)
-    with pytest.raises(ValueError):
-        check_convex_concave(3, zs=[0.25], points=points)
+
+def _refuses_k_before_any_work(check, k, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("grid, ladder or kernel work ran")
+
+    for name in ("_grid_checks", "_settle", "_classify_second_differences"):
+        monkeypatch.setattr(legendre, name, no_work)
+    with pytest.raises(ValueError, match="^k must be >= 2$"):
+        check(k)
 
 
 @pytest.mark.parametrize("check", [
@@ -294,79 +303,25 @@ def test_convex_concave_needs_an_interior_point(points, monkeypatch):
 ])
 @pytest.mark.parametrize("k", [0, -1])
 def test_higher_energy_checks_refuse_k_below_one(check, k, monkeypatch):
-    # q/k < 0 below k = 1, so 0^(q/k) is infinite and no boundary identity
-    # holds; the checks refuse at once instead of certifying equalities
-    def no_work(*args, **kwargs):
-        raise AssertionError("grid check ran")
-
-    monkeypatch.setattr(legendre, "_grid_checks", no_work)
-    with pytest.raises(ValueError, match="k must be >= 1"):
-        check(k)
+    _refuses_k_before_any_work(check, k, monkeypatch)
 
 
-# frozen output at k = 1, where q = 2 and each inequality is an identity:
-# an identity grid skips the precision ladder, so every point off the
-# boundary equalities is reported undecided at once; the grids stay as
-# short as when each such point still climbed the ladder to its cap
-K1_REPORT_DIGESTS = {
-    "goal":
-        "f3e79ceb76dff4087b9301538ac46302704ee26b0033c88b8afd3b10a4c6bb63",
-    "two_point":
-        "72f1eff151aa8561e35192fd1d72c3e07748e6093f8611375d8e0195064b465c",
-    "cfil":
-        "bdfcca0c4fcbdad7887a556992b3b35f1e9ae4dc7eaafb72e2fc5f37126bf8db",
-    "convex_concave":
-        "babde9792cc49bda15d9a0f0b11df4f3998f8d22799d7d4db89fe52d1c5ed950",
-}
-
-
-def test_higher_energy_checks_keep_their_k1_reports():
-    reports = {
-        "goal": check_goal_inequality(1, grid=[0.0, 0.25, 0.5, 1.0]),
-        "two_point": check_two_point_inequality(1, xs=[0.0, 1.0, 2.0]),
-        "cfil": check_cfil_instance(1, grid=[0.0, 0.25, 0.5, 1.0]),
-        "convex_concave": check_convex_concave(1, zs=[0.0, 0.5, 1.0],
-                                               points=3),
-    }
-    assert {name: _digest(rep.to_dict()) for name, rep in reports.items()} \
-        == K1_REPORT_DIGESTS
-    assert not any(rep.ok for rep in reports.values())
-
-
-# frozen output of the default 200-point grids where each check is an
-# identity (k = 1, where q = 2, and k = 0 for the key inequality): every
-# point off the boundary equalities is undecided, without a ladder.  Climbing
-# the ladder there took 26 to 71 s a check and ended at the precision cap,
-# where mpmath's exp rounds some enclosures the wrong way: goal and
-# convex_concave certified failures at 1e-9 and 1 - 1e-9 and cfil a margin
-# of 0.0 at 1e-9; those five points are undecided here, and the rest of
-# each report is the ladder's
-K1_GRID_DIGESTS = {
-    "two_point":
-        "2f55be1ed4e8004d90e3e94ce01a9c7befc655fc94a09520c050dbc38f94b836",
-    "goal":
-        "976b6ac7779d3f3f057751a9bcedaf42f82396a283e6939141b96dd47079ed75",
-    "cfil":
-        "b6d06e72a6329fef85c00038d79209e97aeb7dcfbd02a1fedcba290213eaaa65",
-    "convex_concave":
-        "d05947c9f29a92470d64bf5e5dec95155cf7aeacafb7a46da22a6e4522c13152",
-    "key":
-        "93e5da702c76d1919a7235c0260208e096168bb0c2a269036953b7cc80b8e229",
-}
-
-
-def test_identity_grids_are_undecided_without_the_ladder(monkeypatch):
-    def no_ladder(*args):
-        raise AssertionError("the ladder ran")
-
-    monkeypatch.setattr(legendre, "_settle", no_ladder)
-    reports = check_higher_energy_inequalities(1, points=200)
-    reports["key"] = check_key_inequality(0, points=200)
-    assert {name: _digest(rep.to_dict()) for name, rep in reports.items()} \
-        == K1_GRID_DIGESTS
-    for rep in reports.values():
-        assert not rep.failures and rep.min_margin is None
-        assert len(rep.undecided) + len(rep.equalities) == rep.points
+@pytest.mark.parametrize("check, k", [
+    (check, 1) for check in (
+        check_legendre_inequality, check_key_inequality,
+        check_goal_inequality, check_two_point_inequality,
+        check_cfil_instance, check_convex_concave,
+        check_higher_energy_inequalities, certify_psi_shape)
+] + [
+    # the higher-energy checks below k = 1 are the test above's
+    (check, k) for check in (check_legendre_inequality, check_key_inequality,
+                             certify_psi_shape) for k in (0, -1)
+])
+def test_grid_checks_refuse_k_below_two(check, k, monkeypatch):
+    # the bounds are proven for k >= 2, the domain of every energy, target
+    # and sign certificate; at k = 1 each inequality is an identity, where a
+    # grid could report nothing but undecided points
+    _refuses_k_before_any_work(check, k, monkeypatch)
 
 
 def test_higher_energy_inequality_bundle():
@@ -473,7 +428,7 @@ def test_grid_check_matches_a_per_point_ladder(rungs):
     def sides():
         return (lambda x: x), (lambda x: x + (x - 6) ** 31)
 
-    [rep] = _grid_checks(xs, 0.0, 9.0, [("synthetic", 2, exact, sides, False)])
+    [rep] = _grid_checks(xs, 0.0, 9.0, [("synthetic", 2, exact, sides)])
     assert rungs == _ladder()
     want = _per_point_report("synthetic", 2, xs, exact, sides)
     assert [f["x"] for f in rep.failures] == [6 - 2 ** -20, 5.5, 7.0]
@@ -568,11 +523,10 @@ def _shape_flags_by_second_differences(k, points):
     """The shape flags certified from the interval second differences of
     each side on the uniform grid of `points` points over [0, 1]."""
     uniform = [j / (points - 1) for j in range(points)]
-    ends = {0.0: Fraction(1), 1.0: Fraction(2 ** k + 2, 2 ** k)}
 
     def certified(side, expect_positive):
         negative, positive, undecided = _classify_second_differences(
-            uniform, lambda: _oracle_sides(k)[side], ends)
+            uniform, lambda: _oracle_sides(k)[side])
         return not (negative if expect_positive else positive) \
             and not undecided
 
@@ -587,7 +541,7 @@ def _convex_concave_unshared(k, zs, points):
     report = _grid_checks(zs, 0.0, 1.0, [
         ("convex_concave", k,
          {0.0: True, 1.0: 1 + Fraction(1, 2 ** (k - 1)) == half},
-         lambda: _oracle_sides(k), False)])[0]
+         lambda: _oracle_sides(k))])[0]
     report.shape_flags.update(_shape_flags_by_second_differences(k, points))
     return report
 
@@ -610,15 +564,12 @@ def test_shared_enclosures_match_an_unshared_oracle(rungs, monkeypatch):
 @pytest.mark.parametrize("points", [3, 33, 200])
 def test_shape_flags_match_second_differences(points, monkeypatch):
     # the closed-form signs of f'' against the interval second differences
-    # on the uniform grid.  At k = 1 both sides are 1 + z, whose second
-    # differences are 0 and stay undecided at any precision, so neither
-    # flag holds either way; a ladder past one rung would only add time
-    # there, and for k >= 2 the first rung must already settle every sign
+    # on the uniform grid, whose first rung must already settle every sign
     monkeypatch.setattr(intervals, "PREC_CAP", intervals.PREC_START)
-    for k in range(1, 13):
+    for k in range(2, 13):
         got = check_convex_concave(k, zs=[0.5], points=points).shape_flags
         assert got == _shape_flags_by_second_differences(k, points), k
-        assert got == {"lhs_convex": k > 1, "rhs_concave": k > 1}, k
+        assert got == {"lhs_convex": True, "rhs_concave": True}, k
 
 
 # frozen while the shape flags came from second differences on a uniform
@@ -713,6 +664,7 @@ def test_shape_flags_classify_no_second_differences(workers, monkeypatch):
     (check_legendre_inequality, 2, 1),
     (check_key_inequality, 3, 1),
     (check_two_point_inequality, 3, 1),
+    (check_convex_concave, 1, 1),
 ])
 def test_grid_builders_name_a_bad_count(check, points, count):
     with pytest.raises(ValueError, match="count >= 2, got %d" % count):
@@ -802,12 +754,11 @@ def _traced_functions(monkeypatch, k):
     captured = []
 
     def capture(xs, lo, hi, inequalities):
-        captured.extend((name, sides)
-                        for name, _, _, sides, _ in inequalities)
+        captured.extend((name, sides) for name, _, _, sides in inequalities)
         return [GridCheckReport(name, k, len(xs))
-                for name, k, _, _, _ in inequalities]
+                for name, k, _, _ in inequalities]
 
-    def capture_curve(xs, curve, exact=None):
+    def capture_curve(xs, curve):
         captured.append(("psi", curve))
         return [], [], []
 
@@ -885,8 +836,7 @@ def test_grid_checks_climb_like_a_per_point_interval_ladder(name, rungs,
     monkeypatch.setattr(legendre, "_grid_checks", capture)
     got = GRID_CHECKS[name](3, points=33)
     assert rungs == [12, 24]
-    (xs, [(_, k, exact, sides, identity)]), = seen
-    assert not identity
+    (xs, [(_, k, exact, sides)]), = seen
     want = _per_point_report(name, k, xs, exact, sides)
     want.shape_flags = got.shape_flags
     assert dumps_canonical(got.to_dict()) == dumps_canonical(want.to_dict())

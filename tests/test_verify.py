@@ -634,6 +634,17 @@ def test_float_threshold_ties_do_not_cross():
     assert verify._crosses(1000, 10, -1.0, None) is True
 
 
+def test_log_pairs_of_powers_of_one_integer_are_exact():
+    # log 4 / log 2 is 2 and log 8 / log 4 is 3/2: such a pair is its
+    # rational exponent, so these powers are integers and these ties exact
+    t = ExponentTarget(EnergyKind.ADDITIVE, 2, 2.0, 4)
+    assert energy_threshold(t, 3) == (9, True)
+    assert energy_threshold(t, 5) == (25, True)
+    for e, size, bar, pair in ((4, 2, 2.0, (9, 3)), (27, 9, 1.5, (8, 4))):
+        assert verify._crosses(e, size, bar, pair) is False
+        assert verify._crosses(e + 1, size, bar, pair) is True
+
+
 def test_exact_non_ties_need_no_interval(monkeypatch):
     # where size^bar is an integer the verdict is one integer comparison
     def refused(*args):
