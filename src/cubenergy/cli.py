@@ -255,7 +255,7 @@ def _run_verify(args) -> Tuple[dict, int, Optional[tuple]]:
     if args.exponent is None:
         target = ExponentTarget.sharp(EnergyKind(args.kind), args.k)
     else:
-        target = ExponentTarget.custom(EnergyKind(args.kind), args.k, args.exponent)
+        target = ExponentTarget(EnergyKind(args.kind), args.k, args.exponent)
     report = sweep_cube(n, d, target, sample=args.sample, seed=args.seed)
     return report.to_dict(), 0 if report.ok else 1, None
 
@@ -292,13 +292,9 @@ def _run_extension(args) -> Tuple[dict, int, Optional[tuple]]:
 
 
 def _run_witness(args) -> Tuple[dict, int, Optional[tuple]]:
-    threshold = args.threshold
-    threshold_log = None
-    if threshold is None:
-        # default bar: the full-alphabet exponent log_3 19, held exactly so
-        # the trivial whole-cube level can never cross by rounding
-        threshold = math.log(19) / math.log(3)
-        threshold_log = (19, 3)
+    # default bar: the full-alphabet exponent log_3 19, held exactly so the
+    # trivial whole-cube level can never cross by rounding
+    bar = (19, 3) if args.threshold is None else args.threshold
     # the cube is largest at d_max: refuse an over-budget run before any search
     points = (args.n + 1) ** args.d_max
     if points > args.max_points:
@@ -306,9 +302,8 @@ def _run_witness(args) -> Tuple[dict, int, Optional[tuple]]:
     reports = []
     crossing_d = None
     for d in range(1, args.d_max + 1):
-        rep = witness_search_general_cube(args.n, d, threshold, k=args.k,
-                                          max_points=args.max_points,
-                                          threshold_log=threshold_log)
+        rep = witness_search_general_cube(args.n, d, bar, k=args.k,
+                                          max_points=args.max_points)
         reports.append(rep.to_dict())
         if rep.crossed and crossing_d is None:
             crossing_d = d
@@ -317,7 +312,7 @@ def _run_witness(args) -> Tuple[dict, int, Optional[tuple]]:
     result = {
         "n": args.n,
         "k": args.k,
-        "threshold": threshold,
+        "threshold": reports[0]["threshold"],
         "per_dimension": reports,
         "best_ratio": best,
         "crossed": crossing_d is not None,

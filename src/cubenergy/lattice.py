@@ -11,6 +11,7 @@ the public tuple-keyed API; nothing else in src/ calls them.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -346,11 +347,12 @@ class WeightFn:
         clean = {}
         for p, v in self.entries.items():
             _check_point(p, self.dim)
-            v = Fraction(v) if self.exact else float(v)
-            if v < 0:
-                raise ValueError("weights must be nonnegative, got %r" % (v,))
+            # Fraction() raises its own errors on NaN and the infinities
+            v = Fraction(v) if self.exact and not isinstance(v, float) else float(v)
+            if not 0 <= v < math.inf:
+                raise ValueError("weights must be finite and nonnegative, got %r" % (v,))
             if v != 0:
-                clean[p] = v
+                clean[p] = Fraction(v) if self.exact else v
         object.__setattr__(self, "entries", clean)
 
     @classmethod

@@ -565,8 +565,10 @@ def _float_qk(k: int) -> float:
 
 
 def curve_data(which: str, k: int, samples: int) -> List[Tuple[float, float]]:
-    """Sampled (x, value) rows on [0,1] for the ratio curve (phi), its
-    critical-point curve (psi), or the goal-inequality left side (goal)."""
+    """Sampled (x, value) rows on [0,1], k >= 1, for the ratio curve (phi),
+    its critical-point curve (psi), or the goal-inequality left side (goal)."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if samples < 2:
         raise ValueError("samples must be >= 2")
     if which not in ("phi", "psi", "goal"):

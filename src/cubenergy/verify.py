@@ -3,10 +3,10 @@
 Every comparison of an exact energy E with |A|^x, a sweep's threshold or a
 witness search's crossing, first asks one exactness rule (_exact_power)
 whether |A|^x is an integer; there it is exact integer arithmetic, equality
-included.  The rest is certified: a threshold by an integer root or by an
-interval floor that escalates precision until it excludes every integer, a
-crossing by comparing logarithms.  No verdict ever comes from bare floating
-point.
+included.  The rest is certified against one enclosure of the exact bar x
+(_bar_interval): a threshold by an interval floor that escalates precision
+until it excludes every integer, a crossing by comparing logarithms.  No
+verdict ever comes from bare floating point.
 
 Both energies are invariant under the symmetries of the cube {0..n}^d, so
 every exhaustive sweep computes one energy per orbit of its symmetry group
@@ -40,7 +40,7 @@ from .energy import (MAX_ORBIT_POINTS, EnergyKind, EnergyValue,
                      key_multiplier, level_set_energies, orbit_energies,
                      subset_energies)
 from .errors import BudgetExceeded, PrecisionExhausted
-from .intervals import Interval, certified_floor, decide_le, log2_interval
+from .intervals import Interval, certified_floor, decide_le
 from .lattice import PointSet, pack_points
 
 # a sampled sweep's sets hold about half the cube's points each
@@ -107,10 +107,6 @@ class ExponentTarget:
                 raise AssertionError("higher exponent must sit in (k, k+1)")
         return cls(kind, k, math.log2(m), m)
 
-    @classmethod
-    def custom(cls, kind: EnergyKind, k: int, exponent: float) -> "ExponentTarget":
-        return cls(kind, k, exponent)
-
 
 def _exact_power(c: int, bar, bits: Optional[int] = None) -> Optional[int]:
     """c^x for an integer c >= 1 where this rule finds it an integer, else None.
@@ -147,13 +143,20 @@ def _exact_power(c: int, bar, bits: Optional[int] = None) -> Optional[int]:
     return base ** t
 
 
+def _bar_interval(bar):
+    """The enclosure of a bar: a Fraction, or log(a)/log(b) for a pair."""
+    if isinstance(bar, Fraction):
+        return Interval(bar)
+    a, b = bar
+    return iv.log(Interval(a)) / iv.log(Interval(b))
+
+
 def energy_threshold(target: ExponentTarget, c: int) -> Tuple[int, bool]:
     """(floor(c^exponent), equality_possible) for a set of size c.
 
     equality_possible marks an exact power (_exact_power), where the
     threshold is c^exponent itself and E == threshold is a true equality
-    case.  Otherwise the power is not an integer: a dyadic exponent with a
-    small numerator takes the integer root of c^num, anything else one
+    case.  Otherwise the power is not an integer, and its floor is one
     certified interval floor.
     """
     if c < 0:
@@ -165,10 +168,8 @@ def energy_threshold(target: ExponentTarget, c: int) -> Tuple[int, bool]:
     exact = _exact_power(c, bar)
     if exact is not None:
         return exact, True
-    if m is None and bar.numerator * c.bit_length() <= 1 << 14:
-        return _nth_root_floor(c ** bar.numerator, bar.denominator), False
-    return certified_floor(lambda: iv.exp(iv.log(Interval(c)) * (
-        Interval(target.exponent) if m is None else log2_interval(m)))), False
+    return certified_floor(lambda: iv.exp(
+        iv.log(Interval(c)) * _bar_interval(bar))), False
 
 
 @dataclass(frozen=True)
@@ -407,67 +408,57 @@ class WitnessSearchReport:
         }
 
 
-def _crosses(energy_val: int, size: int, threshold: float,
-             threshold_log: Optional[Tuple[int, int]]) -> Optional[bool]:
-    """Does log(energy)/log(size) strictly exceed the threshold?
+def _crosses(energy_val: int, size: int, bar) -> Optional[bool]:
+    """Does log(energy)/log(size) strictly exceed the bar, a log pair (a, b)
+    meaning log(a)/log(b) or the exact Fraction of a float threshold?
 
-    With threshold_log = (a, b) the bar is the exact number log(a)/log(b);
-    without it, the bar is the float threshold's exact value num/den.  One
-    exactness rule comes first: where size^bar is an integer
-    (_exact_power), the verdict is the integer comparison energy > size^bar,
-    a tie included.  Only the rest is decided by interval arithmetic on the
-    logarithms, which returns None when it hits its precision cap (reported,
-    never guessed).
+    Where size^bar is an integer (_exact_power), the verdict is the integer
+    comparison energy > size^bar, a tie included.  Only the rest is decided
+    by interval arithmetic, bar * log(size) < log(energy), which returns None
+    at its precision cap (reported, never guessed).
     """
     if size < 2:
         return False
-    bar = Fraction(threshold) if threshold_log is None else threshold_log
     exact = _exact_power(size, bar, energy_val.bit_length() + 1)
     if exact is not None:
         return energy_val > exact
-    if threshold_log is None:
-        num, den = bar.numerator, bar.denominator
-        sides = (lambda: num * log2_interval(size),
-                 lambda: den * log2_interval(energy_val))
-    else:
-        a, b = threshold_log
-        sides = (lambda: log2_interval(a) * log2_interval(size),
-                 lambda: log2_interval(energy_val) * log2_interval(b))
     try:
-        less, _ = decide_le(*sides)
+        less, _ = decide_le(
+            lambda: _bar_interval(bar) * iv.log(Interval(size)),
+            lambda: iv.log(Interval(energy_val)))
     except PrecisionExhausted:
         return None
     return less
 
 
-def witness_search_general_cube(n: int, d: int, threshold: float,
-                                k: int = 2, max_points: int = 100_000,
-                                threshold_log: Optional[Tuple[int, int]] = None
+def witness_search_general_cube(n: int, d: int, bar, k: int = 2,
+                                max_points: int = 100_000
                                 ) -> WitnessSearchReport:
     """Search the superlevel sets of the tensor-power weight w^(x d) on
     {0..n}^d, where w puts weight 1 on the middle letter(s) and 1/2 on the
     rest; level t collects points with at most t non-middle coordinates.
     Reports exact energies, from the generating-function engine
-    level_set_energies, and the best log-ratio against the threshold.
+    level_set_energies, and the best log-ratio against the bar.
 
     max_points is only a cube-size limit: a cube {0..n}^d with more points
-    is refused, although no cube is built.  threshold_log = (a, b) declares
-    the threshold to be log(a)/log(b) exactly; crossings are then certified
-    instead of compared in floats, so a level whose ratio equals the bar
-    exactly (the full cube) never counts; it needs a >= 1, b >= 2 and
-    log(a)/log(b) within 1e-12 of threshold.  A NaN or infinite threshold is
-    rejected: it could never cross, or would always cross.
+    is refused, although no cube is built.  The bar is a float threshold at
+    its exact value, or a log pair (a, b) of ints, a >= 1 and b >= 2, the
+    threshold log(a)/log(b) exactly, reported as math.log(a) / math.log(b).
+    Crossings are certified, so a level whose ratio equals the bar (the full
+    cube against (E({0..n}), n + 1)) never counts.  A NaN or infinite
+    threshold is rejected: it could never cross, or would always cross.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    if not math.isfinite(threshold):
-        raise ValueError("threshold must be finite, got %r" % (threshold,))
-    if threshold_log is not None:
-        a, b = threshold_log
+    if isinstance(bar, tuple):
+        a, b = bar
         if a < 1 or b < 2:
-            raise ValueError("threshold_log needs a >= 1 and b >= 2")
-        if abs(math.log(a) / math.log(b) - threshold) > 1e-12:
-            raise ValueError("threshold does not match log(a)/log(b) of threshold_log")
+            raise ValueError("a log pair bar needs a >= 1 and b >= 2")
+        threshold = math.log(a) / math.log(b)
+    elif not math.isfinite(bar):
+        raise ValueError("threshold must be finite, got %r" % (bar,))
+    else:
+        threshold, bar = bar, Fraction(bar)
     if (n + 1) ** d > max_points:
         raise BudgetExceeded("cube with %d points refused" % ((n + 1) ** d))
     n_mid = len({n // 2, (n + 1) // 2})     # two middle letters for odd n
@@ -487,7 +478,7 @@ def witness_search_general_cube(n: int, d: int, threshold: float,
         if ratio is not None and (best_ratio is None or ratio > best_ratio):
             best_ratio = ratio
             best_level = t
-        verdict = _crosses(e, size, threshold, threshold_log)
+        verdict = _crosses(e, size, bar)
         if verdict is None:
             undecided.append(t)
         elif verdict:

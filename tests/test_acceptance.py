@@ -247,10 +247,9 @@ def test_criterion_13_dyadic_invariants():
 
 def test_criterion_14_witness_search():
     def body():
-        bar = math.log(19) / math.log(3)
         crossing_d = None
         for d in range(1, 9):
-            rep = witness_search_general_cube(2, d, bar, threshold_log=(19, 3))
+            rep = witness_search_general_cube(2, d, (19, 3))
             assert rep.undecided_levels == [], d
             if rep.crossed and crossing_d is None:
                 crossing_d = d

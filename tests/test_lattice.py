@@ -1,5 +1,6 @@
 """Point sets, counting measures, the convolution kernel, and parsers."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -320,6 +321,13 @@ def test_weightfn_validation_and_exactness():
     assert not wf.exact
     with pytest.raises(ValueError):
         WeightFn.from_pairs([((0,), -1)])
+    # NaN and the infinities are refused whether the weight is exact or not
+    for bad in (math.nan, math.inf, -math.inf):
+        for exact in (False, True):
+            with pytest.raises(ValueError, match="nonnegative"):
+                WeightFn(1, {(0,): bad, (1,): 1.0}, exact)
+        with pytest.raises(ValueError, match="nonnegative"):
+            WeightFn.from_pairs([((0,), 0.5), ((1,), bad)])
 
 
 def test_weightfn_drops_zeros_scale_tensor():

@@ -710,6 +710,16 @@ def test_curve_data_rejects_unknown():
         curve_data("nope", 3, 16)
 
 
+@pytest.mark.parametrize("which", ["phi", "psi", "goal"])
+def test_curve_data_refuses_k_below_one(which):
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            curve_data(which, k, 16)
+    # at k = 1 each curve is the constant 1, sampled without rounding
+    rows = curve_data(which, 1, 65)
+    assert rows == [(j / 64, 1.0) for j in range(65)]
+
+
 def test_psi_shape_certification():
     rep3 = certify_psi_shape(3, samples=128)
     assert rep3.concave_certified

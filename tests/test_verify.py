@@ -32,18 +32,18 @@ def test_sharp_exponents():
     assert abs(t.exponent - math.log2(6)) < 1e-15
     t3 = ExponentTarget.sharp(EnergyKind.HIGHER, 3)
     assert abs(t3.exponent - math.log2(10)) < 1e-15
-    c = ExponentTarget.custom(EnergyKind.ADDITIVE, 2, 1.5)
+    c = ExponentTarget(EnergyKind.ADDITIVE, 2, 1.5)
     assert c.exponent == 1.5
 
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_custom_exponent_range(k):
     # every set meets |A|^(2k-1), so 2k - 1 is the largest informative target
-    top = ExponentTarget.custom(EnergyKind.ADDITIVE, k, 2 * k - 1)
+    top = ExponentTarget(EnergyKind.ADDITIVE, k, 2 * k - 1)
     assert sweep_cube(1, 2, top).ok
     for bad in (math.inf, math.nan, 2 * k - 1 + 0.5, 0.0, -1.0):
         with pytest.raises(ValueError):
-            ExponentTarget.custom(EnergyKind.ADDITIVE, k, bad)
+            ExponentTarget(EnergyKind.ADDITIVE, k, bad)
 
 
 def test_sharp_rejects_bad_k():
@@ -80,31 +80,26 @@ def test_energy_threshold_frozen_log2_floors():
 
 
 def test_energy_threshold_custom_exponent():
-    t = ExponentTarget.custom(EnergyKind.ADDITIVE, 2, 1.5)
+    t = ExponentTarget(EnergyKind.ADDITIVE, 2, 1.5)
     assert energy_threshold(t, 4) == (8, True)
     assert energy_threshold(t, 5) == (11, False)
 
 
 def test_energy_threshold_at_a_tiny_exponent_is_one():
-    # a Fraction numerator of 1 over 2^60 or 2^1074 takes the exact-root
-    # branch; c^x is just above 1, so the root there is 1 and not exact
+    # x is 1/2^60 or 1/2^1074: c^x is just above 1, so its certified floor
+    # is 1 and not exact
     for x in (2.0 ** -60, 5e-324):
-        t = ExponentTarget.custom(EnergyKind.ADDITIVE, 2, x)
+        t = ExponentTarget(EnergyKind.ADDITIVE, 2, x)
         for c in range(2, 17):
             assert energy_threshold(t, c) == (1, False), (x, c)
 
 
 @pytest.mark.parametrize("x", [2.5, 1.5, 0.75])
-def test_energy_threshold_of_a_dyadic_exponent_needs_no_interval(monkeypatch,
-                                                                  x):
-    # x = num/den with a small numerator: floor(c^x) is the integer den-th
-    # root of c^num whether or not it is exact, so no certified floor is
-    # computed for it
-    def refused(*args):
-        raise AssertionError("certified_floor called")
-    monkeypatch.setattr(verify, "certified_floor", refused)
+def test_energy_threshold_of_a_dyadic_exponent_is_its_integer_root(x):
+    # x = num/den: floor(c^x) is the integer den-th root of c^num, exact
+    # just where that root is
     num, den = Fraction(x).numerator, Fraction(x).denominator
-    t = ExponentTarget.custom(EnergyKind.ADDITIVE, 2, x)
+    t = ExponentTarget(EnergyKind.ADDITIVE, 2, x)
     for c in range(2, 65):
         r, exact = energy_threshold(t, c)
         assert r ** den <= c ** num < (r + 1) ** den, (x, c)
@@ -272,10 +267,10 @@ def test_sweep_reports_do_not_depend_on_walk_order(monkeypatch):
                  for rep, c, e, members in orbits(packed, k, kind, symmetries)]
         return reversed(steps)
 
-    jobs = [(1, 3, ExponentTarget.custom(EnergyKind.ADDITIVE, 2, 2.3)),
+    jobs = [(1, 3, ExponentTarget(EnergyKind.ADDITIVE, 2, 2.3)),
             (1, 3, ExponentTarget.sharp(EnergyKind.HIGHER, 2)),
-            (2, 2, ExponentTarget.custom(EnergyKind.ADDITIVE, 3, 3.9)),
-            (7, 1, ExponentTarget.custom(EnergyKind.ADDITIVE, 2, 2.2))]
+            (2, 2, ExponentTarget(EnergyKind.ADDITIVE, 3, 3.9)),
+            (7, 1, ExponentTarget(EnergyKind.ADDITIVE, 2, 2.2))]
     want = [sweep_cube(n, d, t) for n, d, t in jobs]
     eq = [equality_witnesses(d, 2, kind, n)
           for d, n in [(3, 1), (1, 3)] for kind in EnergyKind]
@@ -320,9 +315,9 @@ def _sweep_mask_by_mask(n, d, target):
 @pytest.mark.parametrize("n, d, target", [
     (1, 2, ExponentTarget.sharp(EnergyKind.ADDITIVE, 2)),
     (1, 3, ExponentTarget.sharp(EnergyKind.HIGHER, 3)),
-    (1, 3, ExponentTarget.custom(EnergyKind.ADDITIVE, 2, 2.3)),
-    (2, 2, ExponentTarget.custom(EnergyKind.ADDITIVE, 3, 3.9)),
-    (2, 2, ExponentTarget.custom(EnergyKind.HIGHER, 2, 2.5)),
+    (1, 3, ExponentTarget(EnergyKind.ADDITIVE, 2, 2.3)),
+    (2, 2, ExponentTarget(EnergyKind.ADDITIVE, 3, 3.9)),
+    (2, 2, ExponentTarget(EnergyKind.HIGHER, 2, 2.5)),
     (3, 2, ExponentTarget.sharp(EnergyKind.ADDITIVE, 2)),
     (3, 2, ExponentTarget.sharp(EnergyKind.HIGHER, 2)),
 ])
@@ -508,7 +503,7 @@ def test_witness_search_validates_n():
 
 def test_witness_search_single_axis():
     bar = math.log(19) / math.log(3)
-    rep = witness_search_general_cube(2, 1, bar, threshold_log=(19, 3))
+    rep = witness_search_general_cube(2, 1, (19, 3))
     assert [l.size for l in rep.levels] == [1, 3]
     assert rep.levels[1].energy == 19
     assert rep.best_ratio == pytest.approx(bar, abs=1e-15)
@@ -520,15 +515,14 @@ def test_witness_search_single_axis():
 def test_witness_search_low_dimensions_do_not_cross():
     bar = math.log(19) / math.log(3)
     for d in (2, 3, 4):
-        rep = witness_search_general_cube(2, d, bar, threshold_log=(19, 3))
+        rep = witness_search_general_cube(2, d, (19, 3))
         assert not rep.crossed, d
         assert rep.undecided_levels == []
         assert rep.best_ratio <= bar + 1e-12
 
 
 def test_witness_search_level_records_are_exact():
-    rep = witness_search_general_cube(2, 3, math.log(19) / math.log(3),
-                                      threshold_log=(19, 3))
+    rep = witness_search_general_cube(2, 3, (19, 3))
     for rec in rep.levels:
         assert rec.size >= 1 and rec.energy >= rec.size ** 2
         if rec.size >= 2:
@@ -559,14 +553,12 @@ def test_witness_search_builds_no_cube(monkeypatch):
                  "packed_subset_energy"):
         monkeypatch.setattr(energy_module, name, refuse)
     assert not hasattr(verify, "energy")
-    rep = witness_search_general_cube(2, 6, math.log(19) / math.log(3),
-                                      threshold_log=(19, 3))
+    rep = witness_search_general_cube(2, 6, (19, 3))
     assert rep.levels[-1].size == 3 ** 6 and rep.levels[-1].energy == 19 ** 6
 
 
 def test_witness_search_reaches_dimension_12():
-    rep = witness_search_general_cube(2, 12, math.log(19) / math.log(3),
-                                      max_points=3 ** 12, threshold_log=(19, 3))
+    rep = witness_search_general_cube(2, 12, (19, 3), max_points=3 ** 12)
     assert rep.best_level == 9
     assert rep.best_ratio == 2.6831306869738154
     assert rep.crossed
@@ -579,19 +571,10 @@ def test_witness_search_budget_is_a_cube_size_limit():
     assert len(witness_search_general_cube(2, 5, 2.5, max_points=243).levels) == 6
 
 
-def test_witness_search_refuses_a_threshold_log_off_its_threshold():
-    # crossings are decided against log(a)/log(b): it must be the threshold
-    with pytest.raises(ValueError, match="does not match"):
-        witness_search_general_cube(2, 7, 2.69, threshold_log=(19, 3))
-    rep = witness_search_general_cube(2, 7, math.log(19) / math.log(3),
-                                      threshold_log=(19, 3))
-    assert rep.crossed and rep.undecided_levels == []
-
-
 @pytest.mark.parametrize("threshold_log", [(19, 1), (19, 0), (0, 3), (-19, 3)])
 def test_witness_search_refuses_a_degenerate_threshold_log(threshold_log):
     with pytest.raises(ValueError, match="a >= 1 and b >= 2"):
-        witness_search_general_cube(2, 2, 2.5, threshold_log=threshold_log)
+        witness_search_general_cube(2, 2, threshold_log)
 
 
 @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
@@ -623,15 +606,26 @@ def test_explicit_float_threshold_is_decided_exactly(d):
     assert not rep.crossed and rep.undecided_levels == []
 
 
+@pytest.mark.parametrize("bar, threshold", [
+    ((19, 3), math.log(19) / math.log(3)), ((9, 3), math.log(9) / math.log(3)),
+    (2.5, 2.5), (BELOW_LOG3_19, BELOW_LOG3_19)])
+def test_witness_search_reports_its_bar_as_a_float(bar, threshold):
+    # a log pair (a, b) is reported as math.log(a) / math.log(b), the float
+    # the CLI's report has always held, and a float bar as itself
+    rep = witness_search_general_cube(2, 2, bar)
+    assert type(rep.threshold) is float and rep.threshold == threshold
+    assert rep.to_dict()["threshold"] == threshold
+
+
 def test_float_threshold_ties_do_not_cross():
     # log(2^5)/log(2^2) is 2.5 exactly, and log(19^3)/log(3^3) is the bar
-    assert verify._crosses(2 ** 5, 2 ** 2, 2.5, None) is False
-    assert verify._crosses(2 ** 5 + 1, 2 ** 2, 2.5, None) is True
-    assert verify._crosses(2 ** 5 - 1, 2 ** 2, 2.5, None) is False
-    assert verify._crosses(3 ** 6, 3 ** 3, 2.0, None) is False
-    assert verify._crosses(1000, 10, 3.0, None) is False
-    assert verify._crosses(1000, 10, 0.0, None) is True
-    assert verify._crosses(1000, 10, -1.0, None) is True
+    assert verify._crosses(2 ** 5, 2 ** 2, Fraction(2.5)) is False
+    assert verify._crosses(2 ** 5 + 1, 2 ** 2, Fraction(2.5)) is True
+    assert verify._crosses(2 ** 5 - 1, 2 ** 2, Fraction(2.5)) is False
+    assert verify._crosses(3 ** 6, 3 ** 3, Fraction(2.0)) is False
+    assert verify._crosses(1000, 10, Fraction(3.0)) is False
+    assert verify._crosses(1000, 10, Fraction(0.0)) is True
+    assert verify._crosses(1000, 10, Fraction(-1.0)) is True
 
 
 def test_log_pairs_of_powers_of_one_integer_are_exact():
@@ -640,9 +634,9 @@ def test_log_pairs_of_powers_of_one_integer_are_exact():
     t = ExponentTarget(EnergyKind.ADDITIVE, 2, 2.0, 4)
     assert energy_threshold(t, 3) == (9, True)
     assert energy_threshold(t, 5) == (25, True)
-    for e, size, bar, pair in ((4, 2, 2.0, (9, 3)), (27, 9, 1.5, (8, 4))):
-        assert verify._crosses(e, size, bar, pair) is False
-        assert verify._crosses(e + 1, size, bar, pair) is True
+    for e, size, pair in ((4, 2, (9, 3)), (27, 9, (8, 4))):
+        assert verify._crosses(e, size, pair) is False
+        assert verify._crosses(e + 1, size, pair) is True
 
 
 def test_exact_non_ties_need_no_interval(monkeypatch):
@@ -650,22 +644,21 @@ def test_exact_non_ties_need_no_interval(monkeypatch):
     def refused(*args):
         raise AssertionError("decide_le called")
     monkeypatch.setattr(verify, "decide_le", refused)
-    bar = math.log(19) / math.log(3)
     for e, crossed in ((19 ** 3 - 1, False), (19 ** 3, False),
                        (19 ** 3 + 1, True)):
-        assert verify._crosses(e, 27, bar, (19, 3)) is crossed
+        assert verify._crosses(e, 27, (19, 3)) is crossed
     for e, crossed in ((2 ** 5 - 1, False), (2 ** 5, False),
                        (2 ** 5 + 1, True)):
-        assert verify._crosses(e, 4, 2.5, None) is crossed
+        assert verify._crosses(e, 4, Fraction(2.5)) is crossed
 
 
 def test_float_threshold_far_from_the_ratio_is_cheap():
     # a huge numerator or denominator rules a tie out without powering
-    assert verify._crosses(4, 2, 1e300, None) is False
-    assert verify._crosses(4, 2, 5e-324, None) is True
+    assert verify._crosses(4, 2, Fraction(1e300)) is False
+    assert verify._crosses(4, 2, Fraction(5e-324)) is True
 
 
 def test_float_threshold_left_undecided_at_the_cap(monkeypatch):
     monkeypatch.setattr(intervals, "PREC_START", 24)
     monkeypatch.setattr(intervals, "PREC_CAP", 24)
-    assert verify._crosses(19, 3, BELOW_LOG3_19, None) is None
+    assert verify._crosses(19, 3, Fraction(BELOW_LOG3_19)) is None
