@@ -12,8 +12,9 @@ lattice's slot format (see lattice._slot_bytes).  The masks of a sweep
 (orbit representatives, every or sampled masks) take the same product
 through _mask_energy, a kernel built once per sweep when the product
 pays, in 1-byte slots, for the whole point list: a mask's indicator is an
-OR of per-byte table lookups, and the powers of its slots are summed by
-bytes.translate; otherwise each mask goes through packed_subset_energy.
+OR of per-byte table lookups, its slots' powers summed by bytes.translate
+and zlib.adler32 over chunks of at most 256 bytes (exact: their byte sums
+stay below 65521); otherwise each mask goes through packed_subset_energy.
 power_energy_plan compiles packed_power_energy's float dict loop, for
 fixed keys, into one straight-line function of the weights (the extension
 optimizer's ratios), bit for bit the same, which can also record every
@@ -40,6 +41,7 @@ from enum import Enum
 from itertools import groupby, product as iter_product, repeat
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple)
+from zlib import adler32
 
 from ._fanout import _fan_out
 from .errors import BudgetExceeded, DimensionMismatch
@@ -343,12 +345,13 @@ def _product_slots(p: int, r: Optional[int], k: int, gap: int, width: int
     return _int_slots(p * r, 2 * gap + 1, width)
 
 
-# a forked worker pays for its fork, pipe and reaping (2.2 to 5 ms) only
-# with enough masks: one energy of a sampled subset of {0,1}^5 takes 5.5 to
-# 7.5 us on the byte tables (additive k = 2, 2 vCPUs, Python 3.11), so a
-# fork costs 300 to 900 of them.  Split over two workers, 1024 masks took
-# 0.93 to 1.02 of their serial time and 512 masks 1.00 to 1.18 (best of 15)
-SAMPLE_MIN_CHUNK = 512
+# a forked worker pays for its fork, pipe and reaping (1.4 to 2.5 ms) only
+# with enough masks: a sampled energy on {0,1}^5 takes 2.8 to 3.2 us on the
+# byte tables (additive k = 2, Python 3.11), so a fork costs 450 to 900 of
+# them and 1024 masks earn it back where two processes run in parallel.  On
+# 2 vCPUs that ran two forked loops no faster than one, two workers took 1.3
+# to 1.4 times the serial time of 2048 masks, 0.8 to 1.2 of 8000 (best of 15)
+SAMPLE_MIN_CHUNK = 1024
 
 
 def subset_energies(packed: List[int], k: int, kind: EnergyKind,
@@ -376,17 +379,22 @@ def subset_energies(packed: List[int], k: int, kind: EnergyKind,
 def _byte_power_sum(e: int, top: int) -> Callable[[bytes], int]:
     """raw -> the sum of c**e over the bytes c of raw, each at most top.
 
-    Byte j of every c**e is looked up at once, raw.translate(T_j) with T_j
-    mapping c to byte j of c**e, and summed by sum() over the small ints
-    of the translated bytes, so each addition is a C loop: the sum is
-    sum(raw.translate(T_j)) << 8*j over the bytes j of top**e."""
-    tables = [bytes(c ** e >> 8 * j & 255 for c in range(256))
+    Byte j of every c**e is looked up at once, t = raw.translate(T_j) with
+    T_j mapping c to byte j of c**e, and t's bytes are summed in C: the low
+    16 bits of zlib.adler32(chunk, 0) are its byte sum mod 65521 (RFC 1950),
+    exact for at most 256 bytes (255 * 256 = 65280).  The sum adds those of
+    t's 256-byte slices (copies, cheaper than memoryview slices) << 8*j over
+    the bytes j of top**e."""
+    tables = [(8 * j, bytes(c ** e >> 8 * j & 255 for c in range(256)))
               for j in range(-(-(top ** e).bit_length() // 8))]
 
     def power_sum(raw: bytes) -> int:
         total = 0
-        for j, table in enumerate(tables):
-            total += sum(raw.translate(table)) << 8 * j
+        chunks = range(0, len(raw), 256)
+        for shift, table in tables:
+            t = raw.translate(table)
+            for i in chunks:
+                total += (adler32(t[i:i + 256], 0) & 0xFFFF) << shift
         return total
     return power_sum
 
@@ -404,13 +412,14 @@ def _mask_energy(packed: List[int], k: int, kind: EnergyKind
     indicator P (and, for the higher energy, the reflected indicator R) is
     the OR of one 256-entry table lookup per byte of the mask, table[b]
     holding the slots of b's bits, and the squares of the slots of P**k
-    (additive) or their k-th powers in P * R (higher) are summed by
-    _byte_power_sum.  The tables live for the call and hold
-    ceil(len(packed)/8) * 256 ints of up to hi - lo + 1 bytes, doubled for
-    the higher energy: under 1.5 MB on every cube a sweep samples (at most
-    64 points, so hi - lo <= 364, reached by {0,1}^6), but 35 MB (Python
-    3.11, tracemalloc) for 200 keys spread over 0 .. 10 000, a sparse
-    alphabet whose sampled restricted enumeration they speed up 6.5x.
+    (additive) or their k-th powers in P * R (higher) are summed in C by
+    _byte_power_sum, as Adler-32 sums of chunks of at most 256 bytes,
+    exact there.  The tables live for the call and hold ceil(len(packed)/8)
+    * 256 ints of up to hi - lo + 1 bytes, doubled for the higher energy:
+    under 1.5 MB on every cube a sweep samples (at most 64 points, so
+    hi - lo <= 364, reached by {0,1}^6), but 35 MB (Python 3.11,
+    tracemalloc) for 200 keys spread over 0 .. 10 000, a sparse alphabet
+    whose sampled restricted enumeration they speed up 6.5x.
     Otherwise each mask's keys are selected one set bit at a time and
     counted by packed_subset_energy."""
     higher = kind is EnergyKind.HIGHER

@@ -73,7 +73,8 @@ class ExponentTarget:
     """An energy bound of the form E_kind,k(A) <= |A|^exponent.
 
     When the exponent is log2 of an integer M (the sharp cases), M is kept so
-    boundary comparisons can be done in exact integer arithmetic.
+    boundary comparisons can be done in exact integer arithmetic; the
+    exponent must then be math.log2(M) exactly, the float sharp() builds.
     """
 
     kind: EnergyKind
@@ -86,8 +87,8 @@ class ExponentTarget:
             raise ValueError("k must be >= 2")
         if not 0 < self.exponent <= 2 * self.k - 1:
             raise ValueError("exponent must lie in (0, 2k - 1], the trivial bound")
-        if self.log2_arg is not None and abs(self.exponent - math.log2(self.log2_arg)) > 1e-12:
-            raise ValueError("exponent does not match log2 of its integer form")
+        if self.log2_arg is not None and self.exponent != math.log2(self.log2_arg):
+            raise ValueError("exponent is not the float log2 of its integer form")
 
     @classmethod
     def sharp(cls, kind: EnergyKind, k: int) -> "ExponentTarget":

@@ -737,7 +737,7 @@ def test_subset_energies_given_masks_in_given_order():
 
 
 def test_sampled_masks_fork_only_for_full_chunks(monkeypatch):
-    # one fork costs about as much as 300 to 900 sampled energies: a
+    # one fork costs about as much as 500 to 900 sampled energies: a
     # 96-mask sample stays in this process, two full chunks fork one worker
     forks = []
     fork = os.fork
@@ -807,6 +807,53 @@ def test_byte_power_sum_at_the_slot_extremes(e):
     assert power_sum(raw) == sum(c ** e for c in raw)
     # a smaller top needs fewer bytes of c**e
     assert _byte_power_sum(e, 9)(bytes([9, 3, 0])) == 9 ** e + 3 ** e
+
+
+# (e, top) pairs whose powers top**e take 1, 2 and 3 bytes; 255**3 ends in
+# 0xFF, so all-0xFF bytes translate to a chunk of 0xFF, the largest sum
+@pytest.mark.parametrize("e, top, tables", [(1, 255, 1), (2, 15, 1),
+                                            (2, 255, 2), (3, 255, 3),
+                                            (4, 40, 3)])
+@pytest.mark.parametrize("length", [0, 1, 255, 256, 257, 512, 513, 20001])
+def test_byte_power_sum_matches_sum_across_chunk_edges(e, top, tables,
+                                                       length):
+    assert -(-(top ** e).bit_length() // 8) == tables
+    power_sum = _byte_power_sum(e, top)
+    rng = random.Random("%d-%d-%d" % (e, top, length))
+    for raw in (bytes([top]) * length,
+                bytes(rng.randrange(top + 1) for _ in range(length))):
+        assert power_sum(raw) == sum(c ** e for c in raw)
+
+
+def _random_mask_cases():
+    """(points, k, kind) on the table kernel: {0,1}^5 and {0,1}^6 at
+    additive k = 2 and higher k = 2..4, and a sparse alphabet of 200 keys
+    in 0 .. 10 000 at additive k = 2 and higher k = 2, 3."""
+    alphabet = sorted(random.Random(200).sample(range(10001), 200))
+    sets = [("cube5", PointSet.cube(1, 5).sorted_points(), (2,), (2, 3, 4)),
+            ("cube6", PointSet.cube(1, 6).sorted_points(), (2,), (2, 3, 4)),
+            ("sparse", [(a,) for a in alphabet], (2,), (2, 3))]
+    for name, pts, additive, higher in sets:
+        for kind, ks in ((EnergyKind.ADDITIVE, additive),
+                         (EnergyKind.HIGHER, higher)):
+            for k in ks:
+                yield pytest.param(pts, k, kind,
+                                   id="%s-%s-%d" % (name, kind.value, k))
+
+
+@pytest.mark.parametrize("pts, k, kind", _random_mask_cases())
+def test_mask_energy_matches_packed_subset_energy_on_random_masks(
+        pts, k, kind):
+    packed = pack_points(pts, key_multiplier(k, kind))
+    assert _slot_width(len(packed), k, kind is EnergyKind.HIGHER,
+                       max(packed) - min(packed)) == 1
+    mask_energy = _mask_energy(packed, k, kind)
+    rng = random.Random("%d-%s-%d" % (len(pts), kind.value, k))
+    full = (1 << len(packed)) - 1
+    for mask in [full] + [rng.getrandbits(len(packed)) | 1
+                          for _ in range(6)]:
+        sel = [x for i, x in enumerate(packed) if mask >> i & 1]
+        assert mask_energy(mask) == packed_subset_energy(sel, k, kind), mask
 
 
 def _counted_subset_energy(monkeypatch):

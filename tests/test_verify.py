@@ -136,6 +136,26 @@ def test_energy_threshold_validates():
         ExponentTarget(EnergyKind.ADDITIVE, 2, math.log2(1), 1)
 
 
+def test_log2_arg_takes_only_the_float_log2_of_itself():
+    # a float a few ulps off log2 6 would be reported while every threshold
+    # was decided against log2 6 itself
+    exact = math.log2(6)
+    for near in (exact + 5e-13, exact - 5e-13, math.nextafter(exact, 0),
+                 math.nextafter(exact, 3)):
+        with pytest.raises(ValueError):
+            ExponentTarget(EnergyKind.ADDITIVE, 2, near, 6)
+    assert ExponentTarget(EnergyKind.ADDITIVE, 2, exact, 6).exponent == exact
+
+
+@pytest.mark.parametrize("kind, ks", [(EnergyKind.ADDITIVE, range(2, 11)),
+                                      (EnergyKind.HIGHER,
+                                       [*range(2, 65), 100, 1000])])
+def test_sharp_builds_for_every_k_it_allows(kind, ks):
+    for k in ks:
+        t = ExponentTarget.sharp(kind, k)
+        assert t.exponent == math.log2(t.log2_arg)
+
+
 def test_energy_threshold_exact_power_has_no_bit_cap():
     # 16 = 2^4, so the bound is (2^5000 + 2)^4 exactly, with 20 001 bits: a
     # certified floor of it could never settle
