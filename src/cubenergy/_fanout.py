@@ -10,17 +10,7 @@ optimizer (extension) for its independent starts.
 from __future__ import annotations
 
 import os
-from typing import Callable, List, Optional, Sequence
-
-# a forked worker pays for its fork only with enough items.  The default
-# chunk is the grids': on their compiled kernels a grid point takes 0.05
-# to 0.25 ms and a psi sample 0.2 to 0.35 ms (2 vCPUs, Python 3.11).  A
-# 1000-point key grid at k = 2 took 0.55 to 1.0 of its serial time when it
-# forked, and a 200-point one 1.3 times (17.6 against 13.4 ms, best of 15).
-# A certified-grids pass fans out 511 to 1005 items at a time and a
-# 200-point grid at most 205 (every check, k = 2, 3, 6, 10), so any chunk
-# in 103..255 forks the first and keeps the second serial
-FAN_OUT_MIN_CHUNK = 128
+from typing import Callable, List, Sequence
 
 _fanning_out = False        # True inside a fan-out, in its workers too
 
@@ -44,14 +34,14 @@ def _fan_out_width(n_items: int, min_chunk: int) -> int:
     return max(1, min(_cpu_count(), n_items // min_chunk))
 
 
-def _fan_out(fn: Callable, items: Sequence,
-             min_chunk: Optional[int] = None) -> List:
+def _fan_out(fn: Callable, items: Sequence, min_chunk: int) -> List:
     """``[fn(x) for x in items]``, computed in forked worker processes.
 
     The items are split into contiguous chunks, one per CPU of the affinity
-    mask and each of at least ``min_chunk`` items (FAN_OUT_MIN_CHUNK when
-    None).  The caller computes the first chunk, each other chunk is
-    computed by a forked worker, and the results are merged in item order.
+    mask and each of at least ``min_chunk`` items, the caller's measure of
+    what pays for a fork.  The caller computes the first chunk, each other
+    chunk is computed by a forked worker, and the results are merged in
+    item order.
     ``fn`` and the items reach a worker through the fork, so they need not
     pickle; results do, and what ``fn`` changes in a worker is lost.  The
     first exception in chunk order is raised.  The work runs serially in
@@ -60,8 +50,7 @@ def _fan_out(fn: Callable, items: Sequence,
     worker outlives the call.
     """
     global _fanning_out
-    width = _fan_out_width(len(items), FAN_OUT_MIN_CHUNK if min_chunk is None
-                           else min_chunk)
+    width = _fan_out_width(len(items), min_chunk)
     if width < 2:
         return [fn(x) for x in items]
     bounds = [len(items) * w // width for w in range(width + 1)]

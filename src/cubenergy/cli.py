@@ -323,12 +323,16 @@ def _run_witness(args) -> Tuple[dict, int, Optional[tuple]]:
 
 
 def _run_identity_check(args) -> Tuple[dict, int, Optional[tuple]]:
-    base = parse_set_spec(args.set)
-    pts = base.sorted_points()
+    # a cube's size is known from its spec, before any point is built
+    cube = _parse_cube_spec(args.set)
+    size = None if cube is None else (cube[0] + 1) ** cube[1]
+    if size is None or size <= 24:
+        pts = parse_set_spec(args.set).sorted_points()
+        size = len(pts)
+    if size > 24:
+        raise BudgetExceeded("base set too large for random subset trials")
     if not pts:
         raise ParseError("identity-check needs a nonempty base set")
-    if len(pts) > 24:
-        raise BudgetExceeded("base set too large for random subset trials")
     kinds = ([EnergyKind.ADDITIVE, EnergyKind.HIGHER]
              if args.kind == "both" else [EnergyKind(args.kind)])
     rng = random.Random(args.seed)

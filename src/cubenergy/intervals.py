@@ -13,11 +13,12 @@ Intervals are mpmath's, built by ``Interval``, ``log2_interval`` and
 ``ipows``/``ipow``, and there is one interval arithmetic: mpmath's own, at
 the one precision ``iv.prec`` that ``workprec`` sets.
 
-A function evaluated at many points on one rung is compiled once for that
-rung: ``_Tape`` traces it on a symbolic point (a ``_Traced``), records each
-libmpi call mpmath's arithmetic would make once, however often it is asked
-for, and writes the calls as one straight-line kernel over endpoint pairs,
-which gives mpmath's enclosures bit for bit.
+The functions evaluated at many points on one rung are compiled once for
+that rung, into one kernel: ``_Tape.compile`` traces them on a symbolic
+point (a ``_Traced``), records each libmpi call mpmath's arithmetic would
+make once, however often they ask for it, and writes the calls as one
+straight-line kernel over endpoint pairs, which gives mpmath's enclosures
+bit for bit.
 ``_settle`` climbs the ladder once for many points, each kept at the first
 rung that decides it: the grids' kernels (``_grid_level``) and psi's second
 differences (``_classify_second_differences``) run on it.
@@ -43,6 +44,16 @@ PREC_START = 64
 # arguments near 0 (an exact series oracle in the tests finds it); every rung
 # up to 8 192 bits passes that oracle
 PREC_CAP = 1 << 13
+
+# a forked worker pays for its fork only with enough points.  On their
+# compiled kernels a grid point takes 0.05 to 0.25 ms and a psi sample 0.2
+# to 0.35 ms (2 vCPUs, Python 3.11).  A 1000-point key grid at k = 2 took
+# 0.55 to 1.0 of its serial time when it forked, and a 200-point one 1.3
+# times (17.6 against 13.4 ms, best of 15).  A certified-grids pass fans
+# out 511 to 1005 points at a time and a 200-point grid at most 205 (every
+# check, k = 2, 3, 6, 10), so any chunk in 103..255 forks the first and
+# keeps the second serial
+FAN_OUT_MIN_CHUNK = 128
 
 _IVMPF = iv.mpf            # mpmath's interval class in the ``iv`` context
 _PREC = iv._prec           # the one-cell list behind ``iv.prec``
@@ -261,12 +272,12 @@ class _Traced(Interval):
 class _Tape:
     """The libmpi calls of functions traced on one symbolic point at the
     current precision, each recorded once (hash-consed by its source:
-    operation, operands and precision), and kernels compiled from them.
+    operation, operands and precision), and the kernel compiled from them.
 
     A constant operand is named by its endpoint pair, so equal constants
-    are one name.  ``record(fn)`` traces ``fn`` on the point; ``compile``
-    writes the calls of some traces as one straight-line function of the
-    point, over endpoint pairs, in the order they were first recorded.
+    are one name.  ``compile(fns)`` traces each function on the point and
+    writes every call the tape recorded as one straight-line function of
+    the point, over endpoint pairs, in the order they were first recorded.
     """
 
     def __init__(self):
@@ -281,7 +292,6 @@ class _Tape:
             "mpi_sub": mpi_sub, "mpi_mul": mpi_mul, "mpi_div": mpi_div,
             "mpi_neg": mpi_neg, "mpi_pow_int": mpi_pow_int,
             "mpi_log": libmpi.mpi_log, "mpi_exp": libmpi.mpi_exp}
-        self.used = set()
         self.point = self.node("point(x)")
 
     def name(self, v) -> str:
@@ -300,7 +310,6 @@ class _Tape:
     def node(self, source: str) -> _Traced:
         """The node of the call ``source``, recorded once."""
         node = self.calls.setdefault(source, len(self.calls))
-        self.used.add(node)
         x = object.__new__(_Traced)
         x._tape, x._node = self, node
         return x
@@ -323,26 +332,21 @@ class _Tape:
                                     self.prec))
                 for e in expos]
 
-    def record(self, fn):
-        """``fn`` traced on the point: the source of its result and the
-        nodes it used.  A pair of intervals results in ``_separation``'s
-        verdict on their endpoints, one interval in its endpoints."""
-        self.used = {self.point._node}
-        out = fn(self.point)
-        if isinstance(out, tuple):
-            source = "sep(%s, %s)" % tuple(map(self.name, out))
-        else:
-            source = self.name(out)
-        return source, self.used
-
-    def compile(self, traces) -> Callable:
-        """``kernel(x)``: the results of ``traces`` (from ``record``) at the
-        point ``x``, as a tuple; each call they used is made once."""
-        used = set().union(*(nodes for _, nodes in traces))
+    def compile(self, fns) -> Callable:
+        """``kernel(x)``: the results of ``fns``, traced on the point, at
+        the point ``x``, as a tuple; each call the tape recorded is made
+        once.  A function that returns a pair of intervals results in
+        ``_separation``'s verdict on their endpoints, one that returns an
+        interval in its endpoints."""
+        results = []
+        for fn in fns:
+            out = fn(self.point)
+            results.append("sep(%s, %s)" % tuple(map(self.name, out))
+                           if isinstance(out, tuple) else self.name(out))
         lines = ["def kernel(x):"]
         lines += ["    v%d = %s" % (node, source)
-                  for source, node in self.calls.items() if node in used]
-        lines.append("    return (%s,)" % ", ".join(s for s, _ in traces))
+                  for source, node in self.calls.items()]
+        lines.append("    return (%s,)" % ", ".join(results))
         exec(compile("\n".join(lines), "<interval kernel>", "exec"),
              self.namespace)
         return self.namespace.pop("kernel")
@@ -381,26 +385,19 @@ def _settle(indices: Iterable[Hashable], level: Callable
 def _grid_level(xs: Sequence, sides: Sequence[Callable]) -> Callable:
     """``level(pending)`` for ``_settle`` over pairs (c, j): ``_separation``'s
     verdict on lhs(xs[j]) against rhs(xs[j]), ``(lhs, rhs) = sides[c]()``
-    built once per level, None while they overlap.  A level traces the
-    sides with pending points once on a symbolic point, compiles one kernel
-    for each set of them pending at one point, which makes each libmpi call
-    they share once per point, and runs the points through the kernels in
+    built once per level, None while they overlap.  A level compiles one
+    kernel for the sides with pending points, which makes each libmpi call
+    they share once per point, and runs every pending point through it in
     one fan-out."""
     def level(pending):
-        tape = _Tape()
-        traces = {}
-        for c in sorted({c for c, _ in pending}):
-            lhs, rhs = sides[c]()
-            traces[c] = tape.record(lambda x: (lhs(x), rhs(x)))
-        wanted: Dict[int, tuple] = {}
-        for c, j in pending:
-            wanted[j] = wanted.get(j, ()) + (c,)
-        kernels = {cs: tape.compile([traces[c] for c in cs])
-                   for cs in dict.fromkeys(wanted.values())}
-        points = sorted(wanted)
-        verdicts = dict(zip(points, _fan_out(
-            lambda j: kernels[wanted[j]](xs[j]), points)))
-        return [verdicts[j][wanted[j].index(c)] for c, j in pending]
+        cs = sorted({c for c, _ in pending})
+        pairs = [sides[c]() for c in cs]
+        kernel = _Tape().compile([lambda x, lhs=lhs, rhs=rhs: (lhs(x), rhs(x))
+                                  for lhs, rhs in pairs])
+        points = sorted({j for _, j in pending})
+        verdicts = dict(zip(points, _fan_out(lambda j: kernel(xs[j]), points,
+                                             FAN_OUT_MIN_CHUNK)))
+        return [verdicts[j][cs.index(c)] for c, j in pending]
 
     return level
 
@@ -411,16 +408,15 @@ def _classify_second_differences(xs: List[float], curve: Callable
     f(xs[i+1]) - 2 f(xs[i]) + f(xs[i-1]) is certified negative, certified
     positive, or still undecided at the precision cap, each in index order.
     ``curve()`` builds f, a function of the point's interval, for one
-    precision level.  A level traces f once, compiles it (``_Tape``) and
-    encloses through the fan-out the points its pending second differences
-    need.  ``legendre.certify_psi_shape`` is its caller.
+    precision level.  A level compiles f once (``_Tape``) and encloses
+    through the fan-out the points its pending second differences need.
+    ``legendre.certify_psi_shape`` is its caller.
     """
     def level(pending):
-        tape = _Tape()
-        f = tape.compile([tape.record(curve())])
+        f = _Tape().compile([curve()])
         needed = sorted({j for i in pending for j in (i - 1, i, i + 1)})
         vals = dict(zip(needed, (_lift(v) for v, in _fan_out(
-            lambda j: f(xs[j]), needed))))
+            lambda j: f(xs[j]), needed, FAN_OUT_MIN_CHUNK))))
 
         def judge(i):
             lo, hi = (vals[i + 1] - 2 * vals[i] + vals[i - 1])._mpi_

@@ -9,9 +9,9 @@ floating point never decides a sign.
 
 Each grid check, and the psi shape check, climbs one precision ladder for
 all its points (``intervals._settle``).  At each level its functions of
-the point are traced once on a symbolic point and compiled into one
-straight-line kernel (``intervals._Tape``), which gives the enclosures of
-mpmath's interval arithmetic bit for bit; checks on one grid share a
+the point are compiled into one straight-line kernel
+(``intervals._Tape.compile``), which gives the enclosures of mpmath's
+interval arithmetic bit for bit; checks on one grid share the level's one
 kernel, and with it every libmpi call they have in common.
 """
 from __future__ import annotations
@@ -311,8 +311,9 @@ def _grid_checks(xs: List[float], lo: float, hi: float,
     points of all the inequalities on one precision ladder: ``sides()``
     builds one level's constants and returns ``(lhs, rhs)``, functions of
     the point's interval.  Each level compiles the inequalities with
-    undecided points into one kernel (``intervals._grid_level``), and a
-    point takes the verdicts of the inequalities still undecided there.
+    undecided points into one kernel (``intervals._grid_level``), runs
+    every undecided point through it, and keeps the verdicts of the
+    inequalities still undecided at each point.
     """
     if not all(lo <= x <= hi for x in xs):
         raise ValueError("grid must lie in [%r, %r]" % (lo, hi))

@@ -245,9 +245,6 @@ def sweep_cube(n: int, d: int, target: ExponentTarget, *,
         raise ValueError("need n >= 0 and d >= 0")
     npts = (n + 1) ** d
     if sample is None:
-        if npts > MAX_ORBIT_POINTS:
-            raise BudgetExceeded("exhaustive sweep over %d points (> %d) refused"
-                                 % (npts, MAX_ORBIT_POINTS))
         masks = None
         mode = "exhaustive"
     else:
@@ -323,7 +320,12 @@ def _walk(n: int, d: int, target: ExponentTarget,
     points, energy_threshold(target, c) for c = 0 .. len(pts), and entries
     (mask, |B|, E(B), members), every mask in members of energy E(B) and
     mask the smallest of them: one per orbit of the cube's symmetry group
-    when masks is None (orbit_energies), else one a mask in their order."""
+    when masks is None (orbit_energies, on at most MAX_ORBIT_POINTS cube
+    points, refused before the cube is built), else one a mask in their
+    order."""
+    if masks is None and (n + 1) ** d > MAX_ORBIT_POINTS:
+        raise BudgetExceeded("exhaustive sweep over %d points (> %d) refused"
+                             % ((n + 1) ** d, MAX_ORBIT_POINTS))
     k, kind = target.k, target.kind
     pts = PointSet.cube(n, d).sorted_points()
     packed = pack_points(pts, key_multiplier(k, kind))
@@ -356,13 +358,9 @@ def equality_witnesses(d: int, k: int, kind: EnergyKind, n: int = 1) -> List[Poi
 
     Equality requires |A| to be a power of two (the exponent is log2 of an
     integer that is not a power of two), so only the exact-power branch can
-    report it.
+    report it.  The walk is the exhaustive sweep's, on its budget.
     """
-    target = ExponentTarget.sharp(kind, k)
-    if (n + 1) ** d > 16:
-        raise BudgetExceeded("equality sweep over %d points refused"
-                             % ((n + 1) ** d))
-    pts, thresholds, entries = _walk(n, d, target)
+    pts, thresholds, entries = _walk(n, d, ExponentTarget.sharp(kind, k))
     # equality: an exact-power threshold (bound, True) with E == bound
     masks = [m for _, c, e, members in entries
              if thresholds[c] == (e, True) for m in members]

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from cubenergy import _fanout, lattice
+from cubenergy import _fanout, intervals, lattice
 
 
 @pytest.fixture
@@ -32,7 +32,7 @@ def workers(request, monkeypatch, forks):
     count = request.param
     monkeypatch.setattr(_fanout, "_cpu_count", lambda: count)
     if count > 1:
-        monkeypatch.setattr(_fanout, "FAN_OUT_MIN_CHUNK", 1)
+        monkeypatch.setattr(intervals, "FAN_OUT_MIN_CHUNK", 1)
         monkeypatch.setattr(importlib.import_module("cubenergy.energy"),
                             "SAMPLE_MIN_CHUNK", 1)
         monkeypatch.setattr(importlib.import_module("cubenergy.extension"),

@@ -9,6 +9,7 @@ import pytest
 
 from cubenergy.cli import dumps_canonical, main, parse_set_spec
 from cubenergy.errors import ParseError
+from cubenergy.lattice import PointSet
 
 
 def _run(capsys, argv):
@@ -544,6 +545,25 @@ def test_identity_check_rejects_empty_base_set(tmp_path, capsys, text):
                                    "--k", "2"])
     assert code == 2 and out == ""
     assert "nonempty" in err
+
+
+def test_identity_check_refuses_a_large_cube_before_building_it(capsys,
+                                                                monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the cube was built")
+
+    monkeypatch.setattr(PointSet, "cube", refuse)
+    code, out, err = _run(capsys, ["identity-check", "--set", "cube:40x4",
+                                   "--k", "2"])
+    assert code == 3 and out == ""
+    assert "base set too large for random subset trials" in err
+
+
+def test_identity_check_refuses_a_large_list_after_parsing_it(capsys):
+    code, out, err = _run(capsys, ["identity-check", "--set",
+                                   ",".join(map(str, range(25))), "--k", "2"])
+    assert code == 3 and out == ""
+    assert "base set too large for random subset trials" in err
 
 
 # ---------------------------------------------------------------------------

@@ -245,9 +245,7 @@ def test_interval_is_an_mpmath_interval():
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """Set the CPU count the fan-out sees; a worker may take one item."""
-    monkeypatch.setattr(_fanout, "FAN_OUT_MIN_CHUNK", 1)
-
+    """Set the CPU count the fan-out sees."""
     def set_count(count):
         monkeypatch.setattr(_fanout, "_cpu_count", lambda: count)
     return set_count
@@ -264,7 +262,7 @@ def assert_no_child_left():
 
 def test_fan_out_keeps_item_order(cpus):
     cpus(2)
-    got = _fan_out(_with_pid, range(10))
+    got = _fan_out(_with_pid, range(10), 1)
     assert [x for x, _ in got] == list(range(10))
     pids = [pid for _, pid in got]
     # the caller takes the first chunk, one worker the second
@@ -275,18 +273,20 @@ def test_fan_out_keeps_item_order(cpus):
 
 def test_fan_out_with_fewer_items_than_workers(cpus):
     cpus(4)
-    got = _fan_out(_with_pid, [7, 8, 9])
+    got = _fan_out(_with_pid, [7, 8, 9], 1)
     assert [x for x, _ in got] == [7, 8, 9]
     assert len({pid for _, pid in got}) == 3
-    assert _fan_out(_with_pid, []) == []
+    assert _fan_out(_with_pid, [], 1) == []
     assert_no_child_left()
 
 
 def test_fan_out_forks_only_for_full_chunks(monkeypatch):
     monkeypatch.setattr(_fanout, "_cpu_count", lambda: 2)
-    n = 2 * _fanout.FAN_OUT_MIN_CHUNK
-    assert {pid for _, pid in _fan_out(_with_pid, range(n - 1))} == {os.getpid()}
-    assert len({pid for _, pid in _fan_out(_with_pid, range(n))}) == 2
+    chunk = intervals.FAN_OUT_MIN_CHUNK
+    n = 2 * chunk
+    assert {pid for _, pid in _fan_out(_with_pid, range(n - 1), chunk)} == \
+        {os.getpid()}
+    assert len({pid for _, pid in _fan_out(_with_pid, range(n), chunk)}) == 2
     assert_no_child_left()
 
 
@@ -299,7 +299,7 @@ def test_fan_out_raises_a_workers_exception(cpus):
         return x
 
     with pytest.raises(ValueError, match=r"^no seven at pid (\d+)$") as info:
-        _fan_out(seven_fails, range(10))
+        _fan_out(seven_fails, range(10), 1)
     assert info.value.args[0] != "no seven at pid %d" % os.getpid()
     assert_no_child_left()
 
@@ -315,7 +315,7 @@ def test_fan_out_reaps_busy_workers_when_the_caller_fails(cpus):
 
     start = time.monotonic()
     with pytest.raises(KeyError):
-        _fan_out(caller_fails, range(4))
+        _fan_out(caller_fails, range(4), 1)
     assert time.monotonic() - start < 30
     assert_no_child_left()
 
@@ -330,7 +330,7 @@ def test_fan_out_names_a_worker_that_died(cpus):
         return x
 
     with pytest.raises(RuntimeError, match="exited without its results"):
-        _fan_out(worker_dies, range(4))
+        _fan_out(worker_dies, range(4), 1)
     assert_no_child_left()
 
 
@@ -338,9 +338,10 @@ def test_fan_out_nested_call_runs_serially(cpus):
     cpus(2)
 
     def inner(x):
-        return os.getpid(), [pid for _, pid in _fan_out(_with_pid, range(4))]
+        return os.getpid(), [pid for _, pid in
+                             _fan_out(_with_pid, range(4), 1)]
 
-    got = _fan_out(inner, range(4))
+    got = _fan_out(inner, range(4), 1)
     assert len({outer for outer, _ in got}) == 2
     for outer, pids in got:
         assert pids == [outer] * 4
@@ -350,7 +351,8 @@ def test_fan_out_nested_call_runs_serially(cpus):
 def test_fan_out_without_fork_runs_serially(cpus, monkeypatch):
     cpus(2)
     monkeypatch.delattr(os, "fork")
-    assert _fan_out(_with_pid, range(6)) == [(x, os.getpid()) for x in range(6)]
+    assert _fan_out(_with_pid, range(6), 1) == \
+        [(x, os.getpid()) for x in range(6)]
 
 
 def test_fan_out_beside_another_thread_runs_serially(cpus):
@@ -359,7 +361,7 @@ def test_fan_out_beside_another_thread_runs_serially(cpus):
     thread = threading.Thread(target=release.wait, args=(30,))
     thread.start()
     try:
-        got = _fan_out(_with_pid, range(6))
+        got = _fan_out(_with_pid, range(6), 1)
     finally:
         release.set()
         thread.join(30)

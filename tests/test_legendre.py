@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 from mpmath import iv
-from mpmath.libmp import fzero, libmpi
+from mpmath.libmp import libmpi
 
 from cubenergy import _fanout, intervals, legendre
 from cubenergy.cli import dumps_canonical
@@ -813,12 +813,11 @@ def test_kernels_match_the_interval_path_bit_for_bit(k, monkeypatch):
         for prec in (64, 12, 24):
             with intervals.workprec(prec):
                 fns = build() if name != "psi" else (build(),)
-                tape = intervals._Tape()
-                traces = [tape.record(fn) for fn in fns]
+                compiled = list(fns)
                 if name != "psi":
                     lhs, rhs = fns
-                    traces.append(tape.record(lambda x: (lhs(x), rhs(x))))
-                kernel = tape.compile(traces)
+                    compiled.append(lambda x: (lhs(x), rhs(x)))
+                kernel = intervals._Tape().compile(compiled)
                 for x in points:
                     want = [_interval_path(fn, x) for fn in fns]
                     assert ValueError not in want, (name, prec, x)
@@ -867,8 +866,7 @@ def test_kernel_raises_at_a_zero_base_exactly_where_ipows_does():
         ]
         raised = []
         for fn in fns:
-            tape = intervals._Tape()
-            kernel = tape.compile([tape.record(fn)])
+            kernel = intervals._Tape().compile([fn])
             for x in (0.0, 0.25, 1.0):
                 want = _interval_path(fn, x)
                 if want is ValueError:
@@ -879,25 +877,45 @@ def test_kernel_raises_at_a_zero_base_exactly_where_ipows_does():
                     assert kernel(x) == (want,)
         assert raised == [(1, 0.0), (2, 0.0), (3, 0.0), (4, 1.0), (5, 0.0),
                           (5, 0.25), (5, 1.0)]
-        # the guard belongs to the trace whose ipows call has the exponent
-        # that needs it: a kernel of the other trace alone shares the log
-        # and the power of x, and does not raise
-        tape = intervals._Tape()
-        guarded = tape.record(fns[1])
-        unguarded = tape.record(fns[0])
-        assert unguarded[1] < guarded[1]
-        assert tape.compile([unguarded])(0.0) == ((fzero, fzero),)
-        with pytest.raises(ValueError):
-            tape.compile([unguarded, guarded])(0.0)
 
 
 def test_a_traced_point_refuses_what_has_no_kernel():
     with intervals.workprec(64):
-        tape = intervals._Tape()
         for fn in (float, hash, lambda x: x < 1, lambda x: x ** 0.5,
                    lambda x: x ** Fraction(1, 2)):
             with pytest.raises(TypeError):
-                tape.record(fn)
+                intervals._Tape().compile([fn])
+
+
+@pytest.mark.parametrize("ladder", [(64, 8192), (12, 24)],
+                         ids=["full-ladder", "12-24-bits"])
+def test_unit_grid_trio_compiles_one_kernel_per_rung(ladder, rungs,
+                                                     monkeypatch):
+    # each rung compiles one kernel for every inequality with pending
+    # points, whichever of them are pending at each point: at a = 0.5 only
+    # convex_concave is, goal and cfil hold there exactly
+    monkeypatch.setattr(intervals, "PREC_START", ladder[0])
+    monkeypatch.setattr(intervals, "PREC_CAP", ladder[1])
+    kernels = []
+    compile_kernel = intervals._Tape.compile
+
+    def counting(tape, fns):
+        fns = list(fns)
+        kernels.append((tape.prec, len(fns)))
+        return compile_kernel(tape, fns)
+
+    monkeypatch.setattr(intervals._Tape, "compile", counting)
+    points = 200 if ladder[0] == 64 else 33
+    for k in (2, 3, 6):
+        trio = [legendre._goal_inequality(k), legendre._cfil_inequality(k),
+                legendre._convex_concave_inequality(k)]
+        assert all(0.5 in exact for _, _, exact, _ in trio[:2])
+        assert 0.5 not in trio[2][2]
+        del kernels[:], rungs[:]
+        legendre._grid_checks(unit_grid(points), 0.0, 1.0, trio)
+        assert [prec for prec, _ in kernels] == rungs
+        assert kernels[0] == (ladder[0], 3)
+        assert len(rungs) == (1 if ladder[0] == 64 else 2)
 
 
 @pytest.mark.parametrize("ladder", [(64, 8192), (12, 24)],

@@ -357,11 +357,12 @@ def test_orbit_sweep_matches_mask_by_mask(n, d, target, monkeypatch):
     assert [list(p) for p in rep.max_ratio_witness.sorted_points()] == witness
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
 @pytest.mark.parametrize("kind", list(EnergyKind))
 def test_orbit_equality_witnesses_match_mask_by_mask(d, kind):
-    # d = 2 sweeps the wider alphabet {0,1,2}^2
-    k, n = 2, 2 if d == 2 else 1
+    # d = 2 sweeps the wider alphabet {0,1,2}^2, and d = 1 the segment
+    # {0..16}: 17 points, within the exhaustive sweeps' budget of 24
+    k, n = 2, {1: 16, 2: 2}.get(d, 1)
     pts = PointSet.cube(n, d).sorted_points()
     target = ExponentTarget.sharp(kind, k)
     thresholds = [energy_threshold(target, c) for c in range(len(pts) + 1)]
@@ -440,6 +441,10 @@ def test_sweep_exhaustive_budget():
     # the walk's own check
     with pytest.raises(BudgetExceeded, match="25 points"):
         sweep_cube(4, 2, ExponentTarget.sharp(EnergyKind.ADDITIVE, 2))
+    # the equality witnesses filter the same walk, on the same budget
+    with pytest.raises(BudgetExceeded, match=r"^exhaustive sweep over 25 "
+                                             r"points \(> 24\) refused$"):
+        equality_witnesses(2, 2, EnergyKind.ADDITIVE, 4)
 
 
 def test_sweep_sampled_budget():
