@@ -23,11 +23,11 @@ brute_force_energy stays the independent oracle.
 Every exhaustive energy comes from one of two walks, both on _mask_energy.
 subset_energies recounts every mask of a point list, or given masks, with
 their energies fanned out over forked workers (_fanout) and merged in mask
-order; orbit_energies walks the subsets one orbit of a given symmetry
-group at a time, computing one energy per orbit, and closes each orbit in
-one breadth-first function compiled per walk for its generators and the
-masks' byte count, each generator one line of 256-entry byte-table lookups
-(_byte_tables, which builds _mask_energy's tables too, for any byte count).
+order; orbit_energies walks the subsets of a cube one orbit of its
+symmetry group at a time, by halves along coordinate 1 and a merge over
+the cosets of that coordinate's stabilizer, with one energy and the size
+of each orbit and no bitmap of masks; orbit_members lists an orbit on
+demand, each image by 256-entry byte tables (_byte_tables).
 level_set_energies gives E_k of the level sets of {0..n}^d (points with at
 most t coordinates off the middle letters) from a generating function over
 sum types, in time polynomial in d, without building the cube.
@@ -38,7 +38,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from itertools import groupby, product as iter_product, repeat
+from itertools import groupby, permutations, product as iter_product, repeat
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple)
 from zlib import adler32
@@ -440,11 +440,11 @@ def _mask_energy(packed: List[int], k: int, kind: EnergyKind
 
 def _slot_table(offsets: List[int]) -> List[int]:
     """table[b] = the OR of 1 << offsets[i] over the bits i of b, for b
-    below 2**len(offsets) (at most 8 offsets)."""
-    table = [0] * (1 << len(offsets))
-    for b in range(1, len(table)):
-        low = b & -b
-        table[b] = table[b ^ low] | 1 << offsets[low.bit_length() - 1]
+    below 2**len(offsets): doubled once per offset."""
+    table = [0]
+    for offset in offsets:
+        bit = 1 << offset
+        table += [t | bit for t in table]
     return table
 
 
@@ -478,7 +478,9 @@ def _table_mask_energy(packed: List[int], k: int, higher: bool, lo: int,
     return mask_energy
 
 
-# the largest set the orbit walk's bitmap of 2^points bytes may cover
+# the largest cube an exhaustive walk takes: its work is one energy per
+# orbit, about 2^points / |G| of them (8 390 655 on {0..23}), beside tables
+# of at most 2^(points/2) entries
 MAX_ORBIT_POINTS = 24
 
 
@@ -491,77 +493,160 @@ def _byte_tables(offsets: List[int]) -> List[List[int]]:
             for shift in range(0, len(offsets), 8)]
 
 
-def _orbit_closure(symmetries: List[List[int]], n: int, seen: bytearray
-                   ) -> Callable[[int], List[int]]:
-    """close(rep): the orbit of the unseen mask rep, a mask of n bits,
-    under the group generated by `symmetries`, marked in `seen` (or a dict
-    that reads an unseen mask as 0) and returned in breadth-first order:
-    rep first, then each member's images under the generators, in their
-    order, that were not seen before.
-
-    The closure is the source of one function compiled for these
-    generators and the masks' byte count: each member m of more than one
-    byte is split once into its bytes m0, m1, ... (the last one unmasked,
-    as a mask has no higher bits), and generator g is one line `img =
-    tg_0[m0] | tg_1[m1] | ...` of its byte tables (_byte_tables), which
-    are bound, with `seen`, as names of the function's namespace."""
-    index, split = ["m"], "pass"
-    if n > 8:
-        index = ["m%d" % j for j in range(-(-n // 8))]
-        split = "%s = %s" % (", ".join(index), ", ".join(
-            ["m & 255"] + ["m >> %d & 255" % (8 * j)
-                           for j in range(1, len(index) - 1)]
-            + ["m >> %d" % (8 * len(index) - 8)]))
-    namespace: dict = {"seen": seen}
-    lines = ["def close(rep):",
-             "    seen[rep] = 1",
-             "    members = [rep]",
-             "    append = members.append",
-             "    for m in members:",
-             "        " + split]
-    for g, perm in enumerate(symmetries):
-        names = ["t%d_%d" % (g, b) for b in range(len(index))]
-        namespace.update(zip(names, _byte_tables(perm)))
-        lines += ["        img = %s" % " | ".join(
-                      "%s[%s]" % pair for pair in zip(names, index)),
-                  "        if not seen[img]:",
-                  "            seen[img] = 1",
-                  "            append(img)"]
-    lines.append("    return members")
-    exec(compile("\n".join(lines), "<orbit closure>", "exec"), namespace)
-    return namespace.pop("close")
+def _cube_perm(n: int, perm: Sequence[int], flips: Sequence[int]
+               ) -> List[int]:
+    """result[i] = the index of q among the sorted points of {0..n}^d, d =
+    len(perm), for p the i-th: q[i] = p[perm[i]], or n - p[perm[i]] where
+    flips[i]."""
+    pts = list(iter_product(range(n + 1), repeat=len(perm)))
+    index = {p: i for i, p in enumerate(pts)}
+    return [index[tuple(n - p[j] if f else p[j] for j, f in zip(perm, flips))]
+            for p in pts]
 
 
-def orbit_energies(packed: List[int], k: int, kind: EnergyKind,
-                   symmetries: List[List[int]]
-                   ) -> Iterator[Tuple[int, int, int, List[int]]]:
-    """Yield (rep, |B|, E(B), members) once per orbit of the nonempty masks
-    under the group generated by `symmetries`, bit i of a mask selecting
-    packed[i] (keys from pack_points(..., key_multiplier(k, kind))).
+def _cube_symmetries(n: int, d: int) -> List[List[int]]:
+    """Generators of the symmetry group of {0..n}^d (order 2^d d!) as
+    _cube_perm lists: the signed rotation p -> p[1:] + (n - p[0],), the
+    reflection at d = 1, and for d >= 2 the swap of coordinates 0 and 1."""
+    moves = [([1, 0] + list(range(2, d)), [0] * d)] if d >= 2 else []
+    if d:
+        moves.append((list(range(1, d)) + [0], [0] * (d - 1) + [1]))
+    return [_cube_perm(n, perm, flips) for perm, flips in moves]
 
-    Each symmetry is a permutation of the point indices that preserves both
-    energies (for a cube {0..n}^d: coordinate permutations and reflections
-    x_i -> n - x_i).  A bitmap of 2^points bytes marks the masks seen, so
-    at most MAX_ORBIT_POINTS points are taken.  The scan jumps to the next
-    unseen mask (bytearray.find) and closes its orbit by breadth-first
-    search over the generators, in one function compiled per call for
-    these generators and the masks' byte count (_orbit_closure), so rep is
-    the orbit's smallest mask and reps arrive in increasing order.  E is
-    computed once per orbit, from scratch, by one _mask_energy kernel.
-    """
-    n = len(packed)
-    if n > MAX_ORBIT_POINTS:
+
+def orbit_members(symmetries: List[List[int]]) -> Callable[[int], List[int]]:
+    """mask -> the sorted masks of its orbit under the group generated by
+    `symmetries` (point permutations), closed breadth first in a set, each
+    image one _byte_tables lookup per mask byte, for masks of any width."""
+    gens = [list(zip(range(0, len(perm), 8), _byte_tables(perm)))
+            for perm in symmetries]
+
+    def members(mask: int) -> List[int]:
+        orbit, todo = {mask}, [mask]
+        for m in todo:
+            for tables in gens:
+                image = 0
+                for shift, table in tables:
+                    image |= table[m >> shift & 255]
+                if image not in orbit:
+                    orbit.add(image)
+                    todo.append(image)
+        return sorted(orbit)
+    return members
+
+
+def orbit_energies(packed: List[int], k: int, kind: EnergyKind, n: int,
+                   d: int) -> Iterator[Tuple[int, int, int, int]]:
+    """Yield (rep, |B|, E(B), size) once per orbit of the nonempty subsets
+    B of {0..n}^d under its symmetry group G, bit i of a mask selecting
+    packed[i], the key of the i-th point in sorted order: rep is a member,
+    size the number of members (orbit_members lists them).  E is computed
+    once per orbit, by one _mask_energy kernel.
+
+    The walk goes by halves along coordinate 1 (x1): a mask is the middle
+    slice M (x1 = n/2, empty for odd n), the low half L (x1 < n/2) and the
+    high half U (x1 > n/2, slices from x1 = n down), so the reflection R:
+    x1 -> n - x1 swaps L and U.  H0 = B_{d-1}, the symmetries that fix
+    coordinate 1, acts alike on every slice, by a table per element.  A
+    stabilizer chain (A. Seress, Permutation Group Algorithms, 2003, ch. 4)
+    takes each least M of its H0-orbit, each least L of its Stab(M)-orbit
+    and each least U of its Stab(M, L)-orbit, the least triple of its
+    H0-orbit in the order of the key (M, L, U); of a triple and its
+    reflection (M, U, L) the lesser key is kept, one per orbit of K = H0 x
+    <R>.  The transpositions t_i of coordinates 1 and i (t_1 = 1) represent
+    the d right cosets of K in G, so the G-orbit of B is the union of the
+    K-orbits of the t_i B: B is kept when its key is the least of theirs
+    (B. D. McKay, J. Algorithms 26, 1998), and the orbit has d |KB| / c
+    members, c the number of t_i B in KB.  No table holds more than
+    2^(points/2) entries."""
+    if len(packed) > MAX_ORBIT_POINTS:
         raise ValueError("orbit walk over %d points (> %d) refused"
-                         % (n, MAX_ORBIT_POINTS))
+                         % (len(packed), MAX_ORBIT_POINTS))
     mask_energy = _mask_energy(packed, k, kind)
-    seen = bytearray(1 << n)
-    seen[0] = 1                         # the empty set is not walked
-    close = _orbit_closure(symmetries, n, seen)
-    rep = seen.find(0)
-    while rep > 0:
-        members = close(rep)
-        yield rep, rep.bit_count(), mask_energy(rep), members
-        rep = seen.find(0, rep)
+    if d == 0:
+        n, d = 0, 1                     # one point, as {0}^1
+    slice_pts, h = (n + 1) ** (d - 1), (n + 1) // 2
+    hb = h * slice_pts                  # bits of a half
+    hs = hb + (0 if n % 2 else slice_pts)   # offset of the high half
+    group = [_cube_perm(n, perm, flips)
+             for perm in permutations(range(d - 1))
+             for flips in iter_product((0, 1), repeat=d - 1)]
+    where = {tuple(g): i for i, g in enumerate(group)}
+    inverse = [where[tuple(sorted(range(slice_pts), key=g.__getitem__))]
+               for g in group]
+    half = [_slot_table([s * slice_pts + q for s in range(h) for q in g])
+            for g in group]
+    mid = [_slot_table(g if hs > hb else []) for g in group]
+    flip = _slot_table([(h - 1 - s) * slice_pts + p
+                        for s in range(h) for p in range(slice_pts)])
+    cosets = [list(zip(range(0, len(packed), 8), _byte_tables(_cube_perm(
+        n, [i] + list(range(1, i)) + [0] + list(range(i + 1, d)), [0] * d))))
+        for i in range(1, d)]           # the transpositions t_i, i >= 2
+    low_bits, mid_bits = (1 << hb) - 1, (1 << hs - hb) - 1
+    stabilizers: dict = {}
+    least0, go0, m_sizes = _orbits(mid, tuple(range(len(group))), inverse)
+    for m, m_size in m_sizes.items():
+        stab_m = tuple(g for g in range(len(group)) if mid[g][m] == m)
+        least1, go1, low_sizes = _orbits(half, stab_m, inverse)
+        for low, low_size in low_sizes.items():
+            sub = tuple(g for g in stab_m if half[g][low] == low)
+            if sub not in stabilizers:
+                stabilizers[sub] = _orbits(half, sub, inverse)
+            least2, _, high_sizes = stabilizers[sub]
+            for high, high_size in high_sizes.items():
+                if least1[high] < low or not m | low | high:
+                    continue    # the reflection's key is less; the empty set
+                mask = low | m << hb | flip[high] << hs
+                size = 2 * m_size * low_size * high_size
+                if least1[high] == low:
+                    # the reflection (m, high, low) is (m, low, u) in H0
+                    u = least2[half[go1[high]][low]]
+                    if u < high:
+                        continue
+                    size >>= u == high
+                same = 1
+                for tables in cosets:
+                    image = 0
+                    for shift, table in tables:
+                        image |= table[mask >> shift & 255]
+                    # the least key of image's K-orbit against (m, low, high)
+                    im = image >> hb & mid_bits
+                    if least0[im] != m:
+                        if least0[im] < m:
+                            break
+                        continue
+                    g = half[go0[im]]
+                    a, b = g[image & low_bits], g[flip[image >> hs]]
+                    if least1[a] < low or least1[b] < low:
+                        break
+                    u = min(least2[half[go1[a]][b]] if least1[a] == low
+                            else high + 1,
+                            least2[half[go1[b]][a]] if least1[b] == low
+                            else high + 1)
+                    if u < high:
+                        break
+                    same += u == high
+                else:
+                    yield mask, mask.bit_count(), mask_energy(mask), \
+                        d * size // same
+
+
+def _orbits(tables: List[List[int]], sub: Tuple[int, ...],
+            inverse: List[int]) -> Tuple[List[int], List[int], dict]:
+    """(least, go, sizes) of the orbits of the masks x < len(tables[0])
+    under the group of the elements sub (inverse[g] is g's inverse):
+    least[x] is the least of x's orbit, go[x] an element mapping x to it,
+    and sizes the orbit sizes by least mask, in increasing order."""
+    least, go, sizes = [-1] * len(tables[0]), [0] * len(tables[0]), {}
+    for x, seen in enumerate(least):
+        if seen < 0:
+            sizes[x] = 0
+            for g in sub:
+                y = tables[g][x]
+                if least[y] < 0:
+                    least[y], go[y] = x, inverse[g]
+                    sizes[x] += 1
+    return least, go, sizes
 
 
 def interval_energy_closed_form(n: int) -> int:

@@ -88,22 +88,37 @@ def _lift(mpi) -> "Interval":
 
 class Interval(_IVMPF):
     """The enclosure of an int, float or Fraction at the current precision,
-    or what ``iv.mpf`` makes of anything else.
+    or of what ``iv.mpf`` makes of anything else (a traced node: itself).
 
-    Its arithmetic is mpmath's own: an ``Interval`` mixed with an operand
-    mpmath cannot convert, a Fraction among them, raises.  It stays a class:
-    ``_Traced`` subclasses it, which lets a node take the reflected
-    operators of interval constants first, and ``bench/tracing.py`` wraps
-    the package's public functions but not its classes.
-    """
+    Its arithmetic is mpmath's, giving mpmath's intervals: an operand mpmath
+    cannot convert raises, and a Fraction does in ``==`` and ``!=`` too.
+    It stays a class: ``_Traced`` subclasses it, which lets a node take the
+    reflected operators of interval constants first, and bench/tracing.py
+    wraps the package's public functions but not its classes."""
 
     __slots__ = ("_mpi_",)
 
     def __new__(cls, x=0):
         if isinstance(x, Fraction):
-            return cls(x.numerator) / x.denominator
+            x = cls(x.numerator) / x.denominator
         v = _endpoints(x, _PREC[0])
-        return iv.convert(x) if v is None else _lift(v)
+        y = iv.convert(x) if v is None else None    # a traced node is itself
+        return y if isinstance(y, Interval) else _lift(v or y._mpi_)
+
+    # == and != refuse a Fraction, as the orderings do; the hash is mpmath's
+    def __eq__(self, other):
+        return _IVMPF.__eq__(self, _comparand(other))
+
+    def __ne__(self, other):
+        return _IVMPF.__ne__(self, _comparand(other))
+
+    __hash__ = _IVMPF.__hash__
+
+
+def _comparand(x):
+    if isinstance(x, Fraction):
+        raise TypeError("compare an Interval with Interval(f), not f")
+    return x
 
 
 class workprec:

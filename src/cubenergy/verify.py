@@ -11,16 +11,14 @@ verdict ever comes from bare floating point.
 Both energies are invariant under the symmetries of the cube {0..n}^d, so
 every exhaustive sweep computes one energy per orbit of its symmetry group
 (energy.orbit_energies; 401 orbits for the 65 535 nonempty subsets of
-{0,1}^4, 135 for the 255 of {0..7}) and counts it for every member.  The
-walk closes each orbit under the cube's generators (the swap of
-coordinates 0 and 1 and the signed rotation p -> p[1:] + (n - p[0],), at
-d = 1 the reflection alone, at d = 0 none) in one breadth-first function
-compiled per sweep, where each generator is one line of 256-entry
-byte-table lookups on the mask's bytes.  A sampled sweep recounts each of
-its masks from scratch (energy.subset_energies), by one energy kernel built
-once per sweep (energy._mask_energy), its energies fanned out over forked
-workers and merged in mask order.  equality_witnesses filters the entries
-of the same walk as sweep_cube.
+{0,1}^4, 135 for the 255 of {0..7}) and counts it by the orbit's size.  The
+walk goes by halves along coordinate 1, then merges the orbits of that
+coordinate's stabilizer over its d cosets; an orbit's members are listed
+only on demand (energy.orbit_members): for violations, equality witnesses
+and the smallest mask among tied best ratios.  A sampled sweep recounts
+each of its masks (energy.subset_energies), by one energy kernel built once
+per sweep (energy._mask_energy), fanned out over forked workers and merged
+in mask order.  equality_witnesses filters the entries of sweep_cube's walk.
 
 The witness search over the level sets of {0..n}^d takes its exact energies
 from energy.level_set_energies and its level sizes from a binomial sum, so
@@ -32,13 +30,13 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from mpmath import iv
 
 from .energy import (MAX_ORBIT_POINTS, EnergyKind, EnergyValue,
-                     key_multiplier, level_set_energies, orbit_energies,
-                     subset_energies)
+                     _cube_symmetries, key_multiplier, level_set_energies,
+                     orbit_energies, orbit_members, subset_energies)
 from .errors import BudgetExceeded, PrecisionExhausted
 from .intervals import Interval, certified_floor, decide_le
 from .lattice import PointSet, pack_points
@@ -260,69 +258,50 @@ def sweep_cube(n: int, d: int, target: ExponentTarget, *,
             if m:
                 masks.append(m)
         mode = "sample"
-    pts, thresholds, entries = _walk(n, d, target, masks)
+    pts, thresholds, entries, members = _walk(n, d, target, masks)
 
     violations: List[Tuple[int, int, int, int]] = []
     max_ratio = None
-    best_mask = None
-    equality_count = 0
-    checked = 0
+    tied: List[int] = []            # the masks of the best ratio's orbits
+    equality_count = checked = 0
 
-    for mask, c, e, members in entries:
-        checked += len(members)
+    for mask, c, e, size in entries:
+        checked += size
         bound, exact_power = thresholds[c]
         if e > bound:
-            violations.extend((m, c, e, bound) for m in members)
+            violations.extend((m, c, e, bound) for m in members(mask))
         elif exact_power and e == bound:
-            equality_count += len(members)
-        ratio = math.log(e) / math.log(c) if c >= 2 else None
-        # an exhaustive walk may visit masks in any order; a tie goes to the
-        # smallest mask, as in a scan in mask order.  mask is the smallest of
-        # its members, which share its ratio.  A sample keeps its first
-        # maximiser.
-        if ratio is not None and (max_ratio is None or ratio > max_ratio or (
-                ratio == max_ratio and masks is None and mask < best_mask)):
-            max_ratio = ratio
-            best_mask = mask
+            equality_count += size
+        if c < 2:
+            continue
+        # the witness is the smallest mask of the orbits that tie, as in a
+        # scan in mask order; a sample keeps its first maximiser
+        ratio = math.log(e) / math.log(c)
+        if max_ratio is None or ratio > max_ratio:
+            max_ratio, tied = ratio, [mask]
+        elif ratio == max_ratio and masks is None:
+            tied.append(mask)
     if masks is None:
         violations.sort()
-
-    witness = _mask_to_set(best_mask, pts) if best_mask is not None else None
+    witness = _mask_to_set(min(m for mask in tied for m in members(mask)),
+                           pts) if tied else None
     return VerificationReport(target, n, d, mode, seed if mode == "sample" else None,
                               checked, max_ratio, witness, equality_count,
                               [Violation(_mask_to_set(mask, pts), c, e, bound)
                                for mask, c, e, bound in violations])
 
 
-def _cube_symmetries(pts: List[tuple], n: int) -> List[List[int]]:
-    """Generators of the symmetry group of the cube {0..n}^d whose sorted
-    points are pts, each as the permutation of point indices it induces:
-    the signed rotation p -> p[1:] + (n - p[0],), a d-cycle of the
-    coordinates that reflects one of them, and for d >= 2 the swap of
-    coordinates 0 and 1 before it.  A transposition and a signed d-cycle
-    generate the whole group of coordinate permutations and reflections, of
-    order 2^d d!; at d = 1 the rotation is the reflection, and the group
-    has order 2 (closed and counted in the tests for every cube the sweeps
-    take).  At d = 0 the group is trivial: no generator."""
-    d = len(pts[0])
-    moves = [lambda p: (p[1], p[0]) + p[2:]] if d >= 2 else []
-    if d:
-        moves.append(lambda p: p[1:] + (n - p[0],))
-    index = {p: i for i, p in enumerate(pts)}
-    return [[index[move(p)] for p in pts] for move in moves]
-
-
 def _walk(n: int, d: int, target: ExponentTarget,
           masks: Optional[List[int]] = None
           ) -> Tuple[List[tuple], List[Tuple[int, bool]],
-                     Iterator[Tuple[int, int, int, Sequence[int]]]]:
-    """(pts, thresholds, entries) of a sweep of {0..n}^d: the cube's sorted
-    points, energy_threshold(target, c) for c = 0 .. len(pts), and entries
-    (mask, |B|, E(B), members), every mask in members of energy E(B) and
-    mask the smallest of them: one per orbit of the cube's symmetry group
-    when masks is None (orbit_energies, on at most MAX_ORBIT_POINTS cube
-    points, refused before the cube is built), else one a mask in their
-    order."""
+                     Iterator[Tuple[int, int, int, int]],
+                     Callable[[int], Sequence[int]]]:
+    """(pts, thresholds, entries, members) of a sweep of {0..n}^d: the
+    cube's sorted points, energy_threshold(target, c) for c = 0 ..
+    len(pts), entries (mask, |B|, E(B), size) and members(mask), the sorted
+    masks of energy E(B) that an entry stands for: an orbit of the cube's
+    symmetry group when masks is None (at most MAX_ORBIT_POINTS cube
+    points, refused before the cube is built), else one given mask."""
     if masks is None and (n + 1) ** d > MAX_ORBIT_POINTS:
         raise BudgetExceeded("exhaustive sweep over %d points (> %d) refused"
                              % ((n + 1) ** d, MAX_ORBIT_POINTS))
@@ -331,11 +310,11 @@ def _walk(n: int, d: int, target: ExponentTarget,
     packed = pack_points(pts, key_multiplier(k, kind))
     thresholds = [energy_threshold(target, c) for c in range(len(pts) + 1)]
     if masks is None:
-        entries = orbit_energies(packed, k, kind, _cube_symmetries(pts, n))
-    else:
-        entries = ((mask, c, e, (mask,))
-                   for mask, c, e in subset_energies(packed, k, kind, masks))
-    return pts, thresholds, entries
+        return (pts, thresholds, orbit_energies(packed, k, kind, n, d),
+                orbit_members(_cube_symmetries(n, d)))
+    entries = ((mask, c, e, 1)
+               for mask, c, e in subset_energies(packed, k, kind, masks))
+    return pts, thresholds, entries, lambda mask: (mask,)
 
 
 def _mask_to_set(mask: int, pts: List[tuple]) -> PointSet:
@@ -360,10 +339,11 @@ def equality_witnesses(d: int, k: int, kind: EnergyKind, n: int = 1) -> List[Poi
     integer that is not a power of two), so only the exact-power branch can
     report it.  The walk is the exhaustive sweep's, on its budget.
     """
-    pts, thresholds, entries = _walk(n, d, ExponentTarget.sharp(kind, k))
+    pts, thresholds, entries, members = _walk(n, d,
+                                              ExponentTarget.sharp(kind, k))
     # equality: an exact-power threshold (bound, True) with E == bound
-    masks = [m for _, c, e, members in entries
-             if thresholds[c] == (e, True) for m in members]
+    masks = [m for mask, c, e, _ in entries
+             if thresholds[c] == (e, True) for m in members(mask)]
     return [_mask_to_set(mask, pts) for mask in sorted(masks)]
 
 

@@ -1,13 +1,12 @@
 """Exact energy computation, closed forms, and decomposition identities."""
 
-import builtins
 import importlib
 import math
 import os
 import random
 from array import array
-from collections import Counter, defaultdict
-from itertools import permutations, product, zip_longest
+from collections import Counter
+from itertools import permutations, product
 
 import pytest
 
@@ -26,6 +25,7 @@ from cubenergy.energy import (
     key_multiplier,
     level_set_energies,
     orbit_energies,
+    orbit_members,
     packed_power_energy,
     packed_subset_energy,
     power_energy_plan,
@@ -34,13 +34,12 @@ from cubenergy.energy import (
 )
 from cubenergy.energy import (MAX_ORBIT_POINTS, _byte_power_sum,
                               _byte_tables, _correlation_moment,
-                              _mask_energy, _orbit_closure, _product_energy,
+                              _cube_symmetries, _mask_energy, _product_energy,
                               _slot_width)
 from cubenergy import _fanout, lattice
 from cubenergy.errors import BudgetExceeded
 from cubenergy.lattice import (CountsMap, PointSet, indicator,
                                iterate_convolve, pack_points)
-from cubenergy.verify import _cube_symmetries
 
 
 def _random_set(rng, dim, lo=0, hi=3, max_size=8):
@@ -507,7 +506,7 @@ SWEPT_CUBES = [(n, d) for n in range(1, MAX_ORBIT_POINTS)
 @pytest.mark.parametrize("n, d", SWEPT_CUBES)
 def test_cube_symmetries_generate_the_whole_group(n, d):
     pts = PointSet.cube(n, d).sorted_points()
-    gens = [tuple(g) for g in _cube_symmetries(pts, n)]
+    gens = [tuple(g) for g in _cube_symmetries(n, d)]
     assert len(gens) == min(d, 2)       # a segment's is the reflection alone
     group = {tuple(range(len(pts)))}
     frontier = list(group)
@@ -520,30 +519,63 @@ def test_cube_symmetries_generate_the_whole_group(n, d):
     assert group == {tuple(g) for g in _cube_group(pts, n)}
 
 
+def _cycles(perm):
+    """The number of cycles of a permutation, fixed points included."""
+    seen, cycles = set(), 0
+    for i in range(len(perm)):
+        if i not in seen:
+            cycles += 1
+            while i not in seen:
+                seen.add(i)
+                i = perm[i]
+    return cycles
+
+
+@pytest.mark.parametrize("n, d", [(n, d) for n, d in SWEPT_CUBES
+                                  if (n + 1) ** d <= 16] + [(0, 1), (0, 3)])
+def test_orbit_walk_counts_the_orbits_of_burnside(monkeypatch, n, d):
+    # Burnside's lemma: the subsets of the points fall into the mean over
+    # the group of 2^cycles(g) orbits, the empty set one of them; the
+    # walk yields one entry for each other orbit, whose sizes add up to
+    # every nonempty mask.  The energies are not under test here.
+    monkeypatch.setattr(importlib.import_module("cubenergy.energy"),
+                        "_mask_energy", lambda *args: lambda mask: 0)
+    group = _cube_group(PointSet.cube(n, d).sorted_points(), n)
+    orbits, rest = divmod(sum(2 ** _cycles(g) for g in group), len(group))
+    assert rest == 0
+    points = (n + 1) ** d
+    got = list(orbit_energies(list(range(points)), 2, EnergyKind.ADDITIVE,
+                              n, d))
+    assert len(got) == orbits - 1
+    assert sum(size for _, _, _, size in got) == (1 << points) - 1
+    assert all(len(group) % size == 0 for _, _, _, size in got)
+
+
 @pytest.mark.parametrize("n, d, orbits", [(1, 2, 5), (1, 3, 21), (2, 2, 101),
                                           (1, 4, 401), (3, 2, 8547)])
 def test_orbit_walk_partitions_by_cube_symmetry(n, d, orbits):
     pts = PointSet.cube(n, d).sorted_points()
     k, kind = 2, EnergyKind.ADDITIVE
     packed = pack_points(pts, k)
-    got = list(orbit_energies(packed, k, kind, _cube_symmetries(pts, n)))
+    got = list(orbit_energies(packed, k, kind, n, d))
     assert len(got) == orbits
-    assert [rep for rep, _, _, _ in got] == sorted(rep for rep, _, _, _ in got)
-    assert sorted(m for _, _, _, members in got for m in members) == \
+    members = orbit_members(_cube_symmetries(n, d))
+    listed = [members(rep) for rep, _, _, _ in got]
+    assert sorted(m for orbit in listed for m in orbit) == \
         list(range(1, 1 << len(pts)))
     group = _cube_group(pts, n)
-    for rep, size, e, members in got:
-        assert rep == min(members) and size == bin(rep).count("1")
+    for (rep, size, e, count), orbit in zip(got, listed):
+        assert size == bin(rep).count("1") and count == len(orbit)
         assert e == energy(_mask_set(pts, rep), k, kind).value
         # the members are the images of rep under the whole group
-        assert set(members) == {_mask_image(rep, g) for g in group}
+        assert orbit == sorted({_mask_image(rep, g) for g in group})
     if len(pts) > 9:
         return      # the point-set oracle below takes seconds past 9 points
     classes = set()
-    for rep, _, _, members in got:
-        key = _cube_symmetry_class(_mask_set(pts, rep), n)
+    for orbit in listed:
+        key = _cube_symmetry_class(_mask_set(pts, orbit[0]), n)
         assert all(_cube_symmetry_class(_mask_set(pts, m), n) == key
-                   for m in members)
+                   for m in orbit)
         classes.add(key)
     # one orbit per class: two different orbits never share a class
     assert len(classes) == orbits
@@ -568,11 +600,12 @@ def test_byte_tables_apply_a_permutation_of_any_length():
 def _plain_closure(rep, symmetries):
     """The orbit of rep, breadth first: each member's images under the
     generators, in their order, appended when not met before."""
-    members = [rep]
+    members, seen = [rep], {rep}
     for mask in members:
         for perm in symmetries:
             image = _mask_image(mask, perm)
-            if image not in members:
+            if image not in seen:
+                seen.add(image)
                 members.append(image)
     return members
 
@@ -580,61 +613,44 @@ def _plain_closure(rep, symmetries):
 @pytest.mark.parametrize("n, d", [(4, 2), (2, 3), (1, 5), (32, 1), (5, 2),
                                   (39, 1)])
 def test_orbit_closure_of_masks_past_3_bytes(n, d):
-    # 25, 27, 32, 33, 36 and 40 points, 4 and 5 mask bytes: a dict marks
-    # the masks seen in place of the orbit walk's 2^points bitmap
+    # 25, 27, 32, 33, 36 and 40 points, 4 and 5 mask bytes: the members of
+    # an orbit, listed on demand, past the walk's 24 points
     pts = PointSet.cube(n, d).sorted_points()
-    symmetries = _cube_symmetries(pts, n)
+    members = orbit_members(_cube_symmetries(n, d))
     group = _cube_group(pts, n)
-    seen = defaultdict(int)
-    close = _orbit_closure(symmetries, len(pts), seen)
     rng = random.Random("wide-%d-%d" % (n, d))
-    closed = set()
     for rep in [1, (1 << len(pts)) - 1] + [rng.getrandbits(len(pts))
                                            for _ in range(4)]:
-        if seen[rep]:
-            continue
-        members = close(rep)
-        assert members == _plain_closure(rep, symmetries)
-        assert set(members) == {_mask_image(rep, g) for g in group}
-        closed.update(members)
-        assert {m for m, mark in seen.items() if mark} == closed
+        orbit = members(rep)
+        assert orbit == sorted({_mask_image(rep, g) for g in group})
+        assert members(orbit[-1]) == orbit
 
 
-CLOSURE_SPLITS = {
-    8: "pass",
-    16: "m0, m1 = m & 255, m >> 8",
-    24: "m0, m1, m2 = m & 255, m >> 8 & 255, m >> 16",
-    40: "m0, m1, m2, m3, m4 = m & 255, m >> 8 & 255, m >> 16 & 255, "
-        "m >> 24 & 255, m >> 32",
-}
-
-
-@pytest.mark.parametrize("points", sorted(CLOSURE_SPLITS))
-def test_orbit_closure_splits_each_member_into_its_bytes(monkeypatch, points):
-    # one split line for any byte count, none for one byte; each generator
-    # looks up one table per byte
-    sources = []
-    inner = builtins.compile
-
-    def recorded(source, *args, **kwargs):
-        sources.append(source)
-        return inner(source, *args, **kwargs)
-    monkeypatch.setattr(builtins, "compile", recorded)
-    _orbit_closure([list(range(points))], points, bytearray(1))
-    [source] = sources
-    lines = [line.strip() for line in source.splitlines()]
-    split = CLOSURE_SPLITS[points]
-    assert lines[5] == split
-    index = split.split(" = ")[0].split(", ") if points > 8 else ["m"]
-    assert "img = %s" % " | ".join("t0_%d[%s]" % pair
-                                   for pair in enumerate(index)) in lines
+@pytest.mark.parametrize("points", [8, 16, 24, 40])
+def test_orbit_closure_splits_each_member_into_its_bytes(monkeypatch,
+                                                         points):
+    # each generator is one table per mask byte, built once; a mask with
+    # one bit in every byte, the top one included, maps byte by byte
+    energy_module = importlib.import_module("cubenergy.energy")
+    inner, built = energy_module._byte_tables, []
+    monkeypatch.setattr(energy_module, "_byte_tables",
+                        lambda perm: built.append(len(perm)) or inner(perm))
+    rng = random.Random(points)
+    perm = rng.sample(range(points), points)
+    members = orbit_members([perm])
+    assert built == [points]
+    for _ in range(5):
+        mask = sum(1 << 8 * j + rng.randrange(8) for j in range(points // 8))
+        mask |= 1 << points - 1
+        assert members(mask) == sorted(_plain_closure(mask, [perm]))
+    assert built == [points]
 
 
 def test_orbit_walk_refuses_more_than_24_points():
-    # a bitmap of 2^25 bytes, and as many Python steps, are not affordable
+    # the walk's work, one energy per orbit, is budgeted at 24 points
     packed = pack_points(PointSet.cube(4, 2).sorted_points(), 2)
     with pytest.raises(ValueError, match="25 points"):
-        next(orbit_energies(packed, 2, EnergyKind.ADDITIVE, []))
+        next(orbit_energies(packed, 2, EnergyKind.ADDITIVE, 4, 2))
 
 
 def _plain_orbits(n, symmetries):
@@ -663,61 +679,44 @@ def _plain_orbits(n, symmetries):
         yield rep, bin(rep).count("1"), members
 
 
-def _compare_walks(packed, symmetries):
-    """Assert that orbit_energies walks as _plain_orbits does; return the
-    number of orbits."""
-    walked = ((rep, size, members) for rep, size, _, members
-              in orbit_energies(packed, 2, EnergyKind.ADDITIVE, symmetries))
-    count = 0
-    for got, want in zip_longest(walked,
-                                 _plain_orbits(len(packed), symmetries)):
-        assert got == want
-        count += 1
-    return count
-
-
 @pytest.mark.parametrize("n, d", [(1, 2), (1, 3), (1, 4), (2, 2), (3, 2)])
 def test_orbit_walk_is_the_plain_breadth_first_walk(n, d):
-    # the compiled closure yields the reps, sizes and members, in order, of
-    # a plain walk over the generators in the order given
+    # the walk by halves yields the orbits of a plain breadth-first walk
+    # over the generators, in another order: one entry per orbit, with a
+    # member of it as rep and its size
     pts = PointSet.cube(n, d).sorted_points()
-    assert _compare_walks(pack_points(pts, 2),
-                               _cube_symmetries(pts, n)) == \
-        {(1, 2): 5, (1, 3): 21, (1, 4): 401, (2, 2): 101, (3, 2): 8547}[n, d]
+    plain = list(_plain_orbits(len(pts), _cube_symmetries(n, d)))
+    orbit_of = {m: i for i, (_, _, members) in enumerate(plain)
+                for m in members}
+    walked = {}
+    for rep, size, _, count in orbit_energies(pack_points(pts, 2), 2,
+                                              EnergyKind.ADDITIVE, n, d):
+        walked[orbit_of[rep]] = (size, count)
+    assert walked == {i: (size, len(members))
+                      for i, (_, size, members) in enumerate(plain)}
+    assert len(walked) == {(1, 2): 5, (1, 3): 21, (1, 4): 401, (2, 2): 101,
+                           (3, 2): 8547}[n, d]
 
 
 @pytest.mark.parametrize("points", [5, 12, 20])
 @pytest.mark.parametrize("gens", [0, 1, 2, 3])
-def test_orbit_walk_of_any_generators_and_byte_count(monkeypatch, points,
-                                                     gens):
-    # 1, 2 and 3 mask bytes, under 0 to 3 generators; the energies are not
-    # under test here, so they are not computed
-    monkeypatch.setattr(importlib.import_module("cubenergy.energy"),
-                        "_mask_energy", lambda *args: lambda mask: 0)
+def test_orbit_walk_of_any_generators_and_byte_count(points, gens):
+    # orbit_members closes orbits of 1, 2 and 3 mask bytes under 0 to 3
+    # generators as a plain breadth-first walk does; at 20 points the masks
+    # hold at most 2 points or miss at most 2, as a random group of 20
+    # points can make an orbit of 184 756 masks
     rng = random.Random("orbit-%d" % points)
-    perms = [rng.sample(range(points), points) for _ in range(3)]
-    orbits = _compare_walks(list(range(points)), perms[:gens])
-    assert (orbits == (1 << points) - 1) == (gens == 0)
-
-
-def test_orbit_walk_compiles_once(monkeypatch):
-    # one closure per call, compiled before the first orbit; none is kept
-    # for the next call
-    pts = PointSet.cube(1, 4).sorted_points()
-    packed, symmetries = pack_points(pts, 2), _cube_symmetries(pts, n=1)
-    compiles = []
-    inner = builtins.compile
-
-    def counted(*args, **kwargs):
-        compiles.append(args[1])
-        return inner(*args, **kwargs)
-    monkeypatch.setattr(builtins, "compile", counted)
-    for calls in (1, 2):
-        walk = orbit_energies(packed, 2, EnergyKind.HIGHER, symmetries)
-        next(walk)
-        assert compiles == ["<orbit closure>"] * calls
-        assert len(list(walk)) == 400
-        assert compiles == ["<orbit closure>"] * calls
+    perms = [rng.sample(range(points), points) for _ in range(3)][:gens]
+    members = orbit_members(perms)
+    full = (1 << points) - 1
+    masks = [1, full] + [rng.getrandbits(points) for _ in range(8)]
+    if points > 12:
+        masks = [m for i in range(points) for j in range(i)
+                 for m in (1 << i | 1 << j, full ^ (1 << i | 1 << j))][::7]
+    for mask in masks:
+        orbit = members(mask)
+        assert orbit == sorted(_plain_closure(mask, perms))
+        assert (orbit == [mask]) == (gens == 0 or mask in (0, full))
 
 
 def test_subset_energies_given_masks_in_given_order():

@@ -208,10 +208,11 @@ def test_interval_leaves_other_operands_to_mpmath():
 
 def test_interval_refuses_a_fraction_operand_exponent_or_comparand():
     # mpmath cannot convert a Fraction, so mixing one with an interval
-    # raises instead of giving an enclosure of some rounding of it (== and
-    # != fall back to identity, as between any two types that do not compare)
+    # raises instead of giving an enclosure of some rounding of it; == and
+    # != raise too, where they would fall back to identity
     ops = [operator.add, operator.sub, operator.mul, operator.truediv]
-    orders = [operator.lt, operator.le, operator.gt, operator.ge]
+    orders = [operator.lt, operator.le, operator.gt, operator.ge,
+              operator.eq, operator.ne]
     with workprec(64):
         for s in ([0.25, 3], 2, Fraction(1, 3)):
             x = Interval(s)
@@ -228,6 +229,24 @@ def test_interval_refuses_a_fraction_operand_exponent_or_comparand():
                         op(x, c)
                     with pytest.raises(TypeError):
                         op(c, x)
+
+
+def test_interval_equality_with_a_fraction_raises():
+    # Interval(4) == Fraction(4) read False and != True, both ways round;
+    # now both raise TypeError as the orderings do, while an int compares
+    # as before and an interval stays hashable
+    with workprec(64):
+        x = Interval(4)
+        for c in (Fraction(4), Fraction(1, 3)):
+            for op in (operator.eq, operator.ne):
+                with pytest.raises(TypeError, match=r"Interval\(f\)"):
+                    op(x, c)
+                with pytest.raises(TypeError, match=r"Interval\(f\)"):
+                    op(c, x)
+        assert x == 4 and not x != 4 and x != 5
+        assert x == Interval(Fraction(4)) and type(Interval(Fraction(4))) \
+            is Interval
+        assert hash(x) == hash(Interval(4)) and {x: 1}[Interval(4)] == 1
 
 
 def test_interval_is_an_mpmath_interval():

@@ -10,7 +10,8 @@ import pytest
 from mpmath import mp, workdps
 
 from cubenergy import intervals, verify
-from cubenergy.energy import (EnergyKind, brute_force_energy, energy,
+from cubenergy.energy import (EnergyKind, _cube_symmetries,
+                              brute_force_energy, energy, orbit_members,
                               packed_subset_energy)
 from cubenergy.errors import BudgetExceeded
 from cubenergy.lattice import PointSet, pack_points
@@ -230,13 +231,13 @@ def test_sweep_cube_d3_frozen():
 
 def _recorded_walks(monkeypatch):
     """A list that collects, for each verify._walk call, the entries
-    (mask, |B|, E(B), members) its caller consumed."""
+    (mask, |B|, E(B), size) its caller consumed."""
     walk, walks = verify._walk, []
 
     def recording(*args):
-        pts, thresholds, entries = walk(*args)
+        pts, thresholds, entries, members = walk(*args)
         walks.append(list(entries))
-        return pts, thresholds, walks[-1]
+        return pts, thresholds, walks[-1], members
     monkeypatch.setattr(verify, "_walk", recording)
     return walks
 
@@ -249,13 +250,15 @@ def test_sweep_rows_and_mode(monkeypatch):
     assert rep.mode == "exhaustive"
     [entries] = walks
     assert len(entries) == 5
-    assert [entry[0] for entry in entries] == [1, 3, 6, 7, 15]
-    assert sorted(m for entry in entries for m in entry[3]) == \
+    listing = orbit_members(_cube_symmetries(1, 2))
+    orbits = [listing(entry[0]) for entry in entries]
+    assert sorted(orbit[0] for orbit in orbits) == [1, 3, 6, 7, 15]
+    assert sorted(m for orbit in orbits for m in orbit) == \
         list(range(1, 16)) and rep.subsets_checked == 15
     pts = PointSet.cube(1, 2).sorted_points()
     ratios = {}
-    for rep_mask, size, e, members in entries:
-        assert rep_mask == min(members)
+    for (rep_mask, size, e, count), members in zip(entries, orbits):
+        assert rep_mask in members and count == len(members)
         for mask in members:
             assert bin(mask).count("1") == size
             sub = PointSet.from_points([p for i, p in enumerate(pts)
@@ -273,19 +276,25 @@ def test_sweep_rows_and_mode(monkeypatch):
 
 def test_sweep_reports_do_not_depend_on_walk_order(monkeypatch):
     # replay the exhaustive walks backwards, the orbit walk with each
-    # orbit's members reversed too: violations, the witness of the best
-    # ratio and the equality witnesses must all come out the same
+    # orbit's largest member as its rep and its members listed in reverse:
+    # violations, the witness of the best ratio and the equality witnesses
+    # must all come out the same
     walk = verify.subset_energies
-    orbits = verify.orbit_energies
+    orbits, listing = verify.orbit_energies, verify.orbit_members
 
     def backwards(packed, k, kind, masks=None):
         steps = list(walk(packed, k, kind, masks))
         return reversed(steps) if masks is None else steps
 
-    def orbits_backwards(packed, k, kind, symmetries):
-        steps = [(rep, c, e, members[::-1])
-                 for rep, c, e, members in orbits(packed, k, kind, symmetries)]
+    def orbits_backwards(packed, k, kind, n, d):
+        members = listing(_cube_symmetries(n, d))
+        steps = [(members(rep)[-1], c, e, size)
+                 for rep, c, e, size in orbits(packed, k, kind, n, d)]
         return reversed(steps)
+
+    def members_backwards(symmetries):
+        members = listing(symmetries)
+        return lambda mask: members(mask)[::-1]
 
     jobs = [(1, 3, ExponentTarget(EnergyKind.ADDITIVE, 2, 2.3)),
             (1, 3, ExponentTarget.sharp(EnergyKind.HIGHER, 2)),
@@ -296,6 +305,7 @@ def test_sweep_reports_do_not_depend_on_walk_order(monkeypatch):
           for d, n in [(3, 1), (1, 3)] for kind in EnergyKind]
     monkeypatch.setattr(verify, "subset_energies", backwards)
     monkeypatch.setattr(verify, "orbit_energies", orbits_backwards)
+    monkeypatch.setattr(verify, "orbit_members", members_backwards)
     for (n, d, t), rep in zip(jobs, want):
         assert sweep_cube(n, d, t).to_dict() == rep.to_dict()
     assert [equality_witnesses(d, 2, kind, n)
@@ -346,8 +356,10 @@ def test_orbit_sweep_matches_mask_by_mask(n, d, target, monkeypatch):
     walks = _recorded_walks(monkeypatch)
     rep = sweep_cube(n, d, target)
     [entries] = walks
-    assert sorted((m, c, e) for _, c, e, members in entries
-                  for m in members) == rows
+    members = orbit_members(_cube_symmetries(n, d))
+    assert sorted((m, c, e) for mask, c, e, _ in entries
+                  for m in members(mask)) == rows
+    assert all(size == len(members(mask)) for mask, _, _, size in entries)
     assert rep.subsets_checked == len(rows) == (1 << (n + 1) ** d) - 1
     pts = PointSet.cube(n, d).sorted_points()
     assert [sorted(map(list, v.subset.points)) for v in rep.violations] == \
@@ -375,9 +387,11 @@ def test_orbit_equality_witnesses_match_mask_by_mask(d, kind):
 
 def test_exhaustive_sweep_computes_one_energy_per_orbit(monkeypatch):
     # {0,1}^4 has 65535 nonempty subsets in 401 orbits of its symmetry
-    # group, and {0..7} 255 in 135 orbits of the reflection; every energy
+    # group, {0..7} 255 in 135 orbits of the reflection, {0..3}^2 65535 in
+    # 8547 and {0,1,2}^2, with a middle slice, 511 in 101; every energy
     # from scratch is a call of the function that _mask_energy builds for
-    # the sweep
+    # the sweep.  A walk that stopped at the orbits of the stabilizer of
+    # coordinate 1 would make 1055 calls on {0,1}^4
     calls = []
     energy_module = importlib.import_module("cubenergy.energy")
     inner = energy_module._mask_energy
@@ -395,6 +409,11 @@ def test_exhaustive_sweep_computes_one_energy_per_orbit(monkeypatch):
     assert rep.subsets_checked == 65535 and len(calls) == 401
     rep = sweep_cube(7, 1, ExponentTarget.sharp(EnergyKind.HIGHER, 2))
     assert rep.subsets_checked == 255 and len(calls) == 401 + 135
+    for n, orbits in [(3, 8547), (2, 101)]:
+        del calls[:]
+        rep = sweep_cube(n, 2, ExponentTarget.sharp(EnergyKind.ADDITIVE, 2))
+        assert rep.subsets_checked == (1 << (n + 1) ** 2) - 1
+        assert len(calls) == orbits
 
 
 @pytest.mark.parametrize("n, d", [(1, 0), (1, 1), (2, 1), (3, 1), (6, 1),
